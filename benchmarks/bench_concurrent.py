@@ -81,7 +81,7 @@ def bench_overhead(index, queries, k) -> dict:
     index.batch_query(queries, k=k, **KWARGS)
     batch_s = time.perf_counter() - start
     service = _service_qps(
-        index, queries, k, threads=1, cache_size=0, batch_window_ms=0.0
+        index, queries, k, threads=1, cache_size=0
     )
     return {
         "direct_loop": {"seconds": loop_s, "qps": len(queries) / loop_s},
@@ -96,7 +96,7 @@ def bench_overhead(index, queries, k) -> dict:
 def bench_threads(index, queries, k, thread_counts) -> list:
     return [
         _service_qps(
-            index, queries, k, threads=t, cache_size=0, batch_window_ms=1.0,
+            index, queries, k, threads=t, cache_size=0,
             max_batch_size=32,
         )
         for t in thread_counts
@@ -106,7 +106,7 @@ def bench_threads(index, queries, k, thread_counts) -> list:
 def bench_cache(index, unique_queries, k, repeats) -> dict:
     """Cold pass fills the cache; warm passes measure the hit path."""
     with ANNService(
-        index, cache_size=4 * len(unique_queries), batch_window_ms=0.0
+        index, cache_size=4 * len(unique_queries)
     ) as service:
         start = time.perf_counter()
         for q in unique_queries:
@@ -139,7 +139,7 @@ def bench_mixed(data, queries, k, duration_s, readers) -> dict:
     stop = threading.Event()
     counts = {"reads": 0, "writes": 0}
     lock = threading.Lock()
-    with ANNService(index, cache_size=512, batch_window_ms=1.0) as service:
+    with ANNService(index, cache_size=512) as service:
         def reader(tid):
             rng = np.random.default_rng(1000 + tid)
             done = 0

@@ -77,8 +77,7 @@ def build_service() -> ANNService:
     index = DynamicLCCSLSH(dim=DIM, m=16, w=4.0, seed=3).fit(
         rng.normal(size=(N, DIM))
     )
-    # window 0: the lone warm-up miss executes immediately
-    return ANNService(index, batch_window_ms=0.0, cache_size=256)
+    return ANNService(index, cache_size=256)
 
 
 def run_mode(service: ANNService, queries: np.ndarray, sample: int) -> float:

@@ -26,7 +26,6 @@ from typing import Optional, Tuple
 import heapq
 
 import numpy as np
-from scipy.stats import chi2
 
 from repro.base import ANNIndex
 from repro.baselines.kdtree import KDTree
@@ -86,6 +85,10 @@ class SRS(ANNIndex):
     def _query(
         self, q: np.ndarray, k: int, max_candidates: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
+        # scipy.special at the call site: importing the package (and so
+        # every server and CLI start) must not pay for a chi-square CDF
+        from scipy.special import chdtr
+
         if max_candidates is None:
             max_candidates = max(k, int(self.max_fraction * self.n))
         q_proj = q @ self.proj
@@ -107,7 +110,7 @@ class SRS(ANNIndex):
                 if kth == 0.0:
                     break
                 stat = (proj_dist * self.c / kth) ** 2
-                if chi2.cdf(stat, df=self.d_proj) >= self.p_tau:
+                if chdtr(self.d_proj, stat) >= self.p_tau:
                     break
         self.last_stats["candidates"] = float(examined)
         if not best:

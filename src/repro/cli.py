@@ -543,7 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with ANNService(
         index,
         cache_size=args.cache_size,
-        batch_window_ms=args.batch_window_ms,
         max_batch_size=args.max_batch,
     ) as service, ThreadPoolExecutor(max_workers=args.threads) as clients:
         # Responses flow through a bounded queue (query futures and
@@ -753,7 +752,6 @@ def _cmd_serve_tcp(args: argparse.Namespace) -> int:
         drain_timeout=args.drain_timeout,
         k=args.k,
         cache_size=args.cache_size,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         mmap=args.mmap,
         wal_dir=args.wal_dir,
@@ -1260,11 +1258,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU query-result cache capacity (0 disables caching)",
     )
     p.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="how long a lone query waits for company before executing",
+        "--max-batch", type=int, default=64,
+        help="micro-batch size cap; a lone query executes at once, and "
+        "queries arriving while a batch runs form the next batch",
     )
-    p.add_argument("--max-batch", type=int, default=64,
-                   help="micro-batch size cap")
     p.add_argument("--k", type=int, default=10,
                    help="default k for requests that omit it")
     p.add_argument(

@@ -14,13 +14,15 @@ then emits strings in exactly non-increasing order of LCCS length.
 
 Construction uses rank doubling over all ``n*m`` rotations (the
 numpy-friendly equivalent of Algorithm 1's ``m`` comparison sorts): after
-``ceil(log2 m)`` rounds of two-key lexsorts every rotation has a dense
-rank, and ``I_s`` is an argsort of the rank column ``s``.
+``ceil(log2 m)`` rounds of sorting (rank, rank-at-offset) pairs every
+rotation has a dense rank, and ``I_s`` is an argsort of the rank column
+``s``.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -54,8 +56,12 @@ class CircularShiftArray:
     :meth:`batch_search_all_shifts`, :meth:`_batch_merge_tournament`)
     dispatch to a pluggable kernel backend (:mod:`repro.kernels`):
     ``numpy`` is the always-available reference, ``numba``/``cext`` are
-    byte-identical compiled ports.  Single-query paths and the
-    multi-probe heap merge stay pure Python/NumPy.
+    byte-identical compiled ports; :meth:`batch_k_lccs` runs search and
+    merge as one backend call where the backend has one.  The scalar
+    paths (:meth:`k_lccs` and friends) and the multi-probe heap merge
+    stay pure Python/NumPy: they are the reference backend's faster
+    route for a handful of queries and the oracle the equivalence
+    suites compare every backend against.
 
     Args:
         strings: ``(n, m)`` integer array; row ``i`` is string ``T_i``.
@@ -89,7 +95,6 @@ class CircularShiftArray:
         from repro import kernels
 
         self._backend = kernels.resolve_backend(backend)
-        self._kstate: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Kernel backend plumbing
@@ -103,8 +108,8 @@ class CircularShiftArray:
     def set_backend(self, backend: Optional[str]) -> str:
         """Re-resolve the kernel backend; returns the resolved name.
 
-        Cheap (the compiled arrays cache survives), so benchmarks can
-        flip one built index between backends instead of rebuilding.
+        Cheap (no rebuild), so benchmarks can flip one built index
+        between backends.
         """
         from repro import kernels
 
@@ -116,7 +121,6 @@ class CircularShiftArray:
         unpicklable handles (ctypes libraries, jitted functions)."""
         state = self.__dict__.copy()
         state["_backend"] = self._backend.name
-        state["_kstate"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -127,47 +131,46 @@ class CircularShiftArray:
         if name not in kernels.KNOWN_BACKENDS:
             name = None  # pickles from other versions: use the default
         self._backend = kernels.resolve_backend(name)
-        self._kstate = None
-
-    def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """C-contiguous int64 ``(doubled, sorted_idx, next_link)``.
-
-        Compiled backends index these with raw pointers, so dtype and
-        layout are pinned here once per CSA (the build emits int32
-        indexes for compactness; memory-mapped bundles may be anything).
-        When the stored arrays already comply, the originals are
-        returned — no copy.
-        """
-        if self._kstate is None:
-            self._kstate = (
-                np.ascontiguousarray(self._doubled, dtype=np.int64),
-                np.ascontiguousarray(self.sorted_idx, dtype=np.int64),
-                np.ascontiguousarray(self.next_link, dtype=np.int64),
-            )
-        return self._kstate
 
     # ------------------------------------------------------------------
     # Construction (paper Algorithm 1, via rank doubling)
     # ------------------------------------------------------------------
 
-    def _build(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _build(
+        self, packed_keys: Optional[bool] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rank doubling; ``packed_keys`` forces one of the two round sorts
+        (the tests pin them to identical arrays), ``None`` picks."""
         n, m = self.n, self.m
         # Dense initial ranks of single characters.
         _, inv = np.unique(self.strings.ravel(), return_inverse=True)
         rank = inv.reshape(n, m).astype(np.int64)
+        # Ranks are < n*m, so a round's (first, second) pair packs into
+        # one int64 key whenever (n*m + 1)**2 fits: one argsort instead of
+        # a two-key lexsort, a third of the time.  Equal pairs get equal
+        # ranks either way, so the sort need not be stable.
+        base = n * m + 1
+        if packed_keys is None:
+            packed_keys = base * base < 2**63
         width = 1
         while width < m:
             second = np.roll(rank, -width, axis=1)  # rank of rotation s+width
-            first_flat = rank.ravel()
-            second_flat = second.ravel()
-            order = np.lexsort((second_flat, first_flat))
-            f_sorted = first_flat[order]
-            s_sorted = second_flat[order]
             changed = np.empty(n * m, dtype=bool)
             changed[0] = False
-            changed[1:] = (f_sorted[1:] != f_sorted[:-1]) | (
-                s_sorted[1:] != s_sorted[:-1]
-            )
+            if packed_keys:
+                key = (rank * base + second).ravel()
+                order = np.argsort(key)
+                k_sorted = key[order]
+                changed[1:] = k_sorted[1:] != k_sorted[:-1]
+            else:
+                first_flat = rank.ravel()
+                second_flat = second.ravel()
+                order = np.lexsort((second_flat, first_flat))
+                f_sorted = first_flat[order]
+                s_sorted = second_flat[order]
+                changed[1:] = (f_sorted[1:] != f_sorted[:-1]) | (
+                    s_sorted[1:] != s_sorted[:-1]
+                )
             dense = np.cumsum(changed)
             new_rank = np.empty(n * m, dtype=np.int64)
             new_rank[order] = dense
@@ -504,29 +507,33 @@ class CircularShiftArray:
         Python at all.  Per query the output is identical to
         :meth:`merge_candidates`.
         """
-        pos_lower, _pos_upper, _len_lower, _len_upper = bounds_arrays
-        Q = len(pos_lower)
-        m, n = self.m, self.n
+        Q = len(bounds_arrays[0])
         if Q == 0:
             return []
-        # Pack (m - lcp, sid, shift, rank) into one int64 so the round
-        # pick is a single argmin/heap-min.  Falls back to the heap merge
-        # for gigantic indexes where the fields no longer fit 62 bits.
-        bits_pos = max(1, int(n - 1).bit_length())
-        bits_shift = max(1, int(m - 1).bit_length())
-        bits_sid = bits_pos
-        bits_len = int(m).bit_length()
-        if bits_len + bits_sid + bits_shift + bits_pos > 62:  # pragma: no cover
+        key_shifts = self._key_shifts()
+        if key_shifts is None:  # pragma: no cover
             return self._batch_merge_heap(
                 qd_table, bounds_arrays, k, [[] for _ in range(Q)]
             )
-        # packed-key layout: pos occupies the low bits_pos bits
-        sh_shift = bits_pos
-        sh_sid = sh_shift + bits_shift
-        sh_len = sh_sid + bits_sid
         return self._backend.merge_tournament(
-            self, qd_table, bounds_arrays, k, (sh_shift, sh_sid, sh_len)
+            self, qd_table, bounds_arrays, k, key_shifts
         )
+
+    def _key_shifts(self) -> Optional[Tuple[int, int, int]]:
+        """Bit offsets ``(sh_shift, sh_sid, sh_len)`` of the packed merge key.
+
+        ``(m - lcp, sid, shift, rank)`` go into one int64, rank in the low
+        bits, so a round's pick is a single argmin/heap-min.  ``None`` for
+        gigantic indexes whose fields no longer fit 62 bits (the heap
+        merge serves those).
+        """
+        bits_pos = max(1, int(self.n - 1).bit_length())
+        bits_shift = max(1, int(self.m - 1).bit_length())
+        bits_len = int(self.m).bit_length()
+        if bits_len + 2 * bits_pos + bits_shift > 62:  # pragma: no cover
+            return None
+        sh_sid = bits_pos + bits_shift
+        return bits_pos, sh_sid, sh_sid + bits_pos
 
     def _batch_merge_heap(
         self,
@@ -677,12 +684,52 @@ class CircularShiftArray:
         query the ``(ids, lengths)`` output is identical to
         :meth:`k_lccs`.
         """
+        flat_ids, flat_lens, offsets, _ = self._batch_k_lccs_flat(queries, k)
+        bounds = offsets.tolist()
+        return [
+            (flat_ids[lo:hi], flat_lens[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+    def _batch_k_lccs_flat(
+        self, queries: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """:meth:`batch_k_lccs` in the form verification consumes.
+
+        Returns ``(flat_ids, flat_lens, offsets, search_s)``: query
+        ``qi``'s strings and LCCS lengths are
+        ``flat_*[offsets[qi]:offsets[qi + 1]]``, and ``search_s`` is the
+        wall-clock of phase 1 (the remainder of the call is the merge).
+        A backend with a ``search_merge`` kernel answers in one call, so
+        the four ``(Q, m)`` bound arrays are never materialised.
+        """
         if k <= 0:
             raise ValueError("k must be positive")
-        queries = np.asarray(queries)
+        queries = np.ascontiguousarray(queries)
+        if queries.ndim != 2 or queries.shape[1] != self.m:
+            raise ValueError(
+                f"queries must be (Q, m={self.m}), got shape {queries.shape}"
+            )
+        search_merge = getattr(self._backend, "search_merge", None)
+        key_shifts = self._key_shifts() if search_merge is not None else None
+        if key_shifts is not None and len(queries):
+            return search_merge(self, queries, k, key_shifts)
+        t0 = time.perf_counter()
         bounds = self.batch_search_all_shifts(queries)
+        search_s = time.perf_counter() - t0
         qds = np.concatenate([queries, queries], axis=1)
-        return self.batch_merge_candidates(qds, bounds, k)
+        merged = self.batch_merge_candidates(qds, bounds, k)
+        offsets = np.zeros(len(merged) + 1, dtype=np.int64)
+        if not merged:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, offsets, search_s
+        np.cumsum([len(ids) for ids, _ in merged], out=offsets[1:])
+        return (
+            np.concatenate([ids for ids, _ in merged]),
+            np.concatenate([lens for _, lens in merged]),
+            offsets,
+            search_s,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -773,7 +820,6 @@ class CircularShiftArray:
         from repro import kernels
 
         obj._backend = kernels.resolve_backend(backend)
-        obj._kstate = None
         return obj
 
     def save_npz(self, path: str) -> None:

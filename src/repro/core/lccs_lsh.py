@@ -25,6 +25,15 @@ from repro.kernels import verify as kernel_verify
 
 __all__ = ["LCCSLSH"]
 
+#: Below this many queries the reference (NumPy) backend answers a batch
+#: by looping the scalar path: its lock-step kernels pay a fixed cost per
+#: call (a batch of one: 21 ms against 11 ms scalar at n=10k, m=64; 15 ms
+#: against 1 ms at n=2k, m=16) and overtake the loop between 12 and 16
+#: queries at both sizes.  Compiled backends have no such cost — there a
+#: lone query *is* a batch of one (~0.1 ms against 2.3 ms scalar on
+#: ``cext`` at n=10k, m=64).
+SCALAR_CROSSOVER = 12
+
 
 class LCCSLSH(ANNIndex):
     """Single-probe LCCS-LSH index.
@@ -141,6 +150,10 @@ class LCCSLSH(ANNIndex):
     def _query(
         self, q: np.ndarray, k: int, num_candidates: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if self.csa._backend.compiled:
+            # The engine picks: compiled kernels make a batch of one the
+            # cheap way to answer a lone query.
+            return self._batch_query(q[None, :], k, num_candidates)[0]
         if num_candidates is None:
             num_candidates = self.default_candidates(k)
         if num_candidates <= 0:
@@ -166,11 +179,17 @@ class LCCSLSH(ANNIndex):
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Vectorised batch path: one fused hash, one batched CSA search.
 
-        The whole query matrix is hashed with a single family call, every
-        (query, shift) binary search runs in lock-step inside the CSA,
-        and all candidates are verified through one fused distance
-        kernel.  Per query the results are identical to :meth:`_query`.
+        The whole query matrix is hashed with a single family call, the
+        CSA answers every query's k-LCCS search in one backend call, and
+        all candidates are verified through one fused distance kernel.
+        Per query the results are identical to the scalar :meth:`_query`
+        — which is what the reference backend loops below
+        :data:`SCALAR_CROSSOVER` queries.
         """
+        if not self.csa._backend.compiled and len(queries) < SCALAR_CROSSOVER:
+            return super()._batch_query(
+                queries, k, num_candidates=num_candidates
+            )
         if num_candidates is None:
             num_candidates = self.default_candidates(k)
         if num_candidates <= 0:
@@ -179,17 +198,18 @@ class LCCSLSH(ANNIndex):
         t0 = time.perf_counter()
         query_strings = self.family.hash(queries)
         t1 = time.perf_counter()
-        bounds = self.csa.batch_search_all_shifts(query_strings)
-        t2 = time.perf_counter()
-        qds = np.concatenate([query_strings, query_strings], axis=1)
-        merged = self.csa.batch_merge_candidates(qds, bounds, budget)
-        t3 = time.perf_counter()
-        self.last_stats["max_lccs"] = float(
-            sum(int(lens[0]) if len(lens) else 0 for _, lens in merged)
+        flat_ids, flat_lens, offsets, search_s = self.csa._batch_k_lccs_flat(
+            query_strings, budget
         )
-        out = self._verify_batch([ids for ids, _ in merged], queries, k)
+        t3 = time.perf_counter()
+        # each query's first string is its longest LCCS
+        firsts = offsets[:-1][offsets[1:] > offsets[:-1]]
+        self.last_stats["max_lccs"] = float(flat_lens[firsts].sum())
+        out = kernel_verify.verify_flat(
+            self, self.csa._backend, flat_ids, offsets, queries, k
+        )
         t4 = time.perf_counter()
-        self._record_stages(t1 - t0, t2 - t1, t3 - t2, t4 - t3)
+        self._record_stages(t1 - t0, search_s, t3 - t1 - search_s, t4 - t3)
         return out
 
     def _record_stages(

@@ -245,7 +245,6 @@ def evaluate_service(
     params: Optional[Dict[str, Any]] = None,
     threads: int = 1,
     cache_size: int = 1024,
-    batch_window_ms: float = 1.0,
     max_batch_size: int = 32,
 ) -> EvalResult:
     """Evaluate ``index`` served through :class:`repro.serve.ANNService`.
@@ -261,7 +260,7 @@ def evaluate_service(
     Args:
         threads: number of concurrent client threads issuing requests.
         cache_size: service LRU capacity (0 disables the result cache).
-        batch_window_ms / max_batch_size: micro-batching knobs, see
+        max_batch_size: micro-batch size cap, see
             :class:`~repro.serve.service.ANNService`.
 
     The result's ``stats`` carries the service's exact counters —
@@ -287,7 +286,6 @@ def evaluate_service(
     with ANNService(
         index,
         cache_size=cache_size,
-        batch_window_ms=batch_window_ms,
         max_batch_size=max_batch_size,
     ) as service:
 

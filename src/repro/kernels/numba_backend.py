@@ -30,6 +30,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.kernels.verify import _owner_of
+
 __all__ = ["make_numba_backend", "NumbaBackend"]
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -52,7 +54,7 @@ if numba is not None:  # pragma: no cover - exercised only with numba
         """One windowed bisection; returns (pos_lower, pos_upper, lcp_lo, lcp_up)."""
         while lo < hi:
             mid = (lo + hi) >> 1
-            sid = sorted_idx_s[mid]
+            sid = np.int64(sorted_idx_s[mid])
             le = True
             for j in range(m):
                 c = doubled[sid, s + j]
@@ -69,14 +71,14 @@ if numba is not None:  # pragma: no cover - exercised only with numba
         ll = np.int64(0)
         lu = np.int64(0)
         if pl >= 0:
-            sid = sorted_idx_s[pl]
+            sid = np.int64(sorted_idx_s[pl])
             ll = np.int64(m)
             for j in range(m):
                 if doubled[sid, s + j] != qd[qoff + j]:
                     ll = np.int64(j)
                     break
         if pu < n:
-            sid = sorted_idx_s[pu]
+            sid = np.int64(sorted_idx_s[pu])
             lu = np.int64(m)
             for j in range(m):
                 if doubled[sid, s + j] != qd[qoff + j]:
@@ -110,13 +112,13 @@ if numba is not None:  # pragma: no cover - exercised only with numba
                         p = 0
                     elif p > n - 1:
                         p = n - 1
-                    wlo = next_link[s - 1, p]
+                    wlo = np.int64(next_link[s - 1, p])
                     p = pu[qi, s - 1]
                     if p < 0:
                         p = 0
                     elif p > n - 1:
                         p = n - 1
-                    whi = next_link[s - 1, p]
+                    whi = np.int64(next_link[s - 1, p])
                     if wlo > whi:  # defensive; cannot happen per Lemma 3.1
                         wlo = 0
                         whi = n - 1
@@ -173,7 +175,7 @@ if numba is not None:  # pragma: no cover - exercised only with numba
                             continue
                         ln = len_upper[qi, s]
                         dr = np.int64(1)
-                    sid = sorted_idx[s, p]
+                    sid = np.int64(sorted_idx[s, p])
                     key = (
                         ((m - ln) << sh_len)
                         | (sid << sh_sid)
@@ -210,7 +212,7 @@ if numba is not None:  # pragma: no cover - exercised only with numba
                     cnt += 1
                 npos = pos + dr
                 if 0 <= npos < n:
-                    nsid = sorted_idx[sh, npos]
+                    nsid = np.int64(sorted_idx[sh, npos])
                     nlen = np.int64(m)
                     for j in range(m):
                         if doubled[nsid, sh + j] != qd_table[qi, sh + j]:
@@ -311,7 +313,7 @@ class NumbaBackend:
         lo: Optional[np.ndarray] = None,
         hi: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        doubled, sorted_idx, _ = csa._kernel_arrays()
+        doubled, sorted_idx = csa._doubled, csa.sorted_idx
         B = len(shifts)
         n = csa.n
         shifts = np.ascontiguousarray(shifts, dtype=np.int64)
@@ -338,7 +340,7 @@ class NumbaBackend:
     def search_all(
         self, csa, qds: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        doubled, sorted_idx, next_link = csa._kernel_arrays()
+        doubled, sorted_idx, next_link = csa._doubled, csa.sorted_idx, csa.next_link
         Q = len(qds)
         n, m = csa.n, csa.m
         qds = np.ascontiguousarray(qds, dtype=np.int64)
@@ -358,7 +360,7 @@ class NumbaBackend:
         k: int,
         key_shifts: Tuple[int, int, int],
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        doubled, sorted_idx, _ = csa._kernel_arrays()
+        doubled, sorted_idx = csa._doubled, csa.sorted_idx
         pos_lower, pos_upper, len_lower, len_upper = (
             np.ascontiguousarray(a, dtype=np.int64) for a in bounds_arrays
         )
@@ -401,11 +403,11 @@ class NumbaBackend:
         self,
         data: np.ndarray,
         flat_ids: np.ndarray,
-        owner: np.ndarray,
+        offsets: np.ndarray,
         queries: np.ndarray,
     ) -> np.ndarray:
         out = np.empty((len(flat_ids), data.shape[1]), dtype=np.float64)
-        _k_gather_diff(data, flat_ids, owner, queries, out)
+        _k_gather_diff(data, flat_ids, _owner_of(offsets), queries, out)
         return out
 
     def hamming_packed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 from repro.distances import pairwise_rows
 from repro.distances.metrics import pack_bits
 
-__all__ = ["verify_batch"]
+__all__ = ["verify_batch", "verify_flat"]
 
 #: metrics whose row-distance factors into (elementwise diff, reduction)
 _GATHER_METRICS = ("euclidean", "squared_euclidean", "manhattan")
@@ -100,6 +100,23 @@ def _select(
     return out
 
 
+def _owner_of(offsets: np.ndarray) -> np.ndarray:
+    """Owning query of every flat candidate row."""
+    return np.repeat(
+        np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
+    )
+
+
+def _flatten(ids_per_query: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-query id arrays laid end to end: ``(flat_ids, offsets)``."""
+    offsets = np.zeros(len(ids_per_query) + 1, dtype=np.int64)
+    if not ids_per_query:
+        return np.empty(0, dtype=np.int64), offsets
+    np.cumsum([len(ids) for ids in ids_per_query], out=offsets[1:])
+    flat_ids = np.ascontiguousarray(np.concatenate(ids_per_query))
+    return flat_ids.astype(np.int64, copy=False), offsets
+
+
 def _can_gather(backend, data: np.ndarray, metric: str) -> bool:
     return (
         backend is not None
@@ -115,17 +132,15 @@ def _verify_float32(
     backend,
     queries: np.ndarray,
     flat_ids: np.ndarray,
-    owner: np.ndarray,
     offsets: np.ndarray,
     k: int,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Reduced-precision screen, exact float64 re-rank of the margin."""
     data = index._data
     metric = index.metric
-    Q = len(offsets) - 1
     data32 = _get_data32(index)
     q32 = np.ascontiguousarray(queries, dtype=np.float32)
-    diff32 = data32[flat_ids] - q32[owner]
+    diff32 = data32[flat_ids] - q32[_owner_of(offsets)]
     if metric == "euclidean":
         d32 = np.sqrt(np.einsum("ij,ij->i", diff32, diff32))
     elif metric == "squared_euclidean":
@@ -134,19 +149,14 @@ def _verify_float32(
         d32 = np.sum(np.abs(diff32), axis=1)
     margin = k + max(16, 2 * k)
     short = _select(backend, flat_ids, d32.astype(np.float64), offsets, margin)
-    sl_counts = np.array([len(ids) for ids, _ in short], dtype=np.int64)
-    sl_ids = np.ascontiguousarray(
-        np.concatenate([ids for ids, _ in short])
-    ).astype(np.int64, copy=False)
-    sl_owner = np.repeat(np.arange(Q, dtype=np.int64), sl_counts)
-    sl_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(sl_counts, dtype=np.int64)]
-    )
+    sl_ids, sl_offsets = _flatten([ids for ids, _ in short])
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
     if _can_gather(backend, data, metric):
-        d64 = _reduce_diff(backend.gather_diff(data, sl_ids, sl_owner, q64), metric)
+        d64 = _reduce_diff(
+            backend.gather_diff(data, sl_ids, sl_offsets, q64), metric
+        )
     else:
-        d64 = pairwise_rows(data[sl_ids], q64[sl_owner], metric)
+        d64 = pairwise_rows(data[sl_ids], q64[_owner_of(sl_offsets)], metric)
     return _select(backend, sl_ids, d64, sl_offsets, k)
 
 
@@ -160,26 +170,40 @@ def verify_batch(
     """Rank every query's candidates; drop-in for ``_verify_batch``.
 
     ``candidate_ids_per_query`` must be duplicate-free per query (the
-    CSA merges guarantee this); ``index`` supplies data, metric, the
-    ``last_stats`` accumulator and the ``verify_dtype`` switch;
-    ``backend`` supplies the optional compiled hooks.
+    CSA merges guarantee this); see :func:`verify_flat` for the rest.
+    """
+    flat_ids, offsets = _flatten(
+        [np.asarray(c, dtype=np.int64) for c in candidate_ids_per_query]
+    )
+    return verify_flat(index, backend, flat_ids, offsets, queries, k)
+
+
+def verify_flat(
+    index,
+    backend,
+    flat_ids: np.ndarray,
+    offsets: np.ndarray,
+    queries: np.ndarray,
+    k: int,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`verify_batch` on candidates already laid end to end.
+
+    Query ``qi``'s duplicate-free candidates are
+    ``flat_ids[offsets[qi]:offsets[qi + 1]]`` (int64, contiguous — what
+    ``CircularShiftArray._batch_k_lccs_flat`` returns); ``index``
+    supplies data, metric, the ``last_stats`` accumulator and the
+    ``verify_dtype`` switch; ``backend`` supplies the optional compiled
+    hooks.
     """
     data = index._data
     metric = index.metric
-    uniq = [np.asarray(c, dtype=np.int64) for c in candidate_ids_per_query]
-    counts = np.array([len(u) for u in uniq], dtype=np.int64)
+    Q = len(offsets) - 1
     index.last_stats["candidates"] = index.last_stats.get(
         "candidates", 0.0
-    ) + float(counts.sum())
-    empty = (np.empty(0, dtype=np.int64), np.empty(0))
-    if counts.sum() == 0:
-        return [empty for _ in uniq]
-    Q = len(uniq)
-    flat_ids = np.ascontiguousarray(np.concatenate(uniq))
-    owner = np.repeat(np.arange(Q, dtype=np.int64), counts)
-    offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
-    )
+    ) + float(len(flat_ids))
+    if len(flat_ids) == 0:
+        empty = (np.empty(0, dtype=np.int64), np.empty(0))
+        return [empty for _ in range(Q)]
     queries = np.asarray(queries)
     compiled = backend is not None and getattr(backend, "compiled", False)
     sel_backend = backend if compiled else None
@@ -189,9 +213,7 @@ def verify_batch(
         and metric in _GATHER_METRICS
         and data.dtype == np.float64
     ):
-        return _verify_float32(
-            index, sel_backend, queries, flat_ids, owner, offsets, k
-        )
+        return _verify_float32(index, sel_backend, queries, flat_ids, offsets, k)
 
     if (
         metric == "hamming"
@@ -201,16 +223,18 @@ def verify_batch(
         packed = _get_packed_data(index)
         if packed is not None and _is_binary(queries):
             q_packed = pack_bits(queries)
-            dists = backend.hamming_packed(packed[flat_ids], q_packed[owner])
+            dists = backend.hamming_packed(
+                packed[flat_ids], q_packed[_owner_of(offsets)]
+            )
             return _select(sel_backend, flat_ids, dists, offsets, k)
 
     if _can_gather(sel_backend, data, metric):
         q64 = np.ascontiguousarray(queries, dtype=np.float64)
-        diff = backend.gather_diff(data, flat_ids, owner, q64)
+        diff = backend.gather_diff(data, flat_ids, offsets, q64)
         dists = _reduce_diff(diff, metric)
         return _select(sel_backend, flat_ids, dists, offsets, k)
 
     # Reference path: exactly what ANNIndex._verify_batch computes.
-    rep_queries = np.repeat(queries, counts, axis=0)
+    rep_queries = np.repeat(queries, np.diff(offsets), axis=0)
     dists = pairwise_rows(data[flat_ids], rep_queries, metric)
     return _select(sel_backend, flat_ids, dists, offsets, k)

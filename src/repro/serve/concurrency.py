@@ -36,7 +36,7 @@ from repro.obs.metrics import get_registry
 
 __all__ = ["RWLock", "ConcurrentIndex"]
 
-#: kernel-stage timings the traced query variants lift out of the
+#: kernel-stage timings the traced batch read lifts out of the
 #: wrapped index's ``last_stats`` (measured by the index itself)
 _STAGE_KEYS = (
     "stage_hash_s",
@@ -247,11 +247,11 @@ class ConcurrentIndex:
         return ids, dists, version
 
     # ------------------------------------------------------------------
-    # Traced reads: same semantics, plus an ``info`` dict of timings
+    # Traced read: same semantics, plus an ``info`` dict of timings
     # ------------------------------------------------------------------
 
-    def query_traced(
-        self, q: np.ndarray, k: int = 1, **kwargs
+    def batch_query_traced(
+        self, queries: np.ndarray, k: int = 1, **kwargs
     ) -> Tuple[np.ndarray, np.ndarray, int, dict]:
         """``(ids, dists, version, info)`` — timings for the trace plane.
 
@@ -261,19 +261,6 @@ class ConcurrentIndex:
         concurrent readers (readers share the lock and each resets
         ``last_stats``); the lock wait and query wall time are exact.
         """
-        with self._lock.read_locked_timed() as wait_s:
-            t0 = time.perf_counter()
-            ids, dists = self._index.query(q, k=k, **kwargs)
-            info = self._read_info(wait_s, time.perf_counter() - t0)
-            version = self._version
-        self._count_read()
-        self._lock_wait.observe(wait_s, mode="read")
-        return ids, dists, version, info
-
-    def batch_query_traced(
-        self, queries: np.ndarray, k: int = 1, **kwargs
-    ) -> Tuple[np.ndarray, np.ndarray, int, dict]:
-        """Traced variant of :meth:`batch_query_versioned`."""
         with self._lock.read_locked_timed() as wait_s:
             t0 = time.perf_counter()
             ids, dists = self._index.batch_query(queries, k=k, **kwargs)

@@ -113,6 +113,11 @@ def _error_response(exc: BaseException) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
+def _query_response(result) -> dict:
+    ids, dists = result
+    return {"ids": ids.tolist(), "dists": dists.tolist()}
+
+
 # ----------------------------------------------------------------------
 # Backends: what the protocol verbs do in each process role
 # ----------------------------------------------------------------------
@@ -164,35 +169,45 @@ class ServiceBackend(_QueryParser):
             max_workers=workers, thread_name_prefix="serve-backend"
         )
 
-    async def query(self, request: dict, trace=None) -> dict:
-        q, k, min_version, kwargs = self.parse_query(request)
-        loop = asyncio.get_running_loop()
+    def query_nowait(self, request: dict, trace=None):
+        """Submit a query without awaiting anything.
+
+        Returns the service's ``concurrent.futures.Future`` — already
+        done on a cache hit — or ``None`` when the request has to go
+        through :meth:`query` (replica fan-out blocks on a thread pool).
+        """
         if self._replica_set is not None:
-            t0 = time.perf_counter()
-            ids, dists = await loop.run_in_executor(
-                self._pool,
-                lambda: self._replica_set.query(
-                    q, k=k, min_version=min_version, **kwargs
-                ),
+            return None
+        q, k, min_version, kwargs = self.parse_query(request)
+        # Local reads always reflect every acknowledged write, so a
+        # min_version from one of our own write responses is
+        # trivially satisfied; anything beyond the log is an error.
+        if (
+            min_version is not None
+            and self._durable is not None
+            and self._durable.applied_seq < min_version
+        ):
+            raise RuntimeError(
+                f"min_version={min_version} is ahead of the log "
+                f"(applied_seq={self._durable.applied_seq})"
             )
-            if trace is not None:
-                trace.add_span("replica.query", t0, time.perf_counter())
-        else:
-            # Local reads always reflect every acknowledged write, so a
-            # min_version from one of our own write responses is
-            # trivially satisfied; anything beyond the log is an error.
-            if (
-                min_version is not None
-                and self._durable is not None
-                and self._durable.applied_seq < min_version
-            ):
-                raise RuntimeError(
-                    f"min_version={min_version} is ahead of the log "
-                    f"(applied_seq={self._durable.applied_seq})"
-                )
-            fut = self._service.query_async(q, k=k, trace=trace, **kwargs)
-            ids, dists = await asyncio.wrap_future(fut)
-        return {"ids": ids.tolist(), "dists": dists.tolist()}
+        return self._service.query_async(q, k=k, trace=trace, **kwargs)
+
+    async def query(self, request: dict, trace=None) -> dict:
+        fut = self.query_nowait(request, trace=trace)
+        if fut is not None:
+            return _query_response(await asyncio.wrap_future(fut))
+        q, k, min_version, kwargs = self.parse_query(request)
+        t0 = time.perf_counter()
+        result = await asyncio.get_running_loop().run_in_executor(
+            self._pool,
+            lambda: self._replica_set.query(
+                q, k=k, min_version=min_version, **kwargs
+            ),
+        )
+        if trace is not None:
+            trace.add_span("replica.query", t0, time.perf_counter())
+        return _query_response(result)
 
     async def insert(self, request: dict, trace=None) -> dict:
         vector = np.asarray(request["insert"], dtype=np.float64)
@@ -332,6 +347,15 @@ class ReplicaBackend(_QueryParser):
                 )
             await asyncio.sleep(0.005)
 
+    def query_nowait(self, request: dict, trace=None):
+        """The service future for a query that needs no catch-up, else
+        ``None`` (a ``min_version`` read may have to wait for the log:
+        :meth:`query`)."""
+        if "min_version" in request:
+            return None
+        q, k, _, kwargs = self.parse_query(request)
+        return self._service.query_async(q, k=k, trace=trace, **kwargs)
+
     async def query(self, request: dict, trace=None) -> dict:
         q, k, min_version, kwargs = self.parse_query(request)
         if min_version is not None:
@@ -343,8 +367,7 @@ class ReplicaBackend(_QueryParser):
                     min_version=min_version,
                 )
         fut = self._service.query_async(q, k=k, trace=trace, **kwargs)
-        ids, dists = await asyncio.wrap_future(fut)
-        return {"ids": ids.tolist(), "dists": dists.tolist()}
+        return _query_response(await asyncio.wrap_future(fut))
 
     async def insert(self, request: dict, trace=None) -> dict:
         return await self._forward(request, trace=trace)
@@ -516,7 +539,10 @@ class AsyncANNServer:
 
     Args:
         backend: object with async ``query``/``insert``/``delete``/
-            ``stats`` methods taking the raw request dict.
+            ``stats`` methods taking the raw request dict, and optionally
+            a plain ``query_nowait(request, trace=None)`` returning the
+            ``concurrent.futures.Future`` of ``(ids, dists)`` for queries
+            it can submit without awaiting (``None`` for the others).
         host / port: listening address (``port=0`` picks one), or pass
             a pre-bound ``sock`` (the prefork workers' SO_REUSEPORT
             sockets come in this way).
@@ -790,32 +816,72 @@ class AsyncANNServer:
             # Admission control: past the bound, shed loudly instead of
             # queueing without bound.  The shed response keeps its slot
             # in the per-connection response order.
-            if self._inflight >= self._max_inflight:
-                self.metrics.count_shed(op)
-                out_q.put_nowait(("dict", dict(SHED_RESPONSE)))
-                continue
-            self._inflight += 1
-            if op == "query":
-                # Dispatch immediately: concurrent queries from every
-                # connection meet inside the service's micro-batcher.
-                # start_trace is None unless this request is sampled.
-                started = time.perf_counter()
-                trace = self.tracer.start_trace(op, op=op)
-                if trace is not None:
-                    # Root actually began at parse; re-pin its start so
-                    # child spans can never precede it.
-                    trace.root.start_s = started
-                    trace.add_span("admission", started, time.perf_counter())
-                qtask = asyncio.create_task(
-                    self._backend.query(request, trace=trace)
-                )
-                qtask.add_done_callback(_consume_exception)
-                out_q.put_nowait(("task", op, qtask, started, trace))
-            else:
+            over = self._inflight >= self._max_inflight
+            if op != "query":
+                if over:
+                    self._shed(op, out_q)
+                    continue
                 # Writes/stats defer to the write loop: by the time the
                 # loop reaches this item, every earlier request on the
                 # connection has answered — the stdin barrier semantics.
+                self._inflight += 1
                 out_q.put_nowait(("deferred", op, request))
+                continue
+            # Submit right here: concurrent queries from every connection
+            # meet inside the service's micro-batcher, and this loop does
+            # not yield while its buffer holds data — a task would only
+            # start once the whole pipelined burst is parsed.
+            # start_trace is None unless this request is sampled (and a
+            # request past the bound is never traced, as before).
+            started = time.perf_counter()
+            trace = None if over else self.tracer.start_trace(op, op=op)
+            if trace is not None:
+                # Root actually began at parse; re-pin its start so
+                # child spans can never precede it.
+                trace.root.start_s = started
+                trace.add_span("admission", started, time.perf_counter())
+            nowait = getattr(self._backend, "query_nowait", None)
+            response = None
+            try:
+                pending = None if nowait is None else nowait(request, trace=trace)
+                if pending is not None and trace is None and pending.done():
+                    # The answer is already known (a cache hit): no task,
+                    # no admission slot, and never shed — the bound is on
+                    # work in flight, and this loop would otherwise count a
+                    # whole pipelined burst of hits before the first is
+                    # written.
+                    response = _query_response(pending.result())
+            except Exception as exc:  # refused at submission: bad vector, ...
+                response = _error_response(exc)
+            if response is not None:
+                self._account(op, started, trace, response)
+                out_q.put_nowait(("dict", response))
+                continue
+            if over and (pending is None or pending.cancel()):
+                self._shed(op, out_q)
+                continue
+            # (a submission the executor claimed before cancel() is served)
+            self._inflight += 1
+            if pending is None:
+                pending = asyncio.create_task(
+                    self._backend.query(request, trace=trace)
+                )
+                pending.add_done_callback(_consume_exception)
+            out_q.put_nowait(("query", op, pending, started, trace))
+
+    def _shed(self, op: str, out_q: asyncio.Queue) -> None:
+        self.metrics.count_shed(op)
+        out_q.put_nowait(("dict", dict(SHED_RESPONSE)))
+
+    def _account(self, op: str, started: float, trace, response: dict) -> None:
+        """One answered request: close its trace, feed metrics + slow log."""
+        elapsed = time.perf_counter() - started
+        error = "error" in response
+        if trace is not None:
+            trace.root.annotate(error=error)
+            trace.finish()
+        self.metrics.observe(op, elapsed, error=error)
+        self.tracer.observe_request(op, elapsed, trace=trace, error=error)
 
     async def _write_loop(self, writer, out_q: asyncio.Queue) -> None:
         broken = False
@@ -825,21 +891,22 @@ class AsyncANNServer:
                 return
             if item[0] == "dict":
                 response = item[1]
-            elif item[0] == "task":
-                _, op, qtask, started, trace = item
+            elif item[0] == "query":
+                # ``pending`` is the service's future (submitted by the
+                # read loop; the work proceeds whether or not anyone
+                # awaits it) or, for backends that had to await first, a
+                # task resolving to the finished response.
+                _, op, pending, started, trace = item
                 try:
-                    response = await qtask
+                    if isinstance(pending, asyncio.Task):
+                        response = await pending
+                    else:
+                        if not pending.done():
+                            await asyncio.wrap_future(pending)
+                        response = _query_response(pending.result())
                 except Exception as exc:
                     response = _error_response(exc)
-                elapsed = time.perf_counter() - started
-                error = "error" in response
-                if trace is not None:
-                    trace.root.annotate(error=error)
-                    trace.finish()
-                self.metrics.observe(op, elapsed, error=error)
-                self.tracer.observe_request(
-                    op, elapsed, trace=trace, error=error
-                )
+                self._account(op, started, trace, response)
                 self._inflight -= 1
             else:
                 _, op, request = item
@@ -862,15 +929,7 @@ class AsyncANNServer:
                     response = _error_response(exc)
                 if op == "stats" and isinstance(response.get("stats"), dict):
                     response["stats"]["server"] = self.server_stats()
-                elapsed = time.perf_counter() - started
-                error = "error" in response
-                if trace is not None:
-                    trace.root.annotate(error=error)
-                    trace.finish()
-                self.metrics.observe(op, elapsed, error=error)
-                self.tracer.observe_request(
-                    op, elapsed, trace=trace, error=error
-                )
+                self._account(op, started, trace, response)
                 self._inflight -= 1
             if broken:
                 continue  # keep accounting; peer is gone
@@ -946,9 +1005,17 @@ class ThreadedServer:
         return self
 
     def drain(self) -> None:
-        """Begin a graceful drain without waiting for exit."""
+        """Begin a graceful drain without waiting for exit.
+
+        A no-op once an earlier drain has run to completion: the server
+        thread then leaves ``asyncio.run`` and closes its loop, possibly
+        between any check made here and the call — hence try, not test.
+        """
         if self._loop is not None and self.server is not None:
-            self._loop.call_soon_threadsafe(self.server.begin_drain)
+            try:
+                self._loop.call_soon_threadsafe(self.server.begin_drain)
+            except RuntimeError:  # "Event loop is closed": already drained
+                pass
 
     def stop(self, timeout: float = 30.0) -> None:
         self.drain()
@@ -980,7 +1047,6 @@ class ServerConfig:
     drain_timeout: float = 10.0
     k: int = 10
     cache_size: int = 1024
-    batch_window_ms: float = 2.0
     max_batch: int = 64
     mmap: bool = False
     wal_dir: Optional[str] = None
@@ -1112,7 +1178,6 @@ def _run_single(config: ServerConfig) -> int:
     service = ANNService(
         index,
         cache_size=config.cache_size,
-        batch_window_ms=config.batch_window_ms,
         max_batch_size=config.max_batch,
     )
     backend = ServiceBackend(
@@ -1226,7 +1291,6 @@ async def _worker_async(
     service = ANNService(
         index,
         cache_size=config.cache_size,
-        batch_window_ms=config.batch_window_ms,
         max_batch_size=config.max_batch,
     )
     backend = ReplicaBackend(

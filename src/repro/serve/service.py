@@ -14,12 +14,17 @@ locks:
   always byte-identical to a fresh query at the same version.
 * **micro-batching** — concurrent single queries are coalesced by a
   dedicated executor thread into one ``batch_query`` call (PR 1's
-  vectorised engine).  The first request in an empty queue waits at most
-  ``batch_window_ms`` for company; compatible requests (same ``k`` and
-  query kwargs) then execute as one batch of up to ``max_batch_size``.
-  Per request the answer is *byte-identical* to what a direct
-  ``batch_query`` (and therefore a direct ``query``) would return — the
-  contract ``tests/test_service_equivalence.py`` pins down.
+  vectorised engine).  Batching is work-conserving: an idle executor
+  takes whatever is queued the moment a request arrives (a lone query
+  never waits), and requests arriving while a batch runs queue up and
+  form the next one — compatible requests (same ``k`` and query kwargs),
+  up to ``max_batch_size``.  Batch size therefore follows the load.
+  Every micro-batch goes through ``batch_query``; whether a batch of one
+  is worth vectorising is the engine's call (it can see its kernel
+  backend), not the service's.  Per request the answer is
+  *byte-identical* to what a direct ``batch_query`` (and therefore a
+  direct ``query``) would return — the contract
+  ``tests/test_service_equivalence.py`` pins down.
 
 Thread-safety summary (see README "Serving"):
 
@@ -186,17 +191,9 @@ class ANNService:
             :class:`ConcurrentIndex` (shared locking with other users).
         cache_size: LRU capacity for the query-result cache; ``0``
             disables caching entirely.
-        batch_window_ms: how long the first queued query waits for
-            others to coalesce with before executing (0 = no wait; each
-            drain takes whatever is queued at that instant).
-        max_batch_size: micro-batch size cap; a full batch executes
-            immediately without waiting out the window.
-        min_vector_batch: micro-batches smaller than this loop the
-            single-query path instead of the vectorised ``batch_query``
-            engine, whose fixed per-call cost only amortises at larger
-            batches (PR 1 pins both paths byte-identical, so only the
-            speed changes).  Default 12, near the measured crossover in
-            ``benchmarks/bench_concurrent.py``.
+        max_batch_size: micro-batch size cap.  There is no batching
+            window: the executor never sleeps on a non-empty queue, so a
+            batch is whatever queued up while the previous one ran.
 
     ``query`` returns ``(ids, dists)`` exactly like ``ANNIndex.query``
     (unpadded, ascending distance, ties by id); ``query_async`` returns
@@ -209,9 +206,7 @@ class ANNService:
         self,
         index,
         cache_size: int = 1024,
-        batch_window_ms: float = 2.0,
         max_batch_size: int = 64,
-        min_vector_batch: int = 12,
     ):
         if isinstance(index, ConcurrentIndex):
             self._ci = index
@@ -221,8 +216,6 @@ class ANNService:
             raise TypeError(
                 f"{index!r} is neither an ANNIndex nor a ConcurrentIndex"
             )
-        if batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
         # A durable wrapper under the lock layer: surface its WAL
@@ -230,9 +223,7 @@ class ANNService:
         inner = self._ci.inner
         self._durable = inner if isinstance(inner, DurableIndex) else None
         self._cache = QueryCache(cache_size) if cache_size > 0 else None
-        self._window = float(batch_window_ms) / 1e3
         self._max_batch = int(max_batch_size)
-        self._min_vector_batch = max(1, int(min_vector_batch))
         self._queue: Deque[_Request] = deque()
         self._cond = threading.Condition()
         self._stop = False
@@ -311,7 +302,7 @@ class ANNService:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batch passthrough: one locked ``batch_query`` on the index.
 
-        Already-batched callers skip the micro-batcher (no window wait).
+        Already-batched callers skip the micro-batcher.
         Returns the padded ``(n, k)`` matrices exactly as
         ``ANNIndex.batch_query`` would; rows are written into the cache
         so later single queries can hit.
@@ -476,15 +467,8 @@ class ANNService:
                     self._cond.wait()
                 if not self._queue:  # stopped and drained
                     return
-                if not self._stop and self._window > 0:
-                    # Bounded wait for the batch to fill: a full batch
-                    # (or close()) cuts the window short.
-                    deadline = time.monotonic() + self._window
-                    while len(self._queue) < self._max_batch and not self._stop:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
+                # Work-conserving: never sleep on a non-empty queue.
+                # Whatever arrived while the last batch ran is the batch.
                 batch = self._take_group_locked()
             self._execute(batch)
 
@@ -522,46 +506,19 @@ class ANNService:
         # was sampled; the untraced path takes the exact pre-obs route.
         traced = any(request.trace is not None for request in batch)
         try:
-            if len(batch) < self._min_vector_batch:
-                # Small batches loop the single-query path: the batch
-                # engine's fixed per-call cost (lock-step bisections
-                # sized for whole batches) only amortises at larger
-                # sizes, and PR 1 pins both paths byte-identical.  Each
-                # request carries the version of its own execution
-                # instant (a write may land between loop iterations).
-                rows = []
-                for request in batch:
-                    if traced:
-                        t_start = time.perf_counter()
-                        q_ids, q_dists, version, info = self._ci.query_traced(
-                            request.q, k=k, **kwargs
-                        )
-                        info["exec_start_s"] = t_start
-                        info["exec_end_s"] = time.perf_counter()
-                        rows.append((q_ids, q_dists, version, info))
-                    else:
-                        q_ids, q_dists, version = self._ci.query_versioned(
-                            request.q, k=k, **kwargs
-                        )
-                        rows.append((q_ids, q_dists, version, None))
+            stacked = np.stack([request.q for request in batch])
+            if traced:
+                t_start = time.perf_counter()
+                ids, dists, version, info = self._ci.batch_query_traced(
+                    stacked, k=k, **kwargs
+                )
+                info["exec_start_s"] = t_start
+                info["exec_end_s"] = time.perf_counter()
             else:
-                stacked = np.stack([request.q for request in batch])
-                if traced:
-                    t_start = time.perf_counter()
-                    ids, dists, version, info = self._ci.batch_query_traced(
-                        stacked, k=k, **kwargs
-                    )
-                    info["exec_start_s"] = t_start
-                    info["exec_end_s"] = time.perf_counter()
-                else:
-                    ids, dists, version = self._ci.batch_query_versioned(
-                        stacked, k=k, **kwargs
-                    )
-                    info = None
-                rows = []
-                for i in range(len(batch)):
-                    valid = ids[i] >= 0  # strip the -1 / inf padding
-                    rows.append((ids[i][valid], dists[i][valid], version, info))
+                ids, dists, version = self._ci.batch_query_versioned(
+                    stacked, k=k, **kwargs
+                )
+                info = None
         except BaseException as exc:  # propagate to every waiter
             for request in batch:
                 request.future.set_exception(exc)
@@ -570,12 +527,14 @@ class ANNService:
             self._batches += 1
             self._batched_queries += len(batch)
             self._largest_batch = max(self._largest_batch, len(batch))
-        for request, (row_ids, row_dists, row_version, info) in zip(batch, rows):
-            if request.trace is not None and info is not None:
+        for i, request in enumerate(batch):
+            valid = ids[i] >= 0  # strip the -1 / inf padding
+            row_ids, row_dists = ids[i][valid], dists[i][valid]
+            if request.trace is not None:
                 self._graft_batch_spans(request, len(batch), info)
             if self._cache is not None:
                 self._cache.put(
-                    query_key(request.q, k, row_version, kwargs),
+                    query_key(request.q, k, version, kwargs),
                     row_ids,
                     row_dists,
                 )

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import norm
-
 __all__ = [
     "rp_collision_probability",
     "cauchy_collision_probability",
@@ -38,8 +36,12 @@ def rp_collision_probability(tau: float, w: float) -> float:
         raise ValueError("distance tau must be non-negative")
     if tau == 0.0:
         return 1.0
+    # At the call site: ``repro.hashes`` imports this module, and serving
+    # never evaluates a normal CDF.
+    from scipy.special import ndtr
+
     r = w / tau
-    p = 1.0 - 2.0 * norm.cdf(-r) - (2.0 / (math.sqrt(2.0 * math.pi) * r)) * (
+    p = 1.0 - 2.0 * ndtr(-r) - (2.0 / (math.sqrt(2.0 * math.pi) * r)) * (
         1.0 - math.exp(-(r * r) / 2.0)
     )
     return float(min(max(p, 0.0), 1.0))

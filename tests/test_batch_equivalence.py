@@ -6,6 +6,12 @@ itself it must return *exactly* the single-query results — same ids, same
 LCCS lengths, same distances, same tie-breaks.  These tests pin that
 contract down across metrics and the edge cases that stress the merge
 (k > n, duplicate rows, m not a power of two, all-identical strings).
+
+"Single-query results" means the scalar oracle of ``tests/helpers.py``,
+not ``index.query``: which engine ``query`` and small batches run is the
+index's own choice (by kernel backend and batch size), so both are
+checked against the oracle, across the batch sizes where that choice
+flips.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH
+from helpers import assert_matches_oracle, oracle_query
+from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH, kernels
 from repro.core import CircularShiftArray
+from repro.core.lccs_lsh import SCALAR_CROSSOVER
 
 
 def assert_csa_batch_matches(strings: np.ndarray, queries: np.ndarray, k: int):
@@ -31,16 +39,21 @@ def assert_csa_batch_matches(strings: np.ndarray, queries: np.ndarray, k: int):
 
 
 def assert_index_batch_matches(index, queries: np.ndarray, k: int, **kwargs):
+    """``batch_query`` rows and ``query`` both equal the scalar oracle."""
     batch_ids, batch_dists = index.batch_query(queries, k=k, **kwargs)
     assert batch_ids.shape == (len(queries), k)
     assert batch_dists.shape == (len(queries), k)
     for qi, q in enumerate(queries):
-        ids, dists = index.query(q, k=k, **kwargs)
-        assert np.array_equal(batch_ids[qi, : len(ids)], ids)
-        assert np.array_equal(batch_dists[qi, : len(dists)], dists)
+        want = oracle_query(index, q, k, **kwargs)
+        assert_matches_oracle(index.query(q, k=k, **kwargs), want, f"query {qi}")
+        n_found = len(want[0])
+        assert_matches_oracle(
+            (batch_ids[qi, :n_found], batch_dists[qi, :n_found]), want,
+            f"batch row {qi}",
+        )
         # padding beyond the true result count
-        assert (batch_ids[qi, len(ids):] == -1).all()
-        assert np.isinf(batch_dists[qi, len(dists):]).all()
+        assert (batch_ids[qi, n_found:] == -1).all()
+        assert np.isinf(batch_dists[qi, n_found:]).all()
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +227,76 @@ def test_dynamic_batch_matches_single_before_fitting_inner(rng):
         index.insert(row)
     queries = rng.normal(size=(5, 6))
     assert_index_batch_matches(index, queries, k=20)
+
+
+# ----------------------------------------------------------------------
+# Batch sizes around the engine's own crossover, on every backend
+# ----------------------------------------------------------------------
+
+BACKENDS = [b for b in ("numpy", "cext") if b in kernels.available_backends()]
+GRID_QUERIES = 33
+GRID_K = 6
+
+
+def _grid_lccs(rng):
+    return LCCSLSH(dim=12, m=16, seed=5).fit(rng.normal(size=(300, 12)))
+
+
+def _grid_mp(rng):
+    return MPLCCSLSH(dim=12, m=8, n_probes=5, seed=3).fit(
+        rng.normal(size=(200, 12))
+    )
+
+
+def _grid_dynamic_aged(rng):
+    """Several sealed segments of different sizes, a part-filled memtable
+    and tombstones in both: what a served index looks like after a while."""
+    index = DynamicLCCSLSH(
+        dim=12, m=16, seed=8, memtable_size=16, max_segments=8
+    ).fit(rng.normal(size=(200, 12)))
+    for row in rng.normal(size=(72, 12)):  # 4 seals + 8 rows pending
+        index.insert(row)
+    for handle in (3, 57, 203, 240, 268):
+        index.delete(handle)
+    assert index.segment_count >= 4 and index.buffer_size > 0
+    return index
+
+
+@pytest.fixture(scope="module", params=["lccs", "mp", "dynamic-aged"])
+def grid_case(request):
+    """(index, queries, oracle answers), built once per index kind."""
+    rng = np.random.default_rng(2024)
+    build = {
+        "lccs": _grid_lccs, "mp": _grid_mp, "dynamic-aged": _grid_dynamic_aged,
+    }[request.param]
+    index = build(rng)
+    queries = rng.normal(size=(GRID_QUERIES, 12))
+    return index, queries, [oracle_query(index, q, GRID_K) for q in queries]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "batch", [1, 2, 3, SCALAR_CROSSOVER, SCALAR_CROSSOVER + 1, GRID_QUERIES]
+)
+def test_every_batch_size_matches_the_oracle(grid_case, batch, backend):
+    """B in {1, 2, 3, 12, 13, 33} x {numpy, cext}: below the crossover the
+    reference backend (and the multi-probe index everywhere) loops the
+    scalar path, at and above it the lock-step kernels run, and compiled
+    backends batch from B=1 — every combination answers like the oracle,
+    as does ``query`` itself."""
+    index, queries, want = grid_case
+    assert index.set_kernel_backend(backend) == backend
+    ids, dists = index.batch_query(queries[:batch], k=GRID_K)
+    for qi in range(batch):
+        found = ids[qi] >= 0
+        assert_matches_oracle(
+            (ids[qi][found], dists[qi][found]), want[qi],
+            f"{backend} B={batch} row {qi}",
+        )
+    last = batch - 1
+    assert_matches_oracle(
+        index.query(queries[last], k=GRID_K), want[last], f"{backend} query"
+    )
 
 
 def test_default_batch_hook_loops_single_path(rng):

@@ -47,6 +47,23 @@ def bundle(tmp_path_factory):
     return path
 
 
+def test_importing_the_cli_does_not_load_scipy_stats():
+    """Cold start: every server, worker and CLI start imports ``repro``,
+    and ``scipy.stats`` costs ~0.9 s and ~60 MB for a normal CDF that
+    serving never evaluates.  In a subprocess: this one has long since
+    imported it for other tests."""
+    probe = (
+        "import sys, repro.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC_DIR}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_build_reports_shards_and_mmap_open(bundle, capsys):
     # The fixture already ran build; rebuild output is gone, so re-run
     # inspect-level assertions through a fresh build into the same dir.

@@ -277,3 +277,85 @@ def test_version_counts_writes():
     v2 = ci.delete_versioned(h)
     assert v2 == 2
     assert ci.stats() == {"reads": 0, "writes": 2, "version": 2}
+
+
+# ----------------------------------------------------------------------
+# Parallel readers on the compiled kernels
+# ----------------------------------------------------------------------
+
+
+def test_parallel_cext_readers_match_the_oracle():
+    """Readers share the lock, and ctypes drops the GIL inside a kernel,
+    so two ``cext`` queries really run at once.  What they share is
+    per-index (the cached array addresses) and what they scribble on is
+    per-thread (the merge's seen-epoch table) — a reader that saw
+    another's scratch, or an address taken from a replaced array, would
+    answer differently from the scalar oracle.  Each thread alternates
+    between two indexes of different size (the table is sized by the
+    largest, the epochs run across both), and the dynamic one is aged:
+    several segments, so several CSAs per query.  More threads than
+    cores, switch interval shortened, bounded in time."""
+    import sys
+    import time
+
+    from helpers import assert_matches_oracle, oracle_query
+    from repro import LCCSLSH, kernels
+
+    if "cext" not in kernels.available_backends():
+        pytest.skip("no C compiler: " + str(kernels.unavailable_reason("cext")))
+    rng = np.random.default_rng(77)
+    static = LCCSLSH(dim=DIM, m=16, w=4.0, seed=5, backend="cext").fit(
+        rng.normal(size=(700, DIM))
+    )
+    dynamic = DynamicLCCSLSH(
+        dim=DIM, m=16, w=4.0, seed=5, backend="cext", memtable_size=16,
+        max_segments=8,
+    ).fit(rng.normal(size=(N0, DIM)))
+    for row in rng.normal(size=(56, DIM)):
+        dynamic.insert(row)
+    dynamic.delete(7)
+    assert dynamic.segment_count >= 4
+    queries = rng.normal(size=(24, DIM))
+    cases = [
+        (ConcurrentIndex(index), [oracle_query(index, q, 5) for q in queries])
+        for index in (static, dynamic)
+    ]
+    assert static.kernel_backend == dynamic.kernel_backend == "cext"
+    errors: list = []
+    answered = [0] * 3
+    deadline = time.monotonic() + 1.0
+
+    def reader(tid: int) -> None:
+        order = np.random.default_rng(tid).permutation(len(queries))
+        try:
+            while time.monotonic() < deadline:
+                for qi in order:
+                    for ci, want in cases:
+                        assert_matches_oracle(
+                            ci.query(queries[qi], k=5), want[qi], f"t{tid} single"
+                        )
+                        lo = min(qi, len(queries) - 3)
+                        ids, dists = ci.batch_query(queries[lo:lo + 3], k=5)
+                        for row in range(3):
+                            found = ids[row] >= 0
+                            assert_matches_oracle(
+                                (ids[row][found], dists[row][found]),
+                                want[lo + row], f"t{tid} batch",
+                            )
+                    answered[tid] += 1
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(t,)) for t in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive(), "reader deadlocked"
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:3]
+    assert all(count > 0 for count in answered), answered

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_matches_oracle, oracle_query
 from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH, kernels
 from repro.distances import hamming_packed, pack_bits, pairwise_rows
 
@@ -51,22 +52,26 @@ def _workload(seed: int, n: int, dim: int, nq: int, binary: bool = False):
 
 
 def assert_backends_identical(index, queries: np.ndarray, k: int):
-    """Every available backend matches numpy on batch and single paths."""
-    index.set_kernel_backend("numpy")
-    ref_batch = index.batch_query(queries, k=k)
-    ref_single = [index.query(q, k=k) for q in queries]
-    for backend in COMPILED:
+    """Every backend, numpy included, matches the scalar oracle on the
+    batch and single paths (on a compiled backend ``query`` is the batch
+    engine at B=1, so numpy's ``query`` alone would not pin it)."""
+    oracle = [oracle_query(index, q, k) for q in queries]
+    ref_batch = None
+    for backend in ["numpy"] + COMPILED:
         assert index.set_kernel_backend(backend) == backend
         bi, bd = index.batch_query(queries, k=k)
+        if ref_batch is None:
+            ref_batch = (bi, bd)
         assert np.array_equal(bi, ref_batch[0]), f"{backend}: batch ids"
         assert np.array_equal(bd, ref_batch[1]), f"{backend}: batch dists"
         for qi, q in enumerate(queries):
-            ids, dists = index.query(q, k=k)
-            assert np.array_equal(ids, ref_single[qi][0]), (
-                f"{backend}: single ids, query {qi}"
+            found = bi[qi] >= 0
+            assert_matches_oracle(
+                (bi[qi][found], bd[qi][found]), oracle[qi],
+                f"{backend}: batch row {qi}",
             )
-            assert np.array_equal(dists, ref_single[qi][1]), (
-                f"{backend}: single dists, query {qi}"
+            assert_matches_oracle(
+                index.query(q, k=k), oracle[qi], f"{backend}: single {qi}"
             )
     index.set_kernel_backend("numpy")
 
@@ -341,3 +346,68 @@ def test_backend_survives_bundle_roundtrip(tmp_path, backend):
     got = loaded.batch_query(queries, k=5)
     assert np.array_equal(ref[0], got[0])
     assert np.array_equal(ref[1], got[1])
+
+
+# ----------------------------------------------------------------------
+# The C backend's cached addresses follow the arrays, not the index
+# ----------------------------------------------------------------------
+
+needs_cext = pytest.mark.skipif(
+    "cext" not in COMPILED, reason="C kernel backend unavailable"
+)
+
+
+@needs_cext
+def test_cext_addresses_follow_replaced_and_copied_arrays():
+    """The kernels reach the CSA arrays and the data matrix through
+    addresses remembered per array object.  Everything that swaps the
+    arrays under an index — a refit, a deep copy, a pickle round trip —
+    must be answered from the new arrays, and a dead index must not be
+    kept alive by the cache."""
+    import copy
+    import gc
+    import pickle
+
+    addresses = kernels.get_backend("cext")._addresses._by_id
+    data, queries = _workload(21, n=90, dim=8, nq=6)
+    # fitted on copies throughout: the index is its arrays' only owner
+    index = LCCSLSH(dim=8, m=8, w=4.0, seed=21, backend="cext").fit(data.copy())
+
+    def check(candidate):
+        for q in queries:
+            assert_matches_oracle(
+                candidate.query(q, k=5), oracle_query(candidate, q, 5), "cext"
+            )
+
+    check(index)
+    gc.collect()
+    live = len(addresses)
+    clones = [copy.deepcopy(index), pickle.loads(pickle.dumps(index))]
+    for clone in clones:
+        assert clone.kernel_backend == "cext"
+        check(clone)
+    assert len(addresses) > live  # the clones' own arrays
+    del clones, clone
+    gc.collect()
+    assert len(addresses) == live  # held weakly: gone with their owners
+    index.fit(data[::-1] * 2.0)  # same object, every array replaced
+    check(index)
+    gc.collect()
+    assert len(addresses) == live
+
+
+@needs_cext
+def test_cext_converts_arrays_it_cannot_read_in_place():
+    """Strings that are not int64 (the kernels' character type) get one
+    converted copy; the answers are the scalar path's."""
+    from repro.core import CircularShiftArray
+
+    rng = np.random.default_rng(8)
+    strings = rng.integers(0, 4, size=(50, 10)).astype(np.int32)
+    queries = rng.integers(0, 4, size=(7, 10)).astype(np.int32)
+    csa = CircularShiftArray(strings, backend="cext")
+    assert csa._doubled.dtype == np.int32
+    for q, (ids, lens) in zip(queries, csa.batch_k_lccs(queries, 9)):
+        want_ids, want_lens = csa.k_lccs(q, 9)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(lens, want_lens)

@@ -329,7 +329,7 @@ def test_service_stats_surface_tier_shape():
     from repro.serve import ANNService
 
     index, rng = _fitted(20, memtable_size=5, max_segments=100)
-    service = ANNService(index, batch_window_ms=0.0)
+    service = ANNService(index)
     try:
         for v in rng.normal(size=(12, DIM)):
             service.insert(v)

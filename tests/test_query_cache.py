@@ -124,7 +124,7 @@ def test_cache_never_stale_under_interleavings(ops):
     live: list = list(range(60))  # handles believed live, mirror-side
     writes = 0
     with ANNService(
-        service_index, cache_size=256, batch_window_ms=0.0, max_batch_size=8
+        service_index, cache_size=256, max_batch_size=8
     ) as service:
         for op, a, b in ops:
             if op == "query":
@@ -160,7 +160,7 @@ def test_cached_hit_equals_fresh_query_at_same_version():
     replica = _fitted_dynamic()
     rng = np.random.default_rng(21)
     q = rng.normal(size=DIM)
-    with ANNService(index, cache_size=16, batch_window_ms=0.0) as service:
+    with ANNService(index, cache_size=16) as service:
         first = service.query(q, k=4, num_candidates=30)
         hit = service.query(q, k=4, num_candidates=30)
         assert service.stats()["cache_hits"] >= 1
@@ -180,7 +180,7 @@ def test_cache_disabled_service_still_correct():
     replica = _fitted_dynamic()
     rng = np.random.default_rng(22)
     q = rng.normal(size=DIM)
-    with ANNService(index, cache_size=0, batch_window_ms=0.0) as service:
+    with ANNService(index, cache_size=0) as service:
         got = service.query(q, k=3, num_candidates=30)
         want = replica.query(q, k=3, num_candidates=30)
         assert got[0].tobytes() == want[0].tobytes()
@@ -261,7 +261,7 @@ def test_service_query_with_numpy_kwarg_end_to_end():
     index = _fitted_dynamic()
     rng = np.random.default_rng(23)
     q = rng.normal(size=DIM)
-    with ANNService(index, cache_size=16, batch_window_ms=0.0) as service:
+    with ANNService(index, cache_size=16) as service:
         first = service.query(q, k=3, num_candidates=np.int64(30))
         again = service.query(q, k=3, num_candidates=30)
         assert service.stats()["cache_hits"] >= 1

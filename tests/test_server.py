@@ -12,6 +12,7 @@ the real CLI in a subprocess.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import signal
@@ -49,7 +50,7 @@ def _fitted_dynamic(seed: int = 0) -> DynamicLCCSLSH:
 def served_dynamic():
     """(ThreadedServer, ANNService, index) over a dynamic index."""
     index = _fitted_dynamic()
-    service = ANNService(index, cache_size=64, batch_window_ms=0.5)
+    service = ANNService(index, cache_size=64)
     server = ThreadedServer(
         ServiceBackend(service, default_k=5), max_inflight=8
     ).start()
@@ -73,7 +74,7 @@ def test_tcp_results_byte_identical_to_batch_query():
     last ulp may differ.
     """
     index = _fitted_static()
-    service = ANNService(index, cache_size=0, batch_window_ms=0.5)
+    service = ANNService(index, cache_size=0)
     rng = np.random.default_rng(42)
     queries = rng.normal(size=(8, DIM))
     want_ids, want_dists = index.batch_query(queries, k=7)
@@ -203,7 +204,7 @@ def test_overload_sheds_with_explicit_response():
     count them in the metrics.
     """
     index = _fitted_dynamic()
-    service = ANNService(index, cache_size=0, batch_window_ms=0.5)
+    service = ANNService(index, cache_size=0)
     gate = _gate_service_reads(service)
     backend = ServiceBackend(service, default_k=3)
     try:
@@ -226,6 +227,38 @@ def test_overload_sheds_with_explicit_response():
                 stats = client.stats()
                 assert stats["server"]["shed_total"] == 4
                 assert stats["server"]["ops"]["query"]["shed"] == 4
+    finally:
+        service.close()
+
+
+def test_pipelined_cache_hits_are_answered_never_shed():
+    """A burst of cache hits is not load: 200 pipelined hits on one idle
+    connection — three times the default ``max_inflight`` of 64 — all get
+    their answer.  The read loop does not yield while its buffer holds
+    data, so counting each hit as in flight used to shed 136 of them.
+    Every hit still shows in the server's query metrics, and the cache's
+    hit/miss counters move exactly once per request."""
+    service = ANNService(_fitted_dynamic(), cache_size=64)
+    line = json.dumps({"query": np.ones(DIM).tolist(), "k": 3}).encode() + b"\n"
+    try:
+        with ThreadedServer(ServiceBackend(service, default_k=3)) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as sock, sock.makefile("rwb") as wire:
+                wire.write(line)
+                wire.flush()
+                first = json.loads(wire.readline())  # the miss fills the cache
+                wire.write(line * 200)
+                wire.flush()
+                replies = [json.loads(wire.readline()) for _ in range(200)]
+            assert all(reply == first for reply in replies), [
+                r for r in replies if r != first
+            ][:3]
+            with ServeClient("127.0.0.1", server.port) as client:
+                stats = client.stats()
+        assert stats["server"]["shed_total"] == 0
+        assert stats["server"]["ops"]["query"]["count"] == 201
+        assert (stats["cache_hits"], stats["cache_misses"]) == (200, 1)
     finally:
         service.close()
 
@@ -336,7 +369,7 @@ def test_server_metrics_shed_not_in_latency():
 
 def test_drain_refuses_new_connections_but_finishes_existing():
     index = _fitted_dynamic()
-    service = ANNService(index, cache_size=0, batch_window_ms=0.5)
+    service = ANNService(index, cache_size=0)
     backend = ServiceBackend(service, default_k=3)
     server = ThreadedServer(backend, drain_timeout=10.0).start()
     try:
@@ -361,6 +394,26 @@ def test_drain_refuses_new_connections_but_finishes_existing():
         assert len(ids) == 2
         client.close()
         server.stop()
+    finally:
+        service.close()
+
+
+def test_stop_after_a_completed_drain_is_a_no_op():
+    """The race behind the drain test's one-in-ten ``RuntimeError``: once
+    the last connection of a draining server closes, its thread leaves
+    ``asyncio.run`` and closes the loop; a ``stop()`` arriving after that
+    used to schedule ``begin_drain`` on the closed loop."""
+    service = ANNService(_fitted_dynamic(), cache_size=0)
+    server = ThreadedServer(ServiceBackend(service, default_k=3)).start()
+    try:
+        client = ServeClient("127.0.0.1", server.port)
+        assert client.ping()
+        server.drain()
+        client.close()  # last connection gone: the drain completes
+        server._thread.join(timeout=10)
+        assert not server._thread.is_alive()
+        server.stop()  # loop already closed
+        server.drain()
     finally:
         service.close()
 

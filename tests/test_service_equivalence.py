@@ -10,12 +10,14 @@ same tie-breaks, byte for byte.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro import DynamicLCCSLSH, IndexSpec, LCCSLSH, ShardedIndex
+from repro.base import ANNIndex
 from repro.serve import ANNService
 
 DIM = 10
@@ -48,7 +50,7 @@ def test_async_singles_equal_direct_batch(k):
         queries, k=k, num_candidates=60
     )
     with ANNService(
-        index, cache_size=0, batch_window_ms=20.0, max_batch_size=40
+        index, cache_size=0, max_batch_size=40
     ) as service:
         futures = [
             service.query_async(q, k=k, num_candidates=60) for q in queries
@@ -71,7 +73,7 @@ def test_duplicate_queries_in_one_batch():
         queries, k=7, num_candidates=50
     )
     with ANNService(
-        index, cache_size=0, batch_window_ms=20.0, max_batch_size=len(queries)
+        index, cache_size=0, max_batch_size=len(queries)
     ) as service:
         futures = [
             service.query_async(q, k=7, num_candidates=50) for q in queries
@@ -87,7 +89,7 @@ def test_mixed_k_requests_split_into_groups():
     queries = rng.normal(size=(12, DIM))
     ks = [3 if i % 2 == 0 else 8 for i in range(len(queries))]
     with ANNService(
-        index, cache_size=0, batch_window_ms=10.0, max_batch_size=32
+        index, cache_size=0, max_batch_size=32
     ) as service:
         futures = [
             service.query_async(q, k=k, num_candidates=40)
@@ -108,7 +110,7 @@ def test_threaded_clients_equal_direct_batch():
         queries, k=5, num_candidates=60
     )
     with ANNService(
-        index, cache_size=64, batch_window_ms=2.0, max_batch_size=16
+        index, cache_size=64, max_batch_size=16
     ) as service:
         with ThreadPoolExecutor(max_workers=8) as clients:
             rows = list(
@@ -124,7 +126,7 @@ def test_service_batch_query_passthrough_is_byte_identical():
     index = _lccs()
     queries = np.random.default_rng(5).normal(size=(25, DIM))
     want_ids, want_dists = index.batch_query(queries, k=6, num_candidates=60)
-    with ANNService(index, cache_size=128, batch_window_ms=0.0) as service:
+    with ANNService(index, cache_size=128) as service:
         got_ids, got_dists = service.batch_query(
             queries, k=6, num_candidates=60
         )
@@ -149,7 +151,7 @@ def test_service_over_sharded_index():
         queries, k=4, num_candidates=40
     )
     with ANNService(
-        sharded, cache_size=32, batch_window_ms=10.0, max_batch_size=15
+        sharded, cache_size=32, max_batch_size=15
     ) as service:
         futures = [
             service.query_async(q, k=4, num_candidates=40) for q in queries
@@ -178,7 +180,7 @@ def test_write_through_service_matches_dynamic_index():
     data = rng.normal(size=(80, DIM))
     served = DynamicLCCSLSH(dim=DIM, m=8, w=4.0, seed=1).fit(data)
     direct = DynamicLCCSLSH(dim=DIM, m=8, w=4.0, seed=1).fit(data)
-    with ANNService(served, cache_size=16, batch_window_ms=0.0) as service:
+    with ANNService(served, cache_size=16) as service:
         vec = rng.normal(size=DIM)
         assert service.insert(vec) == direct.insert(vec)
         service.delete(3)
@@ -203,7 +205,7 @@ def test_evaluate_service_matches_evaluate_accuracy(clustered):
     served = evaluate_service(
         index, data, queries, gt, k=10,
         query_kwargs={"num_candidates": 200},
-        threads=2, cache_size=64, batch_window_ms=1.0,
+        threads=2, cache_size=64,
     )
     # identical results => identical accuracy metrics
     assert served.recall == direct.recall
@@ -214,16 +216,54 @@ def test_evaluate_service_matches_evaluate_accuracy(clustered):
     assert served.params["threads"] == 2
 
 
+class _GatedIndex(ANNIndex):
+    """Answers like ``inner``, but parks every batch on ``gate`` first —
+    a batch the test can hold open while more requests queue behind it."""
+
+    def __init__(self, inner):
+        super().__init__(inner.dim, inner.metric)
+        self._inner = inner
+        self._data = inner._data  # fitted
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def _fit(self, data):  # pragma: no cover - never refitted
+        raise NotImplementedError
+
+    def _query(self, q, k, **kwargs):
+        return self._inner.query(q, k=k, **kwargs)
+
+    def _batch_query(self, queries, k, **kwargs):
+        self.entered.set()
+        assert self.gate.wait(timeout=30)
+        return [self._query(q, k, **kwargs) for q in queries]
+
+
 def test_cancelled_future_does_not_kill_the_executor():
-    """A caller cancelling its future must not take the service down."""
+    """A caller cancelling its future must not take the service down.
+
+    Nothing waits in a window any more, so the one place a request can
+    still be cancelled is the queue behind a running batch: hold a batch
+    open, queue a second request, cancel it, release."""
     index = _lccs(100)
-    q = np.random.default_rng(8).normal(size=DIM)
-    with ANNService(index, cache_size=0, batch_window_ms=50.0) as service:
-        fut = service.query_async(q, k=3, num_candidates=40)
-        assert fut.cancel()  # still queued inside the batch window
-        # the executor must survive and keep answering
-        ids, dists = service.query(q, k=3, num_candidates=40)
-        want_ids, want_dists = index.query(q, k=3, num_candidates=40)
+    gated = _GatedIndex(index)
+    rng = np.random.default_rng(8)
+    q_held, q_cancelled = rng.normal(size=(2, DIM))
+    with ANNService(gated, cache_size=0) as service:
+        held = service.query_async(q_held, k=3, num_candidates=40)
+        assert gated.entered.wait(timeout=10)  # the executor is inside it
+        queued = service.query_async(q_cancelled, k=3, num_candidates=40)
+        assert queued.cancel()  # still queued behind the held batch
+        gated.gate.set()
+        ids, dists = held.result(timeout=10)
+        want_ids, want_dists = index.query(q_held, k=3, num_candidates=40)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert dists.tobytes() == want_dists.tobytes()
+        # the executor must survive the cancelled request and keep answering
+        ids, dists = service.query(q_cancelled, k=3, num_candidates=40)
+        want_ids, want_dists = index.query(q_cancelled, k=3, num_candidates=40)
         assert ids.tobytes() == want_ids.tobytes()
         assert dists.tobytes() == want_dists.tobytes()
         assert service._executor.is_alive()
+        # the cancelled request was dropped, never executed
+        assert service.stats()["batched_queries"] == 2

@@ -110,7 +110,7 @@ def test_query_async_closed_rejects_even_cache_hits():
     index = DynamicLCCSLSH(dim=DIM, m=8, w=4.0, seed=2).fit(
         rng.normal(size=(30, DIM))
     )
-    service = ANNService(index, batch_window_ms=0.0, cache_size=32)
+    service = ANNService(index, cache_size=32)
     q_cached = rng.normal(size=DIM)
     q_cold = rng.normal(size=DIM)
     service.query(q_cached, k=3)  # populate the cache
