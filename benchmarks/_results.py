@@ -8,11 +8,8 @@ pytest) archives its measurements in two files under
   environment, raw numbers);
 * ``bench_<name>.md`` — human-readable summary with markdown tables.
 
-On top of that, ``trajectory.json`` aggregates the headline
-batched-query throughput across PRs so the repo's performance story is
-one file: each entry records the PR/bench that produced it, the
-workload, the kernel backend, and the measured QPS.  Append-only —
-re-running a bench adds a new entry rather than rewriting history.
+The repo's performance trajectory is not kept here: end-to-end numbers
+come from ``benchmarks/e2e`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import time
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,7 +27,6 @@ __all__ = [
     "RESULTS_DIR",
     "environment",
     "write_results",
-    "append_trajectory",
 ]
 
 
@@ -55,20 +50,13 @@ def environment() -> dict:
     single-core container and a 32-core workstation are different
     experiments.
     """
-    env = {
+    return {
         "cpu_count": os.cpu_count(),
         "cpu_model": _cpu_model(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    try:
-        import numba  # type: ignore
-
-        env["numba"] = numba.__version__
-    except ImportError:
-        env["numba"] = None
-    return env
 
 
 def write_results(name: str, payload: dict, markdown: str) -> Tuple[str, str]:
@@ -82,34 +70,3 @@ def write_results(name: str, payload: dict, markdown: str) -> Tuple[str, str]:
     with open(md_path, "w", encoding="utf-8") as f:
         f.write(markdown if markdown.endswith("\n") else markdown + "\n")
     return json_path, md_path
-
-
-def append_trajectory(entry: dict) -> str:
-    """Append one headline-QPS entry to ``results/trajectory.json``.
-
-    The file holds ``{"entries": [...]}``; each entry should carry at
-    least ``bench``, ``workload``, ``backend`` and ``qps``.  A UTC
-    timestamp is stamped in automatically.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "trajectory.json")
-    doc = {"entries": []}
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as f:
-                loaded = json.load(f)
-            if isinstance(loaded, dict) and isinstance(
-                loaded.get("entries"), list
-            ):
-                doc = loaded
-        except (OSError, ValueError):
-            pass  # corrupt aggregator: start a fresh one, keep benching
-    stamped = dict(entry)
-    stamped.setdefault(
-        "recorded_at", time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    )
-    doc["entries"].append(stamped)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    return path

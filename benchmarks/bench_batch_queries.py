@@ -12,8 +12,7 @@ m and batch size shows how the speedup scales.
 
 Results are archived in the repo convention —
 ``benchmarks/results/bench_batch_queries.json`` (machine-readable) and
-``.md`` (summary) — and the headline QPS is appended to
-``benchmarks/results/trajectory.json``.  Every row records which kernel
+``.md`` (summary).  Every row records which kernel
 backend answered it (``REPRO_BACKEND`` selects; numpy is the default).
 """
 
@@ -24,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from _results import append_trajectory, environment, write_results
+from _results import environment, write_results
 
 from repro import LCCSLSH
 from repro.eval import banner, format_table
@@ -121,21 +120,6 @@ def collector():
             ("batch size", "backend", "loop(s)", "batch(s)", "speedup", "QPS"),
         ))
     write_results("batch_queries", payload, "\n".join(md))
-    for row in _COLLECTED["headline"]:
-        append_trajectory(
-            {
-                "bench": "bench_batch_queries",
-                "workload": {
-                    "name": "euclidean", "n": row["n"], "dim": 32,
-                    "m": row["m"], "queries": row["queries"], "k": 10,
-                },
-                "backend": row["backend"],
-                "qps": row["qps"],
-                "speedup_vs_loop": row["speedup"],
-                "cpu_model": env["cpu_model"],
-                "cpu_count": env["cpu_count"],
-            }
-        )
 
 
 def test_batch_speedup_headline(collector, capsys):

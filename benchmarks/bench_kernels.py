@@ -2,7 +2,7 @@
 
 Builds one LCCS-LSH index per workload, then answers the same query
 batch with every available kernel backend (``numpy`` reference plus any
-compiled backend — ``numba`` and/or ``cext``), asserting **byte-identical**
+compiled backend — ``cext``), asserting **byte-identical**
 (ids, dists) matrices before timing is trusted.  Workloads:
 
 * ``euclidean`` — float64 data, random-projection family (n=100k, d=64,
@@ -23,8 +23,7 @@ reference at n=100k/m=64 on a single core; >= 5x is acceptable when the
 host is a throttled single-core container (the environment block in the
 results records the CPU model and core count either way).
 
-Writes ``benchmarks/results/bench_kernels.json`` + ``.md`` and appends
-the headline compiled-QPS entries to ``benchmarks/results/trajectory.json``.
+Writes ``benchmarks/results/bench_kernels.json`` + ``.md``.
 
 Usage::
 
@@ -42,7 +41,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from _results import append_trajectory, environment, write_results  # noqa: E402
+from _results import environment, write_results  # noqa: E402
 
 from repro import LCCSLSH  # noqa: E402
 from repro.kernels import (  # noqa: E402
@@ -213,8 +212,7 @@ def main(argv=None) -> int:
     md.append(
         f"Environment: {env['cpu_model'] or 'unknown CPU'}, "
         f"{env['cpu_count']} core(s), Python {env['python']}, "
-        f"numpy {env['numpy']}, "
-        f"numba {env['numba'] or 'absent'}."
+        f"numpy {env['numpy']}."
     )
     if unavailable:
         notes = "; ".join(f"`{b}`: {r}" for b, r in unavailable.items())
@@ -224,7 +222,6 @@ def main(argv=None) -> int:
         "in-bench before timing is reported); `verify=float32` is the "
         "opt-in reduced-precision screen with exact float64 re-rank."
     )
-    headline = []
     for workload, section in sections.items():
         w = section["workload"]
         md.append(
@@ -238,7 +235,6 @@ def main(argv=None) -> int:
         ]
         if compiled:
             best = max(compiled, key=lambda r: r["qps"])
-            headline.append((workload, w, best))
             md.append(
                 f"\nHeadline: `{best['backend']}` reaches "
                 f"**{best['qps']:.0f} QPS** "
@@ -253,22 +249,6 @@ def main(argv=None) -> int:
     json_path, md_path = write_results("kernels", payload, "\n".join(md))
     print(f"\nwrote {json_path}\nwrote {md_path}")
 
-    for workload, w, best in headline:
-        traj_path = append_trajectory(
-            {
-                "bench": "bench_kernels",
-                "workload": {
-                    "name": workload, "n": w["n"], "dim": w["dim"],
-                    "m": w["m"], "queries": w["queries"], "k": w["k"],
-                },
-                "backend": best["backend"],
-                "qps": best["qps"],
-                "speedup_vs_numpy": best["speedup_vs_numpy"],
-                "cpu_model": env["cpu_model"],
-                "cpu_count": env["cpu_count"],
-            }
-        )
-        print(f"appended {workload} headline to {traj_path}")
     return 0
 
 

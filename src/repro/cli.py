@@ -16,8 +16,9 @@ Subcommands:
   milliseconds and every local process shares one physical copy of
   the index.
 * ``serve`` — load a bundle behind :class:`repro.serve.ANNService` and
-  answer JSON-lines requests from stdin (queries, inserts, deletes,
-  stats) with ``--threads`` concurrent clients and a result cache.
+  answer JSON-lines requests (queries, inserts, deletes, stats, ...)
+  from stdin or, with ``--tcp``, from sockets — one protocol, one
+  request handler (:mod:`repro.serve.server`), two transports.
   With ``--wal-dir`` every write is write-ahead-logged (and
   periodically snapshotted via ``--snapshot-every``) so the served
   state survives a crash; ``--replicas N`` serves reads from N
@@ -33,7 +34,7 @@ Subcommands:
 * ``theory`` — collision probabilities and Theorem 5.1's lambda for a
   parameter setting.
 * ``compare``/``build``/``query``/``serve``/``profile`` accept
-  ``--backend {numpy,numba,cext}`` to select the compiled kernel
+  ``--backend {numpy,cext}`` to select the compiled kernel
   backend for CSA search/merge/verify (defaults to the
   ``REPRO_BACKEND`` environment variable, then numpy; an unavailable
   backend silently falls back to numpy).
@@ -48,7 +49,7 @@ Examples::
     python -m repro.cli query sift.bundle --queries 100 --k 10 --batch --mmap
     python -m repro.cli inspect sift.bundle
     echo '{"query": [0.1, ...], "k": 5}' | \\
-        python -m repro.cli serve sift.bundle --threads 4 --cache-size 1024
+        python -m repro.cli serve sift.bundle --cache-size 1024
     python -m repro.cli serve sift.bundle \\
         --wal-dir sift.wal --snapshot-every 500 --replicas 2
     python -m repro.cli recover sift.wal --out recovered.bundle
@@ -62,7 +63,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import asyncio
+import contextlib
 import sys
+import threading
 from typing import List, Optional
 
 import numpy as np
@@ -373,342 +377,78 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Answer JSON-lines requests from stdin through an ANNService.
+class _StdioConnection:
+    """stdin (or a requests file) and stdout dressed as one connection.
 
-    Request protocol (one JSON object per line; responses come back in
-    request order, one JSON object per line):
-
-    * ``{"query": [..], "k": 10, "num_candidates": 200}`` ->
-      ``{"ids": [..], "dists": [..]}`` (``k`` defaults to ``--k``;
-      other keys are forwarded as query kwargs)
-    * ``{"insert": [..]}`` -> ``{"handle": h, "version": v}``
-    * ``{"delete": h}`` -> ``{"deleted": h, "version": v}``
-    * ``{"stats": true}`` -> ``{"stats": {..}}``
-    * ``{"trace": n}`` -> the ``n`` most recent sampled span trees
-      plus the slow-query log (``--trace-sample`` / ``--slow-ms``)
-    * ``{"metrics": true | "prometheus"}`` -> this process's metric
-      families as a snapshot tree or Prometheus text
-
-    Queries are issued by ``--threads`` concurrent client workers, so
-    adjacent query requests coalesce into micro-batches inside the
-    service; a printer thread emits each answer as soon as it (and all
-    its predecessors) completes, so interactive clients are never left
-    waiting on a response that is already computed.  A write (or stats)
-    request first drains every pending query, preserving the stream's
-    serial read/write semantics.
-
-    With ``--wal-dir`` the index is wrapped in a
-    :class:`~repro.serve.durability.DurableIndex`: every accepted write
-    is on disk before it is acknowledged (fsync per ``--fsync``), a
-    baseline snapshot captures the bundle's state, and further
-    snapshots are taken every ``--snapshot-every`` writes.  If the WAL
-    directory already holds state from a previous run, serving resumes
-    from its *recovered* state (the bundle only provides defaults).
-    With ``--replicas N`` queries are answered by N log-shipping
-    replicas (round-robin; a query request may carry ``min_version`` to
-    read its own writes — write responses include ``seq``).
-
-    With ``--tcp HOST:PORT`` the same protocol is served over TCP by
-    the asyncio front door (:mod:`repro.serve.server`) instead of
-    stdin: ``--workers N`` preforks N mmap worker processes behind one
-    SO_REUSEPORT port (writes route to a primary holding the WAL),
-    ``--max-inflight`` bounds per-worker admission (excess requests get
-    an explicit ``{"error": "overloaded", "shed": true}``), and SIGTERM
-    drains gracefully.
+    The serving loop calls :meth:`connect` and gets what a socket would
+    have given it: a real :class:`asyncio.StreamReader`, fed by a pump
+    thread (a regular file has no readiness to wait on, so the loop's
+    own pipe support would not do), and this object as the writer half
+    (``write``/``drain``/``close``/``wait_closed``).  The pump takes one
+    of ``window`` slots per line it feeds and every delivered response
+    returns one, so reading stops while ``window`` requests are
+    unanswered: back-pressure where a socket would be shed, and bounded
+    memory however long the stream.
     """
-    if args.tcp:
-        return _cmd_serve_tcp(args)
-    if args.workers != 1:
-        print("--workers requires --tcp", file=sys.stderr)
-        return 2
-    import json
-    import queue
-    import threading
-    import time
-    from concurrent.futures import ThreadPoolExecutor
 
-    from repro.obs.export import render_prometheus
-    from repro.obs.metrics import get_registry
-    from repro.obs.tracing import get_tracer
-    from repro.serve import BundleError, load_index, read_manifest
-    from repro.serve.durability import (
-        DurableIndex,
-        RecoveryError,
-        ReplicaSet,
-        SnapshotManager,
-        list_snapshots,
-        recover,
-    )
-    from repro.serve.durability.wal import list_segments
-    from repro.serve.service import ANNService
+    def __init__(self, source, sink, window: int):
+        self.written = 0
+        self._source = source
+        self._sink = sink
+        self._slots = threading.Semaphore(window)
+        self._closed = False
+        self._unsent: List[bytes] = []
 
-    # Manifest first: it supplies the default query kwargs either way,
-    # and when a WAL directory already holds recovered state the bundle
-    # payload is never needed — skip the (possibly huge) load entirely.
-    try:
-        manifest = read_manifest(args.bundle)
-    except BundleError as exc:
-        print(f"cannot load bundle: {exc}", file=sys.stderr)
-        return 2
+    def connect(self):
+        from repro.serve.server import LINE_LIMIT
 
-    replica_set = None
-    index = None
-    if args.wal_dir:
-        import os
+        self._loop = asyncio.get_running_loop()
+        self._reader = asyncio.StreamReader(limit=LINE_LIMIT, loop=self._loop)
+        threading.Thread(
+            target=self._pump, name="serve-stdin-pump", daemon=True
+        ).start()
+        return self._reader, self
 
-        has_state = bool(
-            os.path.isdir(args.wal_dir)
-            and (list_segments(args.wal_dir) or list_snapshots(args.wal_dir))
-        )
-        if has_state:
-            # A previous serve run left durable state: it, not the
-            # bundle, is the acknowledged truth.
+    def _pump(self) -> None:
+        feed = self._loop.call_soon_threadsafe
+        # RuntimeError: the loop closed under us — the connection is over.
+        with contextlib.suppress(RuntimeError):
             try:
-                result = recover(args.wal_dir, mmap=args.mmap)
-            except RecoveryError as exc:
-                print(f"cannot recover WAL state: {exc}", file=sys.stderr)
-                return 2
-            index = result.index
-            print(
-                f"recovered WAL state: seq={result.applied_seq} "
-                f"(snapshot={result.snapshot_seq}, "
-                f"replayed={result.replayed} records)",
-                file=sys.stderr,
-            )
-    if index is None:
+                for line in self._source:
+                    if not line.strip():
+                        continue  # the handler skips these unanswered
+                    self._slots.acquire()
+                    if self._closed:
+                        break
+                    feed(self._reader.feed_data, line.encode("utf-8"))
+            finally:
+                feed(self._reader.feed_eof)
+
+    def write(self, data: bytes) -> None:
+        self._unsent.append(data)
+
+    async def drain(self) -> None:
+        # The sink may block (a full pipe): off the loop, like a socket's.
+        await self._loop.run_in_executor(None, self._flush)
+
+    def _flush(self) -> None:
+        lines, self._unsent = self._unsent, []
         try:
-            index = load_index(args.bundle, mmap=args.mmap)
-        except BundleError as exc:
-            print(f"cannot load bundle: {exc}", file=sys.stderr)
-            return 2
-    if args.wal_dir:
-        snapshots = SnapshotManager(
-            args.wal_dir,
-            keep=args.snapshot_keep,
-            every_ops=args.snapshot_every if args.snapshot_every > 0 else None,
-        )
-        index = DurableIndex(
-            index, args.wal_dir, fsync=args.fsync, snapshots=snapshots
-        )
-        if args.replicas > 0:
-            replica_set = ReplicaSet(
-                index, num_replicas=args.replicas, mmap=args.mmap
-            )
-            replica_set.start_tailing(args.tail_interval_ms / 1e3)
-    elif args.replicas > 0:
-        print("--replicas requires --wal-dir (replicas tail the WAL)",
-              file=sys.stderr)
-        return 2
-    default_kwargs = dict(manifest.get("extra", {}).get("query_kwargs", {}))
-    tracer = get_tracer()
-    tracer.configure(
-        sample=args.trace_sample, slow_threshold_s=args.slow_ms / 1e3
-    )
-    try:
-        source = open(args.requests) if args.requests else sys.stdin
-    except OSError as exc:
-        print(f"cannot open requests file: {exc}", file=sys.stderr)
-        return 2
-    emitted = 0
+            for data in lines:
+                self._sink.write(data.decode("utf-8"))
+            self._sink.flush()
+        except OSError:
+            self.close()  # nobody is listening: stop reading, too
+            raise
+        self.written += len(lines)
+        self._slots.release(len(lines))
 
-    def run_query(payload: dict) -> dict:
-        trace = tracer.start_trace("query", op="query")
-        start = time.perf_counter()
-        error = False
-        try:
-            q = np.asarray(payload.pop("query"), dtype=np.float64)
-            k = int(payload.pop("k", args.k))
-            min_version = payload.pop("min_version", None)
-            kwargs = {**default_kwargs, **payload}
-            if replica_set is not None:
-                ids, dists = replica_set.query(
-                    q, k=k,
-                    min_version=None if min_version is None else int(min_version),
-                    **kwargs,
-                )
-            else:
-                ids, dists = service.query(q, k=k, trace=trace, **kwargs)
-            return {"ids": ids.tolist(), "dists": dists.tolist()}
-        except Exception as exc:  # keep serving after a bad request
-            error = True
-            return {"error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            elapsed = time.perf_counter() - start
-            if trace is not None:
-                trace.root.annotate(error=error)
-                trace.finish()
-            tracer.observe_request("query", elapsed, trace=trace, error=error)
+    def close(self) -> None:
+        self._closed = True
+        self._slots.release()  # wake a pump parked on a full window
 
-    with ANNService(
-        index,
-        cache_size=args.cache_size,
-        max_batch_size=args.max_batch,
-    ) as service, ThreadPoolExecutor(max_workers=args.threads) as clients:
-        # Responses flow through a bounded queue (query futures and
-        # ready dicts alike) to a printer thread, which emits each
-        # answer in request order the moment it resolves — interactive
-        # clients get responses without waiting for more input, memory
-        # stays bounded on long query-only streams, and because the
-        # printer is the *only* thread writing responses, output lines
-        # can never interleave mid-line.
-        out_queue: "queue.Queue" = queue.Queue(maxsize=4 * args.threads)
-        counter_lock = threading.Lock()
-
-        def count_one() -> None:
-            nonlocal emitted
-            with counter_lock:
-                emitted += 1
-
-        def printer() -> None:
-            while True:
-                item = out_queue.get()
-                try:
-                    if item is None:
-                        return
-                    if isinstance(item, dict):
-                        response = item
-                    else:
-                        # A raising future must become an error *line*,
-                        # not kill this thread: a dead printer leaves
-                        # flush()'s join() deadlocked forever on the
-                        # next write/stats request.  BaseException on
-                        # purpose — the executor captures those into
-                        # futures too (e.g. a KeyboardInterrupt raised
-                        # mid-query).
-                        try:
-                            response = item.result()
-                        except BaseException as exc:
-                            response = {
-                                "error": f"{type(exc).__name__}: {exc}"
-                            }
-                    try:
-                        line = json.dumps(response)
-                    except (TypeError, ValueError) as exc:
-                        line = json.dumps(
-                            {"error": f"unserializable response: {exc}"}
-                        )
-                    print(line, flush=True)
-                    count_one()
-                finally:
-                    out_queue.task_done()
-
-        printer_thread = threading.Thread(target=printer, daemon=True)
-        printer_thread.start()
-
-        def flush() -> None:
-            out_queue.join()  # every queued answer is printed
-
-        try:
-            for line in source:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as exc:
-                    # Through the queue like every other response: the
-                    # printer is the single writer, so this error line
-                    # cannot interleave with an in-flight query answer
-                    # (and queue order keeps it in request order).
-                    out_queue.put({"error": f"bad request: {exc}"})
-                    continue
-                if "query" in request:
-                    out_queue.put(clients.submit(run_query, request))
-                    continue
-                flush()  # writes/stats see every prior query completed
-                try:
-                    if "insert" in request:
-                        vector = np.asarray(request["insert"], dtype=np.float64)
-                        wtrace = tracer.start_trace("insert", op="insert")
-                        wstart = time.perf_counter()
-                        handle = service.insert(vector, trace=wtrace)
-                        if wtrace is not None:
-                            wtrace.finish()
-                        tracer.observe_request(
-                            "insert", time.perf_counter() - wstart,
-                            trace=wtrace,
-                        )
-                        response = {"handle": handle,
-                                    "version": service.version}
-                        if args.wal_dir:
-                            response["seq"] = index.applied_seq
-                    elif "delete" in request:
-                        wtrace = tracer.start_trace("delete", op="delete")
-                        wstart = time.perf_counter()
-                        service.delete(int(request["delete"]), trace=wtrace)
-                        if wtrace is not None:
-                            wtrace.finish()
-                        tracer.observe_request(
-                            "delete", time.perf_counter() - wstart,
-                            trace=wtrace,
-                        )
-                        response = {"deleted": int(request["delete"]),
-                                    "version": service.version}
-                        if args.wal_dir:
-                            response["seq"] = index.applied_seq
-                    elif "stats" in request:
-                        stats = service.stats()
-                        if replica_set is not None:
-                            stats.update(replica_set.stats())
-                        stats["tracer"] = tracer.stats()
-                        response = {"stats": stats}
-                    elif "trace" in request:
-                        want = request["trace"]
-                        n = (
-                            int(want)
-                            if isinstance(want, (int, float))
-                            and not isinstance(want, bool) and want > 0
-                            else 20
-                        )
-                        response = {
-                            "traces": tracer.recent(n),
-                            "slow": tracer.slow_log(n),
-                            "tracer": tracer.stats(),
-                        }
-                    elif "metrics" in request:
-                        snap = get_registry().snapshot()
-                        if request["metrics"] == "prometheus":
-                            response = {
-                                "prometheus": render_prometheus(snap)
-                            }
-                        else:
-                            response = {"metrics": snap}
-                    else:
-                        response = {
-                            "error": "unknown request (want query/insert/"
-                            "delete/stats/trace/metrics)"
-                        }
-                except Exception as exc:
-                    response = {"error": f"{type(exc).__name__}: {exc}"}
-                out_queue.put(response)
-            flush()
-        finally:
-            out_queue.put(None)
-            printer_thread.join()
-            if source is not sys.stdin:
-                source.close()
-    if replica_set is not None:
-        replica_set.close()
-    if args.wal_dir:
-        index.close()  # flush + fsync the WAL
-        print(
-            f"WAL at {args.wal_dir}: seq={index.applied_seq}",
-            file=sys.stderr,
-        )
-    if args.slow_log:
-        try:
-            n = tracer.dump_slow_log(args.slow_log)
-            print(
-                f"slow-query log: {n} entries -> {args.slow_log}",
-                file=sys.stderr,
-            )
-        except OSError as exc:
-            print(f"slow-query log dump failed: {exc}", file=sys.stderr)
-    print(f"served {emitted} responses", file=sys.stderr)
-    return 0
+    async def wait_closed(self) -> None:
+        pass
 
 
 def _parse_hostport(spec: str) -> "tuple[str, int]":
@@ -721,28 +461,60 @@ def _parse_hostport(spec: str) -> "tuple[str, int]":
     return host, int(port)
 
 
-def _cmd_serve_tcp(args: argparse.Namespace) -> int:
-    """The ``serve --tcp`` path: hand off to repro.serve.server."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve a bundle: pick the transport, hand off to repro.serve.server.
+
+    The protocol (one JSON object per line in, one per line out, in
+    request order), its verbs and the write/stats barrier belong to the
+    request handler and are documented there (:mod:`repro.serve.server`);
+    none of it depends on the transport chosen here.
+
+    Without ``--tcp`` the one connection is stdin (or ``--requests
+    FILE``) answered on stdout: pipelined queries coalesce into
+    micro-batches as queries from different sockets do, each answer is
+    written as soon as it and its predecessors are ready, and the stream
+    is never shed — reading pauses while ``--max-inflight`` requests are
+    unanswered.  At end of input ``served N responses`` goes to stderr.
+
+    With ``--tcp HOST:PORT`` connections come from a listening socket:
+    ``--workers N`` preforks N mmap worker processes behind one
+    SO_REUSEPORT port (writes route to a primary holding the WAL),
+    requests beyond ``--max-inflight`` per worker get an explicit
+    ``{"error": "overloaded", "shed": true}``, and SIGTERM drains.
+
+    Either way, with ``--wal-dir`` every accepted write is on disk
+    before it is acknowledged (fsync per ``--fsync``) and its response
+    carries ``seq``; a baseline snapshot captures the bundle's state and
+    further ones are taken every ``--snapshot-every`` writes.  If the
+    WAL directory already holds state from a previous run, serving
+    resumes from its *recovered* state (the bundle only provides
+    defaults).  With ``--replicas N`` queries are answered by N
+    log-shipping replicas (round-robin; a query may carry
+    ``min_version`` — a write's ``seq`` — to read its own writes).
+    """
     from repro.serve import BundleError
     from repro.serve.durability import RecoveryError
     from repro.serve.server import ServerConfig, run_server
 
-    if args.requests:
-        print("--requests is stdin mode only (drive --tcp over a socket)",
-              file=sys.stderr)
+    def usage(message: str) -> int:
+        print(message, file=sys.stderr)
         return 2
+
+    host, port = "127.0.0.1", 0
+    if args.tcp:
+        if args.requests:
+            return usage("--requests is stdin mode only (drive --tcp over a socket)")
+        try:
+            host, port = _parse_hostport(args.tcp)
+        except ValueError:
+            return usage(f"--tcp wants HOST:PORT, got {args.tcp!r}")
+    elif args.workers != 1:
+        return usage("--workers requires --tcp")
     if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
+        return usage("--workers must be >= 1")
     if args.workers > 1 and args.replicas:
-        print("--replicas is a single-process option; prefork workers "
-              "already serve as replicas", file=sys.stderr)
-        return 2
-    try:
-        host, port = _parse_hostport(args.tcp)
-    except ValueError:
-        print(f"--tcp wants HOST:PORT, got {args.tcp!r}", file=sys.stderr)
-        return 2
+        return usage("--replicas is a single-process option; prefork "
+                     "workers already serve as replicas")
     config = ServerConfig(
         bundle=args.bundle,
         host=host,
@@ -765,11 +537,23 @@ def _cmd_serve_tcp(args: argparse.Namespace) -> int:
         slow_log_path=args.slow_log,
         obs_dir=args.obs_dir,
     )
-    try:
-        return run_server(config)
-    except (BundleError, RecoveryError) as exc:
-        print(f"cannot serve: {exc}", file=sys.stderr)
-        return 2
+    with contextlib.ExitStack() as opened:
+        stdio = None
+        if not args.tcp:
+            source = sys.stdin
+            if args.requests:
+                try:
+                    source = opened.enter_context(open(args.requests))
+                except OSError as exc:
+                    return usage(f"cannot open requests file: {exc}")
+            stdio = _StdioConnection(source, sys.stdout, args.max_inflight)
+        try:
+            rc = run_server(config, stdio.connect if stdio else None)
+        except (BundleError, RecoveryError) as exc:
+            return usage(f"cannot serve: {exc}")
+        if stdio is not None and rc == 0:
+            print(f"served {stdio.written} responses", file=sys.stderr)
+        return rc
 
 
 def _stats_line(stats: dict) -> str:
@@ -1096,7 +880,7 @@ def _cmd_theory(args: argparse.Namespace) -> int:
 
 def _add_backend_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--backend", choices=("numpy", "numba", "cext"), default=None,
+        "--backend", choices=("numpy", "cext"), default=None,
         help="kernel backend for CSA search/merge/verify (default: the "
         "REPRO_BACKEND env var, then numpy; an unavailable backend "
         "silently falls back to numpy)",
@@ -1228,9 +1012,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle", help="bundle directory written by `build`")
     p.add_argument(
         "--tcp", default=None, metavar="HOST:PORT",
-        help="serve the JSON-lines protocol over TCP on this address "
-        "(port 0 picks one; the chosen port is announced on stderr) "
-        "instead of stdin",
+        help="take connections on this address (port 0 picks one; the "
+        "chosen port is announced on stderr) instead of serving stdin",
     )
     p.add_argument(
         "--workers", type=int, default=1,
@@ -1240,18 +1023,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-inflight", type=int, default=64,
-        help="per-worker admission bound: requests beyond it are shed "
-        "with an explicit overloaded error (--tcp mode)",
+        help="per-worker bound on unanswered requests: beyond it a "
+        "socket's requests are shed with an explicit overloaded error, "
+        "and stdin simply stops being read",
     )
     p.add_argument(
         "--drain-timeout", type=float, default=10.0,
         help="on SIGTERM, how long existing connections may linger "
         "before being force-closed (--tcp mode)",
-    )
-    p.add_argument(
-        "--threads", type=int, default=4,
-        help="concurrent client workers issuing queries (adjacent "
-        "queries coalesce into micro-batches)",
     )
     p.add_argument(
         "--cache-size", type=int, default=1024,

@@ -55,8 +55,8 @@ class CircularShiftArray:
     The three batch hot paths (:meth:`_batch_search_arrays`,
     :meth:`batch_search_all_shifts`, :meth:`_batch_merge_tournament`)
     dispatch to a pluggable kernel backend (:mod:`repro.kernels`):
-    ``numpy`` is the always-available reference, ``numba``/``cext`` are
-    byte-identical compiled ports; :meth:`batch_k_lccs` runs search and
+    ``numpy`` is the always-available reference, ``cext`` its
+    byte-identical compiled port; :meth:`batch_k_lccs` runs search and
     merge as one backend call where the backend has one.  The scalar
     paths (:meth:`k_lccs` and friends) and the multi-probe heap merge
     stay pure Python/NumPy: they are the reference backend's faster
@@ -128,9 +128,7 @@ class CircularShiftArray:
 
         name = state.pop("_backend", None)
         self.__dict__.update(state)
-        if name not in kernels.KNOWN_BACKENDS:
-            name = None  # pickles from other versions: use the default
-        self._backend = kernels.resolve_backend(name)
+        self._backend = kernels.resolve_backend(kernels.persisted_backend(name))
 
     # ------------------------------------------------------------------
     # Construction (paper Algorithm 1, via rank doubling)
@@ -284,8 +282,7 @@ class CircularShiftArray:
         Returns ``(pos_lower, pos_upper, len_lower, len_upper)`` as four
         int64 arrays of length ``B`` — the allocation-free form the
         batched query engine consumes.  Dispatches to the resolved
-        kernel backend (``numpy``/``numba``/``cext``, all
-        byte-identical).
+        kernel backend (``numpy``/``cext``, byte-identical).
         """
         shifts = np.asarray(shifts, dtype=np.int64)
         q_rots = np.ascontiguousarray(q_rots)
@@ -780,8 +777,9 @@ class CircularShiftArray:
         or the legacy npz layout (``strings``/``sorted_idx``/``next_link``).
         Arrays are adopted by reference — read-only memory-mapped inputs
         stay memory-mapped, and the CSA never writes to them (queries
-        only bisect).  Raises ``ValueError`` on missing arrays or
-        inconsistent shapes.
+        only bisect).  ``backend`` is the name the writer recorded: one
+        this build does not know means the default, not an error.
+        Raises ``ValueError`` on missing arrays or inconsistent shapes.
         """
         if "doubled" in arrays:
             required = ("doubled", "sorted_idx", "next_link")
@@ -819,7 +817,7 @@ class CircularShiftArray:
         obj.next_link = next_link
         from repro import kernels
 
-        obj._backend = kernels.resolve_backend(backend)
+        obj._backend = kernels.resolve_backend(kernels.persisted_backend(backend))
         return obj
 
     def save_npz(self, path: str) -> None:

@@ -835,8 +835,12 @@ class DynamicLCCSLSH(ANNIndex):
         from repro.serve.persistence import import_index, unpack_nested
 
         state = manifest["state"]
+        from repro.kernels import persisted_backend
+
         kwargs = dict(state["lccs_kwargs"])
         kwargs.setdefault("seed", manifest["seed"])
+        if "backend" in kwargs:
+            kwargs["backend"] = persisted_backend(kwargs["backend"])
         memtable_size = state.get("memtable_size")
         index = cls(
             dim=int(manifest["dim"]),

@@ -50,7 +50,7 @@ class LCCSLSH(ANNIndex):
         w: bucket width when the random projection family is built.
         cp_dim: cross-polytope dimension when that family is built.
         seed: RNG seed.
-        backend: kernel backend name (``"numpy"``/``"numba"``/``"cext"``,
+        backend: kernel backend name (``"numpy"``/``"cext"``,
             see :mod:`repro.kernels`); ``None`` applies the CLI/env
             precedence chain.  Every backend answers byte-identically.
         verify_dtype: ``"float64"`` (default, exact) or ``"float32"``
@@ -367,7 +367,9 @@ class LCCSLSH(ANNIndex):
     @classmethod
     def _extra_init_kwargs(cls, state: dict) -> dict:
         """Constructor kwargs subclasses add on import (hook for MP)."""
+        from repro.kernels import persisted_backend
+
         return {
-            "backend": state.get("backend"),
+            "backend": persisted_backend(state.get("backend")),
             "verify_dtype": state.get("verify_dtype", "float64"),
         }

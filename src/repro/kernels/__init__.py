@@ -7,8 +7,6 @@ each into a *backend* behind a tiny registry:
 
 * ``numpy`` — the reference implementation (the exact code the CSA ran
   before this package existed), always available;
-* ``numba`` — ``@njit``/``prange`` ports of the same loops, used when
-  numba is importable and silently skipped otherwise;
 * ``cext`` — the same loops as a small C extension compiled on first
   use with the system C compiler (no build step, no new dependency)
   and loaded through ``ctypes``; silently skipped when no compiler is
@@ -22,18 +20,20 @@ NumPy paths that writes, rebuilds and persistence keep using.
 
 Selection precedence (first hit wins):
 
-1. explicit ``backend=`` kwarg (``LCCSLSH(..., backend="numba")``);
+1. explicit ``backend=`` kwarg (``LCCSLSH(..., backend="cext")``);
 2. a process-wide default installed by :func:`set_default_backend`
    (what the CLI ``--backend`` flag calls);
 3. the ``REPRO_BACKEND`` environment variable;
 4. ``"numpy"``.
 
-A *known but unavailable* backend (numba not installed, no C compiler)
-falls back to NumPy silently — the documented behavior that keeps
-bundles and scripts portable across machines.  An *unknown* name
-raises ``ValueError`` when requested explicitly; coming from the
-environment it is ignored (a typo in a login profile must not break
-every import).
+A *known but unavailable* backend (no C compiler) falls back to NumPy
+silently — the documented behavior that keeps bundles and scripts
+portable across machines.  An *unknown* name raises ``ValueError`` when
+requested explicitly; coming from the environment it is ignored (a typo
+in a login profile must not break every import), and read back from a
+pickle or bundle it means the default (:func:`persisted_backend` — the
+artifact may have been written by a build that had a backend this one
+does not).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "KNOWN_BACKENDS",
     "available_backends",
     "get_backend",
+    "persisted_backend",
     "resolve_backend",
     "set_default_backend",
 ]
@@ -53,7 +54,7 @@ __all__ = [
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: registry order is also the documentation order
-KNOWN_BACKENDS = ("numpy", "numba", "cext")
+KNOWN_BACKENDS = ("numpy", "cext")
 
 _instances: Dict[str, object] = {}
 _unavailable: Dict[str, str] = {}
@@ -66,10 +67,6 @@ def _make(name: str):
         from repro.kernels.reference import NumpyBackend
 
         return NumpyBackend()
-    if name == "numba":
-        from repro.kernels.numba_backend import make_numba_backend
-
-        return make_numba_backend(_unavailable)
     if name == "cext":
         from repro.kernels.cext import make_cext_backend
 
@@ -108,8 +105,8 @@ def set_default_backend(name: Optional[str]) -> str:
     """Install a process-wide default (the CLI ``--backend`` hook).
 
     ``None`` clears the override.  Returns the name the default
-    *resolves* to right now (e.g. ``"numpy"`` when numba was requested
-    but is not importable).
+    *resolves* to right now (e.g. ``"numpy"`` when cext was requested
+    but no C compiler is present).
     """
     global _default_override
     if name is not None and name not in KNOWN_BACKENDS:
@@ -118,6 +115,17 @@ def set_default_backend(name: Optional[str]) -> str:
         )
     _default_override = name
     return resolve_backend(None).name
+
+
+def persisted_backend(name: Optional[str]) -> Optional[str]:
+    """A backend name read back from a pickle or bundle, made safe.
+
+    Whoever wrote the artifact may have had a backend this build does
+    not know; that must not make the artifact unloadable, so an unknown
+    name becomes ``None`` (the default chain).  Names a *caller* passes
+    go to :func:`resolve_backend` unchanged and still raise.
+    """
+    return name if name in KNOWN_BACKENDS else None
 
 
 def resolve_backend(name: Optional[str] = None):

@@ -12,7 +12,7 @@ fast paths safe:
   ``(distance, id)`` is independent of input order for distinct pairs;
 * the float64 distance *values* always come from the same elementwise
   operations and reduction as :func:`repro.distances.pairwise_rows`
-  (the C/numba ``gather_diff`` only fuses the IEEE-exact gather and
+  (the C ``gather_diff`` only fuses the IEEE-exact gather and
   subtraction; the einsum reduction is shared), so bits cannot drift;
 * integer metrics are exactly representable: XOR-plus-popcount over
   bit-packed rows equals the unpacked Hamming count whenever both

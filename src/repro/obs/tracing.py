@@ -459,22 +459,26 @@ class Tracer:
     # -- inspection ----------------------------------------------------
 
     def recent(self, n: Optional[int] = None) -> List[dict]:
-        """The most recently completed sampled traces, newest last."""
+        """The ``n`` most recently completed sampled traces (``None``:
+        all retained), newest last.  ``n`` must be positive: ``out[-0:]``
+        would be everything."""
+        if n is not None and n <= 0:
+            raise ValueError(f"n must be positive, got {n!r}")
         with self._lock:
             out = list(self._recent)
-        if n is not None:
-            out = out[-int(n):]
-        return out
+        return out if n is None else out[-n:]
 
     def slow_log(self, n: Optional[int] = None) -> List[dict]:
-        """The slowest retained requests, slowest first."""
+        """The ``n`` slowest retained requests (``None``: all retained),
+        slowest first.  ``n`` must be positive: ``out[:-1]`` would drop the
+        wrong end."""
+        if n is not None and n <= 0:
+            raise ValueError(f"n must be positive, got {n!r}")
         with self._lock:
             out = sorted(
                 self._slow, key=lambda e: e["duration_s"], reverse=True
             )
-        if n is not None:
-            out = out[: int(n)]
-        return out
+        return out if n is None else out[:n]
 
     def dump_slow_log(self, path: str) -> int:
         """Write the slow-query log as JSON-lines; returns entry count."""

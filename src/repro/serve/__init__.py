@@ -48,11 +48,13 @@ This package turns the in-process indexes into servable artifacts:
   state (snapshot + log-suffix replay, with corrupt-snapshot
   fallback), and :class:`~repro.serve.durability.ReplicaSet` serves
   round-robin reads from replicas that tail the WAL.
-* :mod:`repro.serve.server` — the asyncio TCP front door:
-  :class:`~repro.serve.server.AsyncANNServer` speaks the JSON-lines
-  protocol over sockets with admission control (explicit overload
-  shedding), per-op latency histograms
-  (:mod:`repro.serve.metrics`) and graceful drain;
+* :mod:`repro.serve.server` — the front door:
+  :class:`~repro.serve.server.AsyncANNServer` is the one JSON-lines
+  request handler — verb dispatch, admission control (explicit overload
+  shedding), the per-connection write barrier, per-op latency
+  histograms (:mod:`repro.obs.metrics`) and graceful drain — for the
+  sockets it accepts and for any other reader/writer pair (``cli
+  serve`` feeds it stdin that way);
   :func:`~repro.serve.server.run_server` adds the prefork worker
   model (N mmap replica processes behind one SO_REUSEPORT port, a
   primary process owning the WAL).  :mod:`repro.serve.client` has
@@ -96,7 +98,7 @@ from repro.serve.client import (
     ServeClient,
     ServerError,
 )
-from repro.serve.metrics import LatencyHistogram, ServerMetrics
+from repro.obs.metrics import LatencyHistogram, ServerMetrics
 from repro.serve.server import (
     AsyncANNServer,
     ServerConfig,

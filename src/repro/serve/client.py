@@ -3,9 +3,8 @@
 Two flavours over the same newline-framed protocol:
 
 * :class:`AsyncServeClient` — asyncio streams; used by the server
-  itself (workers forwarding writes to the primary), by
-  ``benchmarks/bench_server.py`` (many concurrent closed-loop clients
-  in one event loop), and by any async application code.
+  itself (workers forwarding writes to the primary) and by any async
+  application code.
 * :class:`ServeClient` — a plain blocking socket for tests, shell
   drivers and the CI smoke lane; no event loop required.
 

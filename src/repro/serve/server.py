@@ -1,62 +1,75 @@
-"""Asyncio TCP front door: the network server for the serving stack.
+"""The serving front door: one JSON-lines protocol, one request handler.
 
-Speaks the same JSON-lines protocol as ``cli serve``'s stdin mode —
-one JSON object per line, newline-framed, responses in request order
-per connection:
+Requests are JSON objects, one per line; responses come back one per
+line, in request order per connection:
 
 =============================  =========================================
 request                        response
 =============================  =========================================
-``{"query": [..], "k": 10,     ``{"ids": [..], "dists": [..]}``
-`` ...kwargs}``                (kwargs e.g. ``num_candidates``; a
-                               ``min_version`` key makes the read
-                               wait for that WAL seq — read-your-writes)
+``{"query": [..], "k": 10,     ``{"ids": [..], "dists": [..]}`` (``k``
+`` ...kwargs}``                defaults to ``--k``; other keys, e.g.
+                               ``num_candidates``, are query kwargs; a
+                               ``min_version`` key makes the read wait
+                               for that WAL seq — read-your-writes)
 ``{"insert": [..]}``           ``{"handle": h, "version": v, "seq": s}``
 ``{"delete": h}``              ``{"deleted": h, "version": v, "seq": s}``
-``{"stats": true}``            ``{"stats": {..}}`` (service counters +
-                               the server's request/latency metrics)
+                               (``seq`` only with ``--wal-dir``)
+``{"stats": true}``            ``{"stats": {..}}`` (service counters;
+                               the handler's per-op request counts and
+                               latency percentiles,
+                               :mod:`repro.obs.metrics`, under
+                               ``stats.server``)
+``{"trace": n}``               ``{"traces": [..], "slow": [..],
+                               "tracer": {..}}`` — the ``n`` newest
+                               sampled span trees and ``n`` slowest
+                               slow-log entries; anything but a positive
+                               integer means all that is retained
+``{"metrics": true}``          ``{"metrics": {..}}`` — the registry
+                               snapshot, merged across prefork workers
+                               (``"prometheus"``: text exposition)
 ``{"ping": true}``             ``{"pong": true}``
 anything else / bad JSON       ``{"error": "..."}``
 over ``--max-inflight``        ``{"error": "overloaded", "shed": true}``
 =============================  =========================================
 
-Architecture (the "millions of users" shape from ROADMAP item 1):
+:class:`AsyncANNServer` owns all of it — parsing, verb dispatch,
+admission, the per-connection barrier, tracing, metrics and the single
+ordered writer — for every transport: the sockets it accepts
+(:meth:`AsyncANNServer.start`) and anything else dressed as a
+reader/writer pair (:meth:`AsyncANNServer.serve_connection`; ``cli
+serve`` hands it stdin or a requests file that way).
 
 * **Per worker** every connection feeds one shared
-  :class:`~repro.serve.service.ANNService`, so concurrent queries from
-  *different sockets* coalesce into micro-batches exactly as threads
-  did in PR 3 — cross-connection batching for free.  Within one
-  connection requests may be pipelined; queries execute concurrently
-  and responses are written strictly in request order, while
-  ``insert``/``delete``/``stats`` act as a per-connection barrier
-  (they run only after every prior request on that connection has
-  answered), preserving the stdin mode's serial semantics.
+  :class:`~repro.serve.service.ANNService`, so concurrent queries —
+  pipelined on one connection or arriving on different sockets —
+  coalesce into micro-batches.  Queries execute concurrently and
+  responses are written strictly in request order, while every other
+  verb is a per-connection barrier: it runs only after every earlier
+  request on that connection has answered, so a write or ``stats``
+  observes all the reads before it.
 * **Admission control**: each worker bounds its in-flight requests
-  (``max_inflight``).  Beyond the bound, requests are *shed* with an
-  explicit ``{"error": "overloaded", "shed": true}`` response instead
-  of buffering without bound — clients see overload immediately and
-  can back off, and p99 latency stays bounded under overload.
+  (``max_inflight``).  Beyond the bound a socket's requests are *shed*
+  with an explicit ``{"error": "overloaded", "shed": true}`` instead of
+  buffering without bound — clients see overload immediately and can
+  back off.  (A transport that stops reading while ``max_inflight``
+  requests are unanswered, as the stdin one does, is never shed.)
 * **Prefork workers** (``workers > 1``): N worker processes each open
-  the same bundle with ``load_index(mmap=True)`` (PR 5 makes a worker
-  ~11 MB private) and bind their own listening socket with
-  ``SO_REUSEPORT`` so the kernel load-balances connections across
-  them.  Writes route to the single **primary** process (the prefork
-  parent) holding the :class:`~repro.serve.durability.DurableIndex` /
-  WAL; workers are log-shipping replicas (PR 4) that tail the WAL and
-  serve ``min_version`` read-your-writes.  Without ``--wal-dir`` the
-  workers are read-only.
+  the same bundle with ``load_index(mmap=True)`` and bind their own
+  listening socket with ``SO_REUSEPORT`` so the kernel load-balances
+  connections across them.  Writes route to the single **primary**
+  process (the prefork parent) holding the
+  :class:`~repro.serve.durability.DurableIndex` / WAL; workers are
+  log-shipping replicas that tail the WAL and serve ``min_version``
+  read-your-writes.  Without ``--wal-dir`` the workers are read-only.
 * **Graceful drain**: SIGTERM (or SIGINT) stops accepting new
   connections; existing connections keep full service until they close
   (or ``drain_timeout`` elapses), so every in-flight request is
   answered before exit.
-* **Metrics**: per-op request counters and p50/p95/p99 latency
-  histograms (:mod:`repro.serve.metrics`), returned under
-  ``stats.server`` in every ``stats`` response.
 
 Programmatic entry points: :class:`AsyncANNServer` (asyncio-native),
 :class:`ThreadedServer` (background-thread embedding, used by tests),
-and :func:`run_server` (the blocking CLI driver handling both the
-single-process and prefork modes).
+and :func:`run_server` (the blocking ``cli serve`` driver: one
+pre-made connection, one listening process, or prefork).
 """
 
 from __future__ import annotations
@@ -72,7 +85,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -96,7 +109,7 @@ __all__ = [
 SHED_RESPONSE = {"error": "overloaded", "shed": True}
 
 #: request-line size bound (mirrors the client's response bound)
-_LINE_LIMIT = 32 << 20
+LINE_LIMIT = 32 << 20
 
 DEFAULT_MAX_INFLIGHT = 64
 
@@ -122,14 +135,37 @@ def _query_response(result) -> dict:
 # Backends: what the protocol verbs do in each process role
 # ----------------------------------------------------------------------
 
-class _QueryParser:
-    """Shared request->(q, k, min_version, kwargs) unpacking."""
+class _Backend:
+    """The interface the handler calls, and what the roles share.
 
-    def __init__(self, default_kwargs: Optional[dict], default_k: int):
+    Every method below is called unconditionally by
+    :class:`AsyncANNServer`; a role overrides what it does differently.
+    Shared here: query unpacking, the thread pool that keeps index and
+    WAL work off the event loop, and the ``insert``/``delete``/``stats``
+    envelopes (roles that apply writes themselves supply ``_insert`` /
+    ``_delete`` / ``_write_ack``; all supply ``_stats``).
+    """
+
+    #: the ``stats.role`` this backend reports
+    role = ""
+    #: WAL position this process has applied (``None``: no log)
+    applied_seq: Optional[int] = None
+
+    def __init__(
+        self,
+        default_kwargs: Optional[dict] = None,
+        default_k: int = 10,
+        pool_workers: int = 2,
+    ):
         self._default_kwargs = dict(default_kwargs or {})
         self._default_k = int(default_k)
+        self._pool = ThreadPoolExecutor(
+            max_workers=pool_workers,
+            thread_name_prefix=f"{type(self).__name__}-pool",
+        )
 
     def parse_query(self, request: dict):
+        """request -> ``(q, k, min_version, kwargs)``."""
         payload = dict(request)
         q = np.asarray(payload.pop("query"), dtype=np.float64)
         k = int(payload.pop("k", self._default_k))
@@ -139,16 +175,57 @@ class _QueryParser:
         kwargs = {**self._default_kwargs, **payload}
         return q, k, min_version, kwargs
 
+    def _in_pool(self, fn):
+        return asyncio.get_running_loop().run_in_executor(self._pool, fn)
 
-class ServiceBackend(_QueryParser):
+    def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Launch background tasks on the serving loop (none by default)."""
+
+    def query_nowait(self, request: dict, trace=None):
+        """Submit a query without awaiting anything.
+
+        Returns a ``concurrent.futures.Future`` of ``(ids, dists)`` —
+        already done on a cache hit — or ``None`` when this request has
+        to go through :meth:`query`.
+        """
+        return None
+
+    async def query(self, request: dict, trace=None) -> dict:
+        raise NotImplementedError
+
+    async def insert(self, request: dict, trace=None) -> dict:
+        vector = np.asarray(request["insert"], dtype=np.float64)
+        handle = await self._in_pool(lambda: self._insert(vector, trace))
+        return {"handle": int(handle), **self._write_ack()}
+
+    async def delete(self, request: dict, trace=None) -> dict:
+        handle = int(request["delete"])
+        await self._in_pool(lambda: self._delete(handle, trace))
+        return {"deleted": handle, **self._write_ack()}
+
+    async def stats(self, request: dict) -> dict:
+        stats = await self._in_pool(self._stats)
+        stats["role"] = self.role
+        stats["pid"] = os.getpid()
+        if self.applied_seq is not None:
+            stats["applied_seq"] = int(self.applied_seq)
+        return {"stats": stats}
+
+    async def aclose(self) -> None:
+        self._pool.shutdown(wait=False)
+
+
+class ServiceBackend(_Backend):
     """Single-process backend: one :class:`ANNService` does everything.
 
     Queries go through the service's cache + micro-batcher (its
     ``concurrent.futures`` future is bridged onto the event loop);
     writes and stats run on a small thread pool so a WAL fsync never
     blocks the loop.  With ``replica_set`` reads fan out to in-process
-    log-shipping replicas exactly like stdin mode's ``--replicas``.
+    log-shipping replicas (``--replicas``).
     """
+
+    role = "single"
 
     def __init__(
         self,
@@ -158,24 +235,21 @@ class ServiceBackend(_QueryParser):
         durable=None,
         replica_set=None,
     ):
-        super().__init__(default_kwargs, default_k)
-        self._service = service
-        self._durable = durable
-        self._replica_set = replica_set
         workers = 2
         if replica_set is not None:
             workers = max(2, len(replica_set.replicas))
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="serve-backend"
-        )
+        super().__init__(default_kwargs, default_k, pool_workers=workers)
+        self._service = service
+        self._durable = durable
+        self._replica_set = replica_set
+
+    @property
+    def applied_seq(self) -> Optional[int]:
+        return None if self._durable is None else self._durable.applied_seq
 
     def query_nowait(self, request: dict, trace=None):
-        """Submit a query without awaiting anything.
-
-        Returns the service's ``concurrent.futures.Future`` — already
-        done on a cache hit — or ``None`` when the request has to go
-        through :meth:`query` (replica fan-out blocks on a thread pool).
-        """
+        """The service future, or ``None`` under ``--replicas`` (replica
+        fan-out blocks on the thread pool: :meth:`query`)."""
         if self._replica_set is not None:
             return None
         q, k, min_version, kwargs = self.parse_query(request)
@@ -194,59 +268,37 @@ class ServiceBackend(_QueryParser):
         return self._service.query_async(q, k=k, trace=trace, **kwargs)
 
     async def query(self, request: dict, trace=None) -> dict:
-        fut = self.query_nowait(request, trace=trace)
-        if fut is not None:
-            return _query_response(await asyncio.wrap_future(fut))
         q, k, min_version, kwargs = self.parse_query(request)
         t0 = time.perf_counter()
-        result = await asyncio.get_running_loop().run_in_executor(
-            self._pool,
+        result = await self._in_pool(
             lambda: self._replica_set.query(
                 q, k=k, min_version=min_version, **kwargs
-            ),
+            )
         )
         if trace is not None:
             trace.add_span("replica.query", t0, time.perf_counter())
         return _query_response(result)
 
-    async def insert(self, request: dict, trace=None) -> dict:
-        vector = np.asarray(request["insert"], dtype=np.float64)
-        loop = asyncio.get_running_loop()
-        handle = await loop.run_in_executor(
-            self._pool, lambda: self._service.insert(vector, trace=trace)
-        )
-        response = {"handle": int(handle), "version": self._service.version}
-        if self._durable is not None:
-            response["seq"] = int(self._durable.applied_seq)
-        return response
+    def _insert(self, vector, trace):
+        return self._service.insert(vector, trace=trace)
 
-    async def delete(self, request: dict, trace=None) -> dict:
-        handle = int(request["delete"])
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._pool, lambda: self._service.delete(handle, trace=trace)
-        )
-        response = {"deleted": handle, "version": self._service.version}
-        if self._durable is not None:
-            response["seq"] = int(self._durable.applied_seq)
-        return response
+    def _delete(self, handle, trace):
+        self._service.delete(handle, trace=trace)
 
-    async def stats(self, request: dict) -> dict:
-        loop = asyncio.get_running_loop()
-        stats = await loop.run_in_executor(self._pool, self._service.stats)
+    def _write_ack(self) -> dict:
+        ack = {"version": self._service.version}
+        if self._durable is not None:
+            ack["seq"] = int(self._durable.applied_seq)
+        return ack
+
+    def _stats(self) -> dict:
+        stats = self._service.stats()
         if self._replica_set is not None:
             stats.update(self._replica_set.stats())
-        stats["role"] = "single"
-        stats["pid"] = os.getpid()
-        if self._durable is not None:
-            stats["applied_seq"] = int(self._durable.applied_seq)
-        return {"stats": stats}
-
-    async def aclose(self) -> None:
-        self._pool.shutdown(wait=False)
+        return stats
 
 
-class ReplicaBackend(_QueryParser):
+class ReplicaBackend(_Backend):
     """Prefork-worker backend: mmap replica reads, forwarded writes.
 
     Reads go through the worker's own :class:`ANNService` (so
@@ -277,6 +329,7 @@ class ReplicaBackend(_QueryParser):
             from repro.serve.durability.wal import WALReader
 
             self._reader = WALReader(wal_dir, start_seq=int(applied_seq or 0))
+        self.role = "replica" if self._reader is not None else "reader"
         self.applied_seq = None if applied_seq is None else int(applied_seq)
         self._primary_addr = primary_addr
         self._primary: Optional[AsyncServeClient] = None
@@ -285,9 +338,6 @@ class ReplicaBackend(_QueryParser):
         self._stale_timeout = float(stale_timeout_s)
         self._tail_lock = threading.Lock()
         self._tail_task: Optional[asyncio.Task] = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="replica-backend"
-        )
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         """Launch the background WAL tailing task (if there is a WAL)."""
@@ -303,8 +353,7 @@ class ReplicaBackend(_QueryParser):
                 continue
 
     async def _catch_up(self) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._pool, self._poll_apply)
+        await self._in_pool(self._poll_apply)
 
     def _poll_apply(self) -> None:
         from repro.serve.durability.wal import apply_op
@@ -369,12 +418,6 @@ class ReplicaBackend(_QueryParser):
         fut = self._service.query_async(q, k=k, trace=trace, **kwargs)
         return _query_response(await asyncio.wrap_future(fut))
 
-    async def insert(self, request: dict, trace=None) -> dict:
-        return await self._forward(request, trace=trace)
-
-    async def delete(self, request: dict, trace=None) -> dict:
-        return await self._forward(request, trace=trace)
-
     async def _forward(self, request: dict, trace=None) -> dict:
         if self._primary_addr is None:
             return {
@@ -414,14 +457,10 @@ class ReplicaBackend(_QueryParser):
                 f"cannot reach primary at {self._primary_addr}: {last_exc}"
             )
 
-    async def stats(self, request: dict) -> dict:
-        loop = asyncio.get_running_loop()
-        stats = await loop.run_in_executor(self._pool, self._service.stats)
-        stats["role"] = "replica" if self._reader is not None else "reader"
-        stats["pid"] = os.getpid()
-        if self.applied_seq is not None:
-            stats["applied_seq"] = int(self.applied_seq)
-        return {"stats": stats}
+    insert = delete = _forward  # the primary applies and acknowledges both
+
+    def _stats(self) -> dict:
+        return self._service.stats()
 
     async def aclose(self) -> None:
         if self._tail_task is not None:
@@ -433,10 +472,10 @@ class ReplicaBackend(_QueryParser):
             with contextlib.suppress(Exception):
                 await self._primary.close()
             self._primary = None
-        self._pool.shutdown(wait=False)
+        await super().aclose()
 
 
-class PrimaryBackend:
+class PrimaryBackend(_Backend):
     """Write-only backend for the prefork primary's internal socket.
 
     Workers forward ``insert``/``delete`` here; a one-thread executor
@@ -446,77 +485,50 @@ class PrimaryBackend:
     back as ``min_version`` for read-your-writes on any worker.
     """
 
+    role = "primary"
+
     def __init__(self, durable):
+        super().__init__(pool_workers=1)
         self._durable = durable
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="primary-write"
-        )
         get_registry().register_collector("primary", self._metric_families)
+
+    @property
+    def applied_seq(self) -> int:
+        return self._durable.applied_seq
+
+    def _stats(self) -> dict:
+        stats = {f"wal_{k}": v for k, v in self._durable.wal_stats().items()}
+        tier = getattr(self._durable.inner, "tier_stats", None)
+        if callable(tier):
+            stats.update({f"tier_{k}": v for k, v in tier().items()})
+        return stats
 
     def _metric_families(self) -> dict:
         from repro.serve.service import families_from_stats
 
-        stats = {
-            f"wal_{k}": v for k, v in self._durable.wal_stats().items()
-        }
-        tier = getattr(self._durable.inner, "tier_stats", None)
-        if callable(tier):
-            stats.update({f"tier_{k}": v for k, v in tier().items()})
-        return families_from_stats(stats)
+        return families_from_stats(self._stats())
 
     async def query(self, request: dict, trace=None) -> dict:
         return {"error": "primary serves writes only; query a worker port"}
 
-    def _traced_write(self, fn, trace):
-        """Run ``fn`` with ``trace`` attached on the executor thread so
-        the WAL's append/fsync spans nest under the request."""
+    def _write(self, fn, trace):
+        """Run ``fn`` (on the pool thread) with ``trace`` attached so the
+        WAL's append/fsync spans nest under the request."""
         if trace is None:
-            return fn
+            return fn()
         tracer = get_tracer()
+        with tracer.attach(trace.root), tracer.span("index.write"):
+            return fn()
 
-        def work():
-            with tracer.attach(trace.root):
-                with tracer.span("index.write"):
-                    return fn()
+    def _insert(self, vector, trace):
+        return self._write(lambda: self._durable.insert(vector), trace)
 
-        return work
+    def _delete(self, handle, trace):
+        self._write(lambda: self._durable.delete(handle), trace)
 
-    async def insert(self, request: dict, trace=None) -> dict:
-        vector = np.asarray(request["insert"], dtype=np.float64)
-        loop = asyncio.get_running_loop()
-        handle = await loop.run_in_executor(
-            self._pool,
-            self._traced_write(lambda: self._durable.insert(vector), trace),
-        )
+    def _write_ack(self) -> dict:
         seq = int(self._durable.applied_seq)
-        return {"handle": int(handle), "version": seq, "seq": seq}
-
-    async def delete(self, request: dict, trace=None) -> dict:
-        handle = int(request["delete"])
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._pool,
-            self._traced_write(lambda: self._durable.delete(handle), trace),
-        )
-        seq = int(self._durable.applied_seq)
-        return {"deleted": handle, "version": seq, "seq": seq}
-
-    async def stats(self, request: dict) -> dict:
-        stats = {
-            "role": "primary",
-            "pid": os.getpid(),
-            "applied_seq": int(self._durable.applied_seq),
-        }
-        stats.update(
-            {f"wal_{k}": v for k, v in self._durable.wal_stats().items()}
-        )
-        tier = getattr(self._durable.inner, "tier_stats", None)
-        if callable(tier):
-            stats.update({f"tier_{k}": v for k, v in tier().items()})
-        return {"stats": stats}
-
-    async def aclose(self) -> None:
-        self._pool.shutdown(wait=False)
+        return {"version": seq, "seq": seq}
 
 
 # ----------------------------------------------------------------------
@@ -530,19 +542,22 @@ def _consume_exception(task: asyncio.Task) -> None:
 
 
 class AsyncANNServer:
-    """JSON-lines TCP server: admission control, metrics, graceful drain.
+    """The JSON-lines request handler: admission control, metrics, drain.
 
     Protocol handling, per-connection ordering, shedding and latency
-    accounting live here; what the verbs *do* is delegated to a backend
+    accounting live here, for whatever transport delivers the connection
+    (:meth:`start` accepts sockets; :meth:`serve_connection` takes any
+    reader/writer pair); what the verbs *do* is delegated to a backend
     (:class:`ServiceBackend` / :class:`ReplicaBackend` /
     :class:`PrimaryBackend`).
 
     Args:
-        backend: object with async ``query``/``insert``/``delete``/
-            ``stats`` methods taking the raw request dict, and optionally
-            a plain ``query_nowait(request, trace=None)`` returning the
+        backend: a :class:`_Backend`: async ``query``/``insert``/
+            ``delete``/``stats`` taking the raw request dict, a plain
+            ``query_nowait(request, trace=None)`` returning the
             ``concurrent.futures.Future`` of ``(ids, dists)`` for queries
-            it can submit without awaiting (``None`` for the others).
+            it can submit without awaiting (``None`` for the others),
+            ``start(loop)`` and ``aclose()``.
         host / port: listening address (``port=0`` picks one), or pass
             a pre-bound ``sock`` (the prefork workers' SO_REUSEPORT
             sockets come in this way).
@@ -560,7 +575,6 @@ class AsyncANNServer:
         sock: Optional[socket.socket] = None,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         drain_timeout: float = 10.0,
-        metrics: Optional[ServerMetrics] = None,
         name: str = "server",
         tracer: Optional[Tracer] = None,
         obs_spool: Optional[SnapshotSpool] = None,
@@ -573,7 +587,7 @@ class AsyncANNServer:
         self._sock = sock
         self._max_inflight = int(max_inflight)
         self._drain_timeout = float(drain_timeout)
-        self.metrics = metrics or ServerMetrics()
+        self.metrics = ServerMetrics()
         self.name = name
         #: request tracer (default: the process-wide one; sample=0 means
         #: the fast path never allocates a trace)
@@ -621,11 +635,11 @@ class AsyncANNServer:
         self._closed = asyncio.Event()
         if self._sock is not None:
             self._server = await asyncio.start_server(
-                self._handle, sock=self._sock, limit=_LINE_LIMIT
+                self.serve_connection, sock=self._sock, limit=LINE_LIMIT
             )
         else:
             self._server = await asyncio.start_server(
-                self._handle, self._host, self._port, limit=_LINE_LIMIT
+                self.serve_connection, self._host, self._port, limit=LINE_LIMIT
             )
         if self._spool is not None:
             self._spool_task = asyncio.ensure_future(self._spool_loop())
@@ -640,14 +654,6 @@ class AsyncANNServer:
     @property
     def port(self) -> int:
         return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     def begin_drain(self) -> None:
         """Stop accepting; let live connections finish, then close.
@@ -698,11 +704,13 @@ class AsyncANNServer:
     def _trace_response(self, request: dict) -> dict:
         """Handle ``{"trace": ...}``: recent sampled traces + slow log.
 
-        ``{"trace": N}`` bounds both lists to N entries; ``true`` uses
-        the retention bounds.
+        A positive integer bounds both lists to that many entries;
+        anything else (``true``, ``0``, a negative) means everything
+        retained.
         """
-        arg = request.get("trace")
-        n = int(arg) if isinstance(arg, (int, float)) and arg is not True else None
+        arg = request["trace"]
+        positive = isinstance(arg, int) and not isinstance(arg, bool) and arg > 0
+        n = arg if positive else None
         return {
             "traces": self.tracer.recent(n),
             "slow": self.tracer.slow_log(n),
@@ -737,9 +745,13 @@ class AsyncANNServer:
 
     # -- connection handling ------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def serve_connection(self, reader: asyncio.StreamReader, writer) -> None:
+        """Serve one connection until its reader hits EOF.
+
+        Every accepted socket lands here; so may any other transport
+        that can dress itself as a ``StreamReader`` plus a writer with
+        ``write``/``drain``/``close``/``wait_closed``.
+        """
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         self.metrics.count_connection()
@@ -821,9 +833,9 @@ class AsyncANNServer:
                 if over:
                     self._shed(op, out_q)
                     continue
-                # Writes/stats defer to the write loop: by the time the
-                # loop reaches this item, every earlier request on the
-                # connection has answered — the stdin barrier semantics.
+                # Everything but a query defers to the write loop: by the
+                # time the loop reaches this item, every earlier request on
+                # the connection has answered — the per-connection barrier.
                 self._inflight += 1
                 out_q.put_nowait(("deferred", op, request))
                 continue
@@ -840,10 +852,9 @@ class AsyncANNServer:
                 # child spans can never precede it.
                 trace.root.start_s = started
                 trace.add_span("admission", started, time.perf_counter())
-            nowait = getattr(self._backend, "query_nowait", None)
             response = None
             try:
-                pending = None if nowait is None else nowait(request, trace=trace)
+                pending = self._backend.query_nowait(request, trace=trace)
                 if pending is not None and trace is None and pending.done():
                     # The answer is already known (a cache hit): no task,
                     # no admission slot, and never shed — the bound is on
@@ -906,25 +917,33 @@ class AsyncANNServer:
                         response = _query_response(pending.result())
                 except Exception as exc:
                     response = _error_response(exc)
+                except BaseException as exc:
+                    # An executor stores whatever the work raised, and that
+                    # is this request's failure; anything else was raised
+                    # at *this* task — its cancellation — and propagates.
+                    stored = pending.done() and not pending.cancelled()
+                    if not (stored and pending.exception() is exc):
+                        raise
+                    response = _error_response(exc)
                 self._account(op, started, trace, response)
                 self._inflight -= 1
             else:
                 _, op, request = item
                 started = time.perf_counter()
                 trace = None
-                if op in ("insert", "delete"):
-                    trace = self.tracer.start_trace(op, op=op)
                 try:
-                    if op == "trace":
+                    if op == "insert":
+                        trace = self.tracer.start_trace(op, op=op)
+                        response = await self._backend.insert(request, trace=trace)
+                    elif op == "delete":
+                        trace = self.tracer.start_trace(op, op=op)
+                        response = await self._backend.delete(request, trace=trace)
+                    elif op == "stats":
+                        response = await self._backend.stats(request)
+                    elif op == "trace":
                         response = self._trace_response(request)
-                    elif op == "metrics":
-                        response = self._metrics_response(request)
-                    elif trace is not None:
-                        handler = getattr(self._backend, op)
-                        response = await handler(request, trace=trace)
                     else:
-                        handler = getattr(self._backend, op)
-                        response = await handler(request)
+                        response = self._metrics_response(request)
                 except Exception as exc:
                     response = _error_response(exc)
                 if op == "stats" and isinstance(response.get("stats"), dict):
@@ -953,11 +972,8 @@ class ThreadedServer:
     ...     client = ServeClient("127.0.0.1", ts.port)
     """
 
-    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0,
-                 **server_kwargs):
+    def __init__(self, backend, **server_kwargs):
         self._backend = backend
-        self._host = host
-        self._port = port
         self._kwargs = server_kwargs
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -970,22 +986,15 @@ class ThreadedServer:
 
         def run() -> None:
             async def main() -> None:
-                server = AsyncANNServer(
-                    self._backend, host=self._host, port=self._port,
-                    **self._kwargs,
-                )
+                server = AsyncANNServer(self._backend, **self._kwargs)
                 await server.start()
                 self.server = server
                 self.port = server.port
                 self._loop = asyncio.get_running_loop()
-                start = getattr(self._backend, "start", None)
-                if start is not None:
-                    start(self._loop)
+                self._backend.start(self._loop)
                 started.set()
                 await server.wait_closed()
-                aclose = getattr(self._backend, "aclose", None)
-                if aclose is not None:
-                    await aclose()
+                await self._backend.aclose()
 
             try:
                 asyncio.run(main())
@@ -1037,7 +1046,7 @@ class ThreadedServer:
 
 @dataclass
 class ServerConfig:
-    """Everything ``cli serve --tcp`` hands to :func:`run_server`."""
+    """Everything ``cli serve`` hands to :func:`run_server`."""
 
     bundle: str
     host: str = "127.0.0.1"
@@ -1055,7 +1064,6 @@ class ServerConfig:
     snapshot_keep: int = 3
     replicas: int = 0
     tail_interval_ms: float = 50.0
-    extra_manifest_kwargs: dict = field(default_factory=dict)
     #: trace 1 in N requests (0 disables tracing; 1 traces everything)
     trace_sample: int = 0
     #: slow-query threshold (ms): requests at least this slow always
@@ -1097,35 +1105,34 @@ def _default_query_kwargs(bundle: str) -> dict:
     return dict(manifest.get("extra", {}).get("query_kwargs", {}))
 
 
-def _open_primary_index(config: ServerConfig):
-    """(index, recovered?) for the process that owns writes.
+def _open_durable(config: ServerConfig):
+    """The index of the process that owns writes, behind its WAL.
 
-    Existing WAL state supersedes the bundle payload, exactly like
-    stdin mode: a restart resumes from the acknowledged truth.
+    Existing WAL state supersedes the bundle payload (which is then
+    never loaded): a restart resumes from the acknowledged truth.
     """
-    from repro.serve.durability import list_snapshots, recover
+    from repro.serve import durability
     from repro.serve.durability.wal import list_segments
     from repro.serve.persistence import load_index
 
-    if config.wal_dir and os.path.isdir(config.wal_dir) and (
-        list_segments(config.wal_dir) or list_snapshots(config.wal_dir)
-    ):
-        result = recover(config.wal_dir, mmap=config.mmap)
-        return result.index, True
-    return load_index(config.bundle, mmap=config.mmap), False
-
-
-def _wrap_durable(index, config: ServerConfig):
-    from repro.serve.durability import DurableIndex, SnapshotManager
-
-    snapshots = SnapshotManager(
+    recovered = os.path.isdir(config.wal_dir) and bool(
+        list_segments(config.wal_dir) or durability.list_snapshots(config.wal_dir)
+    )
+    if recovered:
+        index = durability.recover(config.wal_dir, mmap=config.mmap).index
+    else:
+        index = load_index(config.bundle, mmap=config.mmap)
+    snapshots = durability.SnapshotManager(
         config.wal_dir,
         keep=config.snapshot_keep,
         every_ops=config.snapshot_every if config.snapshot_every > 0 else None,
     )
-    return DurableIndex(
+    durable = durability.DurableIndex(
         index, config.wal_dir, fsync=config.fsync, snapshots=snapshots
     )
+    if recovered:
+        _log(f"recovered WAL state: seq={durable.applied_seq}")
+    return durable
 
 
 def _log(message: str) -> None:
@@ -1143,37 +1150,49 @@ def _make_listen_socket(
     return sock
 
 
-def run_server(config: ServerConfig) -> int:
-    """Blocking driver for ``cli serve --tcp``; returns an exit code."""
-    if config.workers <= 1:
-        return _run_single(config)
-    return _run_prefork(config)
+def _drain_on_signals(server: "AsyncANNServer") -> None:
+    """SIGTERM/SIGINT on the running loop begin a graceful drain."""
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        with contextlib.suppress(ValueError, NotImplementedError, RuntimeError):
+            loop.add_signal_handler(sig, server.begin_drain)
+
+
+def run_server(config: ServerConfig, connect=None) -> int:
+    """Blocking driver for ``cli serve``; returns an exit code.
+
+    Listens on ``config.host:port`` — or, given ``connect`` (called on
+    the serving loop; returns one ready ``(reader, writer)`` pair, e.g.
+    stdin/stdout dressed as a connection), serves just that connection
+    and returns when it ends.
+    """
+    if config.workers > 1:
+        return _run_prefork(config)
+    return _run_single(config, connect)
 
 
 # -- single process ----------------------------------------------------
 
-def _run_single(config: ServerConfig) -> int:
+def _run_single(config: ServerConfig, connect=None) -> int:
     from repro.serve.durability import ReplicaSet
+    from repro.serve.persistence import load_index
     from repro.serve.service import ANNService
 
+    if config.replicas > 0 and not config.wal_dir:
+        _log("--replicas requires --wal-dir (replicas tail the WAL)")
+        return 2
     default_kwargs = _default_query_kwargs(config.bundle)
     obs_spool = _configure_obs(config)
-    index, recovered = _open_primary_index(config)
-    durable = None
-    replica_set = None
+    durable = replica_set = None
     if config.wal_dir:
-        durable = _wrap_durable(index, config)
-        index = durable
-        if recovered:
-            _log(f"recovered WAL state: seq={durable.applied_seq}")
+        index = durable = _open_durable(config)
         if config.replicas > 0:
             replica_set = ReplicaSet(
                 durable, num_replicas=config.replicas, mmap=config.mmap
             )
             replica_set.start_tailing(config.tail_interval_ms / 1e3)
-    elif config.replicas > 0:
-        _log("--replicas requires --wal-dir (replicas tail the WAL)")
-        return 2
+    else:
+        index = load_index(config.bundle, mmap=config.mmap)
 
     service = ANNService(
         index,
@@ -1198,23 +1217,21 @@ def _run_single(config: ServerConfig) -> int:
             name="single",
             obs_spool=obs_spool,
         )
-        await server.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(
-                ValueError, NotImplementedError, RuntimeError
-            ):
-                loop.add_signal_handler(sig, server.begin_drain)
-        _log(
-            f"listening on {config.host}:{server.port} workers=1 "
-            f"max_inflight={config.max_inflight} pid={os.getpid()}"
-        )
-        await server.wait_closed()
-        snap = server.metrics.snapshot()
-        _log(
-            f"drained: served {snap['requests_total']} requests "
-            f"({snap['shed_total']} shed, {snap['errors_total']} errors)"
-        )
+        if connect is not None:
+            await server.serve_connection(*connect())
+        else:
+            await server.start()
+            _drain_on_signals(server)
+            _log(
+                f"listening on {config.host}:{server.port} workers=1 "
+                f"max_inflight={config.max_inflight} pid={os.getpid()}"
+            )
+            await server.wait_closed()
+            snap = server.metrics.snapshot()
+            _log(
+                f"drained: served {snap['requests_total']} requests "
+                f"({snap['shed_total']} shed, {snap['errors_total']} errors)"
+            )
         await backend.aclose()
         return 0
 
@@ -1240,23 +1257,10 @@ def _close_inherited(socks: List[Optional[socket.socket]]) -> None:
                 sock.close()
 
 
-def _worker_entry(
-    config: ServerConfig,
-    worker_id: int,
-    host: str,
-    port: int,
-    write_port: Optional[int],
-    ready,
-    shared_sock: Optional[socket.socket],
-    inherited: List[Optional[socket.socket]],
-) -> None:
+def _worker_entry(inherited: List[Optional[socket.socket]], *args) -> None:
     _close_inherited(inherited)
     try:
-        asyncio.run(
-            _worker_async(
-                config, worker_id, host, port, write_port, ready, shared_sock
-            )
-        )
+        asyncio.run(_worker_async(*args))
     except KeyboardInterrupt:  # pragma: no cover - terminal Ctrl-C
         pass
 
@@ -1316,11 +1320,8 @@ async def _worker_async(
         obs_spool=obs_spool,
     )
     await server.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(ValueError, NotImplementedError, RuntimeError):
-            loop.add_signal_handler(sig, server.begin_drain)
-    backend.start(loop)
+    _drain_on_signals(server)
+    backend.start(asyncio.get_running_loop())
     ready.set()
     await server.wait_closed()
     if worker_id == 0:
@@ -1404,10 +1405,7 @@ def _run_prefork(config: ServerConfig) -> int:
     write_sock = None
     write_port = None
     if config.wal_dir:
-        index, recovered = _open_primary_index(config)
-        durable = _wrap_durable(index, config)
-        if recovered:
-            _log(f"recovered WAL state: seq={durable.applied_seq}")
+        durable = _open_durable(config)
         # The baseline snapshot exists now (DurableIndex takes it when
         # wrapping a fitted index over an empty log), so workers forked
         # below can bootstrap from it.
@@ -1422,8 +1420,8 @@ def _run_prefork(config: ServerConfig) -> int:
         proc = ctx.Process(
             target=_worker_entry,
             args=(
-                config, worker_id, host, port, write_port,
-                ready_events[worker_id], shared_sock, inherited,
+                inherited, config, worker_id, host, port, write_port,
+                ready_events[worker_id], shared_sock,
             ),
             name=f"ann-worker-{worker_id}",
         )
@@ -1437,6 +1435,13 @@ def _run_prefork(config: ServerConfig) -> int:
             if proc.is_alive():
                 with contextlib.suppress(OSError):
                     proc.terminate()  # SIGTERM -> worker graceful drain
+
+    def _abort(why: str) -> int:
+        _log(why)
+        _terminate_all()
+        for proc in procs:
+            proc.join(timeout=10)
+        return 1
 
     # Primary write server (only with a WAL).
     stop_primary = threading.Event()
@@ -1456,19 +1461,13 @@ def _run_prefork(config: ServerConfig) -> int:
         primary_thread.start()
         primary_started.wait(timeout=30)
         if "primary" in primary_errors:
-            _log(f"primary write server failed: {primary_errors['primary']}")
-            _terminate_all()
-            for proc in procs:
-                proc.join(timeout=10)
-            return 1
+            return _abort(
+                f"primary write server failed: {primary_errors['primary']}"
+            )
 
     for worker_id, event in enumerate(ready_events):
         if not event.wait(timeout=60):
-            _log(f"worker {worker_id} failed to start; aborting")
-            _terminate_all()
-            for proc in procs:
-                proc.join(timeout=10)
-            return 1
+            return _abort(f"worker {worker_id} failed to start; aborting")
     roles = "replicas" if config.wal_dir else "read-only"
     _log(
         f"listening on {host}:{port} workers={config.workers} ({roles}) "

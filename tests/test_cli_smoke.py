@@ -9,14 +9,12 @@ loudly here before it reaches an actual deployment.
 
 from __future__ import annotations
 
-import builtins
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -111,8 +109,7 @@ def test_serve_answers_one_stdin_request(bundle, tmp_path, capsys):
     )
     rc = main(
         [
-            "serve", bundle, "--mmap", "--threads", "2",
-            "--requests", str(requests),
+            "serve", bundle, "--mmap", "--requests", str(requests),
         ]
     )
     captured = capsys.readouterr()
@@ -122,126 +119,6 @@ def test_serve_answers_one_stdin_request(bundle, tmp_path, capsys):
     assert len(response["dists"]) == 3
     assert response["dists"] == sorted(response["dists"])
     assert "served 1 responses" in captured.err
-
-
-def test_serve_survives_a_future_that_raises_base_exception(
-    bundle, tmp_path, capsys, monkeypatch
-):
-    """Regression: a query future that raises must become an error
-
-    *line*, not kill the printer thread.  Pre-fix, the dead printer
-    left the next ``flush()`` joined on a queue nobody drains — the
-    serve loop deadlocked forever (only ``Exception`` was caught by the
-    per-request handler, so a ``BaseException`` escaped into the
-    future and out of ``fut.result()`` in the printer).
-    """
-    from repro.serve.service import ANNService
-
-    class _Boom(BaseException):
-        pass
-
-    real_query = ANNService.query
-    calls = {"n": 0}
-
-    def boom_first_query(self, q, k=1, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise _Boom("poisoned future")
-        return real_query(self, q, k=k, **kwargs)
-
-    monkeypatch.setattr(ANNService, "query", boom_first_query)
-    rng = np.random.default_rng(1)
-    requests = tmp_path / "requests.jsonl"
-    requests.write_text(
-        "\n".join(
-            [
-                # the poison query, a healthy query *behind* it (its
-                # answer is what the dead printer would never drain),
-                # then stats — whose flush() is where pre-fix hung
-                json.dumps(
-                    {"query": rng.normal(size=SIFT_DIM).tolist(), "k": 2}
-                ),
-                json.dumps(
-                    {"query": rng.normal(size=SIFT_DIM).tolist(), "k": 2}
-                ),
-                json.dumps({"stats": True}),
-            ]
-        )
-        + "\n"
-    )
-    result = {}
-
-    def run() -> None:
-        result["rc"] = main(
-            [
-                "serve", bundle, "--mmap", "--threads", "1",
-                "--requests", str(requests),
-            ]
-        )
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive(), "serve deadlocked on a raising future"
-    assert result["rc"] == 0
-    lines = [
-        json.loads(line)
-        for line in capsys.readouterr().out.strip().splitlines()
-    ]
-    assert len(lines) == 3
-    assert "_Boom" in lines[0]["error"]
-    assert len(lines[1]["ids"]) == 2  # the queued answer still emitted
-    assert "stats" in lines[2]
-
-
-def test_serve_emits_every_response_from_one_thread(
-    bundle, tmp_path, capsys, monkeypatch
-):
-    """Regression: *all* response lines must go out through the printer
-
-    thread.  Pre-fix, malformed-JSON errors and write/stats responses
-    were printed straight from the reader thread, racing the printer
-    for stdout — two writers can interleave mid-line.
-    """
-    rng = np.random.default_rng(2)
-    requests = tmp_path / "requests.jsonl"
-    requests.write_text(
-        "\n".join(
-            [
-                "{this is not json",
-                json.dumps(
-                    {"query": rng.normal(size=SIFT_DIM).tolist(), "k": 2}
-                ),
-                json.dumps({"stats": True}),
-                json.dumps({"nonsense": 1}),
-            ]
-        )
-        + "\n"
-    )
-    emitters = []
-    real_print = builtins.print
-
-    def recording_print(*args, **kwargs):
-        if kwargs.get("file") is None:  # stdout == response lines
-            emitters.append(threading.current_thread())
-        real_print(*args, **kwargs)
-
-    monkeypatch.setattr(builtins, "print", recording_print)
-    caller = threading.current_thread()
-    rc = main(
-        [
-            "serve", bundle, "--mmap", "--threads", "2",
-            "--requests", str(requests),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert len(out.strip().splitlines()) == 4
-    assert len(emitters) == 4
-    assert len(set(emitters)) == 1, (
-        f"responses written by {len(set(emitters))} threads"
-    )
-    assert emitters[0] is not caller  # the printer thread, not the reader
 
 
 def test_serve_tcp_round_trip(bundle):

@@ -26,11 +26,7 @@ import pytest
 
 from repro import DynamicLCCSLSH
 from repro.obs.export import SnapshotSpool, merge_snapshots, render_prometheus
-from repro.obs.metrics import (
-    LatencyHistogram,
-    MetricsRegistry,
-    ServerMetrics,
-)
+from repro.obs.metrics import MetricsRegistry, ServerMetrics
 from repro.obs.tracing import Tracer, get_tracer, render_trace
 from repro.serve import ANNService, ServeClient
 from repro.serve.server import ServiceBackend, ThreadedServer
@@ -316,6 +312,23 @@ def test_slow_log_always_on_and_bounded():
     assert tracer.stats()["slow_total"] == 10.0
 
 
+def test_recent_and_slow_log_refuse_a_non_positive_bound():
+    """``out[-0:]`` is the whole list and ``out[:-1]`` drops the wrong
+    end: a bound that is not a positive integer must not be sliced with."""
+    tracer = Tracer(sample=1, slow_threshold_s=0.0)
+    for _ in range(3):
+        trace = tracer.start_trace("query", op="query")
+        trace.finish()
+        tracer.observe_request("query", 0.01, trace=trace)
+    assert len(tracer.recent(2)) == len(tracer.slow_log(2)) == 2
+    assert len(tracer.recent()) == len(tracer.slow_log()) == 3
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            tracer.recent(bad)
+        with pytest.raises(ValueError, match="positive"):
+            tracer.slow_log(bad)
+
+
 def test_slow_log_dump_json_lines(tmp_path):
     tracer = Tracer(sample=1, slow_threshold_s=0.0)
     trace = tracer.start_trace("query", op="query")
@@ -500,11 +513,3 @@ def test_tcp_metrics_op_merges_spool(quiet_tracer, tmp_path):
     ]
     assert query_reqs == [1]
 
-
-def test_backcompat_reexports():
-    import repro.serve.metrics as old
-    from repro.obs import metrics as new
-
-    assert old.LatencyHistogram is new.LatencyHistogram
-    assert old.ServerMetrics is new.ServerMetrics
-    assert old.get_registry is new.get_registry

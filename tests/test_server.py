@@ -27,7 +27,7 @@ import pytest
 
 from repro import DynamicLCCSLSH, LCCSLSH
 from repro.serve import ANNService, Overloaded, ServeClient, ServerError
-from repro.serve.metrics import LatencyHistogram, ServerMetrics
+from repro.obs.metrics import LatencyHistogram, ServerMetrics
 from repro.serve.server import ServiceBackend, ThreadedServer
 
 DIM = 16

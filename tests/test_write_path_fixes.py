@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve.metrics import LatencyHistogram
+from repro.obs.metrics import LatencyHistogram
 
 DIM = 6
 
