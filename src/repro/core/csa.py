@@ -88,9 +88,10 @@ class CircularShiftArray:
         if not np.issubdtype(strings.dtype, np.integer):
             raise TypeError("CSA requires integer hash strings")
         self.n, self.m = strings.shape
-        self.strings = strings
-        # Doubled copies give O(1) zero-copy access to any rotation.
+        # Doubled copies give O(1) zero-copy access to any rotation; the
+        # left half *is* ``strings``, so the input is not kept as well.
         self._doubled = np.concatenate([strings, strings], axis=1)
+        self.strings = self._doubled[:, : self.m]
         self.sorted_idx, self.next_link = self._build()
         from repro import kernels
 
@@ -733,12 +734,13 @@ class CircularShiftArray:
     # ------------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        """Memory footprint of the index structures (paper's index size)."""
+        """Memory footprint of the index structures (paper's index size).
+
+        The buffers :meth:`export_arrays` names, each once: ``strings``
+        is a view of ``_doubled``'s left half, not a second allocation.
+        """
         return int(
-            self.strings.nbytes
-            + self._doubled.nbytes
-            + self.sorted_idx.nbytes
-            + self.next_link.nbytes
+            self._doubled.nbytes + self.sorted_idx.nbytes + self.next_link.nbytes
         )
 
     # ------------------------------------------------------------------

@@ -109,8 +109,8 @@ class LCCSLSH(ANNIndex):
     # ------------------------------------------------------------------
 
     def _fit(self, data: np.ndarray) -> None:
-        self.hash_strings = self.family.hash(data)
-        self.csa = CircularShiftArray(self.hash_strings, backend=self.backend)
+        self.csa = CircularShiftArray(self.family.hash(data), backend=self.backend)
+        self.hash_strings = self.csa.strings
         # Verification caches are keyed on the data array; drop stale ones.
         self._kv_packed = None
         self._kv_data32 = None

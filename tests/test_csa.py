@@ -86,6 +86,15 @@ def test_size_bytes_positive(rng):
     assert csa.size_bytes() > 0
 
 
+def test_size_bytes_counts_each_exported_buffer_once(rng):
+    """``strings`` is a view of ``doubled``'s left half, not a third copy."""
+    csa = CircularShiftArray(rng.integers(0, 5, size=(10, 4)))
+    assert np.shares_memory(csa.strings, csa.export_arrays()["doubled"])
+    assert csa.size_bytes() == sum(
+        arr.nbytes for arr in csa.export_arrays().values()
+    )
+
+
 # ----------------------------------------------------------------------
 # Binary search (full and windowed)
 # ----------------------------------------------------------------------
