@@ -125,8 +125,7 @@ def check_byte_identity(index, reference, queries, k=10) -> bool:
 
 def check_durability(tmp_root) -> dict:
     """Small WAL'd workload with seals/compactions: recovery + replica."""
-    from repro.serve import DurableIndex, recover
-    from repro.serve.durability.replica import ReplicaSet
+    from repro.serve import DurableIndex, Replica, recover
 
     spec = IndexSpec(
         "DynamicLCCSLSH",
@@ -159,12 +158,11 @@ def check_durability(tmp_root) -> dict:
         "recovery_segments": recovered.tier_stats()["segments"],
         "primary_segments": primary.inner.tier_stats()["segments"],
     }
-    with ReplicaSet(primary, num_replicas=1) as rs:
-        rs.catch_up_all()
-        replica = rs.replicas[0]
-        out["replica_byte_identical"] = check_byte_identity(
-            replica.index, primary.inner, queries
-        )
+    replica = Replica(wal_dir)
+    replica.catch_up()
+    out["replica_byte_identical"] = check_byte_identity(
+        replica.index, primary.inner, queries
+    )
     return out
 
 

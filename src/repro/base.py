@@ -143,7 +143,7 @@ class ANNIndex(abc.ABC):
         """Persist the index (including the raw data) as a bundle at ``path``.
 
         The bundle is a directory holding ``manifest.json`` plus one raw
-        ``.npy`` file per array (format v2; see
+        ``.npy`` file per array (see
         :mod:`repro.serve.persistence`), so it can be reopened with
         ``load(path, mmap=True)`` without reading the payload.  Indexes
         implementing the :meth:`_export_state` / :meth:`_import_state`
@@ -159,13 +159,13 @@ class ANNIndex(abc.ABC):
     def load(path: str, mmap: bool = False) -> "ANNIndex":
         """Load an index previously written by :meth:`save`.
 
-        Accepts a bundle directory (raising
-        :class:`repro.serve.persistence.BundleError` on corrupt or
-        wrong-version bundles) or, for backward compatibility, a legacy
-        single-file pickle.  With ``mmap=True`` a format-v2 bundle opens
-        as read-only memory maps — servable in milliseconds, with the
-        OS page cache holding the only copy of the arrays — and answers
-        queries byte-identically to an eager load.
+        Accepts a bundle directory only, raising
+        :class:`repro.serve.persistence.BundleError` on anything else
+        (a regular file, a corrupt or wrong-version bundle).  With
+        ``mmap=True`` the bundle opens as read-only memory maps —
+        servable in milliseconds, with the OS page cache holding the
+        only copy of the arrays — and answers queries byte-identically
+        to an eager load.
         """
         from repro.serve.persistence import load_index
 

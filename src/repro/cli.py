@@ -9,8 +9,7 @@ Subcommands:
   reusable bundle directory.
 * ``query`` — load a saved bundle and evaluate it on a query workload.
 * ``inspect`` — print a bundle's manifest and array shapes/sizes
-  without loading (or unpickling) any payload; understands both the
-  v1 (``arrays.npz``) and v2 (per-``.npy``) layouts.
+  without loading (or unpickling) any payload.
 * ``build``/``query``/``serve``/``recover`` accept ``--mmap`` to open
   bundles (and snapshots) as read-only memory maps: cold starts take
   milliseconds and every local process shares one physical copy of
@@ -21,8 +20,8 @@ Subcommands:
   request handler (:mod:`repro.serve.server`), two transports.
   With ``--wal-dir`` every write is write-ahead-logged (and
   periodically snapshotted via ``--snapshot-every``) so the served
-  state survives a crash; ``--replicas N`` serves reads from N
-  log-shipping replicas instead of the primary.
+  state survives a crash; add ``--tcp --workers N`` and N worker
+  processes follow the WAL as read replicas of the one writer.
 * ``recover`` — rebuild the acknowledged index state from a WAL
   directory (snapshot + log replay) and optionally save it as a bundle.
 * ``stats`` — scrape a running ``serve --tcp`` server: stats JSON, a
@@ -51,7 +50,7 @@ Examples::
     echo '{"query": [0.1, ...], "k": 5}' | \\
         python -m repro.cli serve sift.bundle --cache-size 1024
     python -m repro.cli serve sift.bundle \\
-        --wal-dir sift.wal --snapshot-every 500 --replicas 2
+        --wal-dir sift.wal --snapshot-every 500
     python -m repro.cli recover sift.wal --out recovered.bundle
     python -m repro.cli serve sift.bundle --tcp :9300 --workers 4 \\
         --wal-dir sift.wal --trace-sample 100 --slow-ms 50
@@ -488,9 +487,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     further ones are taken every ``--snapshot-every`` writes.  If the
     WAL directory already holds state from a previous run, serving
     resumes from its *recovered* state (the bundle only provides
-    defaults).  With ``--replicas N`` queries are answered by N
-    log-shipping replicas (round-robin; a query may carry
-    ``min_version`` — a write's ``seq`` — to read its own writes).
+    defaults).  A query may carry ``min_version`` — a write's ``seq`` —
+    to read its own writes: trivially true in one process, a bounded
+    wait for the log on a ``--workers N`` replica.
     """
     from repro.serve import BundleError
     from repro.serve.durability import RecoveryError
@@ -512,9 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return usage("--workers requires --tcp")
     if args.workers < 1:
         return usage("--workers must be >= 1")
-    if args.workers > 1 and args.replicas:
-        return usage("--replicas is a single-process option; prefork "
-                     "workers already serve as replicas")
     config = ServerConfig(
         bundle=args.bundle,
         host=host,
@@ -530,7 +526,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fsync=args.fsync,
         snapshot_every=args.snapshot_every,
         snapshot_keep=args.snapshot_keep,
-        replicas=args.replicas,
         tail_interval_ms=args.tail_interval_ms,
         trace_sample=args.trace_sample,
         slow_ms=args.slow_ms,
@@ -716,7 +711,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         ("class", summary["class"]),
         ("serializer", summary["serializer"]),
         ("format_version", summary["format_version"]),
-        ("layout", summary["layout"]),
         ("library_version", summary["library_version"]),
         ("dim", summary["dim"]),
         ("metric", summary["metric"]),
@@ -987,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mmap", action="store_true",
         help="open the bundle as read-only memory maps instead of "
-        "reading it into RAM (v2 bundles)",
+        "reading it into RAM",
     )
     p.add_argument("--seed", type=int, default=None)
     _add_backend_arg(p)
@@ -1066,14 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many snapshots to retain",
     )
     p.add_argument(
-        "--replicas", type=int, default=0,
-        help="serve queries from this many log-shipping read replicas "
-        "(requires --wal-dir; write responses carry a 'seq' usable as "
-        "min_version for read-your-writes)",
-    )
-    p.add_argument(
         "--tail-interval-ms", type=float, default=50.0,
-        help="how often replicas poll the WAL for new records",
+        help="how often --workers N replicas poll the WAL for new records",
     )
     p.add_argument(
         "--mmap", action="store_true",

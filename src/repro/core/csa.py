@@ -744,12 +744,11 @@ class CircularShiftArray:
         )
 
     # ------------------------------------------------------------------
-    # Serialization: ONE codepath (`export_arrays` / `from_arrays`) used
-    # by both the bundle persistence layer (LCCSLSH._export_state nests
-    # these arrays under a ``csa.`` prefix) and the standalone npz shims
-    # below.  Loading never re-sorts: the CSA is reconstructed from its
-    # persisted arrays, which is what makes mmap-backed bundle loads
-    # O(milliseconds) instead of O(n m log m).
+    # Serialization: ONE codepath (`export_arrays` / `from_arrays`); the
+    # bundle persistence layer nests these arrays under a ``csa.`` prefix
+    # (LCCSLSH._export_state).  Loading never re-sorts: the CSA is
+    # reconstructed from its persisted arrays, which is what makes
+    # mmap-backed bundle loads O(milliseconds) instead of O(n m log m).
     # ------------------------------------------------------------------
 
     def export_arrays(self) -> dict:
@@ -775,35 +774,22 @@ class CircularShiftArray:
     ) -> "CircularShiftArray":
         """Rebuild a CSA from :meth:`export_arrays` output without re-sorting.
 
-        Accepts the native layout (``doubled``/``sorted_idx``/``next_link``)
-        or the legacy npz layout (``strings``/``sorted_idx``/``next_link``).
         Arrays are adopted by reference — read-only memory-mapped inputs
         stay memory-mapped, and the CSA never writes to them (queries
         only bisect).  ``backend`` is the name the writer recorded: one
         this build does not know means the default, not an error.
         Raises ``ValueError`` on missing arrays or inconsistent shapes.
         """
-        if "doubled" in arrays:
-            required = ("doubled", "sorted_idx", "next_link")
-        else:
-            required = ("strings", "sorted_idx", "next_link")
-        for key in required:
+        for key in ("doubled", "sorted_idx", "next_link"):
             if key not in arrays:
                 raise ValueError(f"{source} is missing array {key!r}")
         obj = cls.__new__(cls)
-        if "doubled" in arrays:
-            doubled = np.asarray(arrays["doubled"])
-            if doubled.ndim != 2 or doubled.shape[1] % 2 != 0:
-                raise ValueError(f"{source} has inconsistent array shapes")
-            obj._doubled = doubled
-            obj.n, obj.m = doubled.shape[0], doubled.shape[1] // 2
-            obj.strings = doubled[:, : obj.m]  # zero-copy view
-        else:
-            obj.strings = np.ascontiguousarray(arrays["strings"])
-            if obj.strings.ndim != 2:
-                raise ValueError(f"{source} has inconsistent array shapes")
-            obj.n, obj.m = obj.strings.shape
-            obj._doubled = np.concatenate([obj.strings, obj.strings], axis=1)
+        doubled = np.asarray(arrays["doubled"])
+        if doubled.ndim != 2 or doubled.shape[1] % 2 != 0:
+            raise ValueError(f"{source} has inconsistent array shapes")
+        obj._doubled = doubled
+        obj.n, obj.m = doubled.shape[0], doubled.shape[1] // 2
+        obj.strings = doubled[:, : obj.m]  # zero-copy view
         if obj.n == 0 or obj.m == 0:
             raise ValueError(f"{source} has inconsistent array shapes")
         if not np.issubdtype(obj.strings.dtype, np.integer):
@@ -821,28 +807,6 @@ class CircularShiftArray:
 
         obj._backend = kernels.resolve_backend(kernels.persisted_backend(backend))
         return obj
-
-    def save_npz(self, path: str) -> None:
-        """Persist the CSA to a compressed ``.npz`` (back-compat shim).
-
-        Thin wrapper over :meth:`export_arrays`; unlike pickle the format
-        is stable across library versions and inspectable with plain
-        numpy.  Prefer saving the owning index as a bundle
-        (:mod:`repro.serve.persistence`), which nests the same arrays.
-        """
-        np.savez_compressed(path, **self.export_arrays())
-
-    @classmethod
-    def load_npz(cls, path: str) -> "CircularShiftArray":
-        """Load a CSA written by :meth:`save_npz` without re-sorting.
-
-        Back-compat shim over :meth:`from_arrays`; also reads the
-        pre-unification layout that stored ``strings`` instead of
-        ``doubled``.
-        """
-        with np.load(path) as payload:
-            arrays = {key: payload[key] for key in payload.files}
-        return cls.from_arrays(arrays, source=path)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CircularShiftArray(n={self.n}, m={self.m})"

@@ -859,28 +859,18 @@ class DynamicLCCSLSH(ANNIndex):
             index._size = len(index._store)
             index._data = index._vectors
         segments: List[Segment] = []
-        if "inner" in state:
-            # Pre-LSM bundle layout: one CSA under "inner" plus a flat
-            # handle array — adopt it as a single sealed segment.
+        for i, seg_manifest in enumerate(state.get("segments", [])):
             inner = import_index(
-                state["inner"], unpack_nested(arrays, "inner"), source="<inner>"
+                seg_manifest,
+                unpack_nested(arrays, f"seg{i}.inner"),
+                source=f"<seg{i}>",
             )
             segments.append(
-                Segment(inner, np.asarray(arrays["indexed_handles"], dtype=np.int64))
+                Segment(
+                    inner,
+                    np.asarray(arrays[f"seg{i}.handles"], dtype=np.int64),
+                )
             )
-        else:
-            for i, seg_manifest in enumerate(state.get("segments", [])):
-                inner = import_index(
-                    seg_manifest,
-                    unpack_nested(arrays, f"seg{i}.inner"),
-                    source=f"<seg{i}>",
-                )
-                segments.append(
-                    Segment(
-                        inner,
-                        np.asarray(arrays[f"seg{i}.handles"], dtype=np.int64),
-                    )
-                )
         buffer = [int(h) for h in state["buffer_handles"]]
         index._state = _DynState(
             tuple(segments),

@@ -296,9 +296,7 @@ class LCCSLSH(ANNIndex):
     # with ``load_index(path, mmap=True)`` the whole index is servable
     # in milliseconds from read-only memory maps.  The hash strings are
     # not stored separately: they are exactly the left half of the
-    # CSA's ``doubled`` array.  Bundles written before format v2 stored
-    # ``hash_strings`` only; loading those rebuilds the CSA (the
-    # deterministic stable sort reproduces it bit for bit).
+    # CSA's ``doubled`` array.
     # ------------------------------------------------------------------
 
     def _export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -316,8 +314,6 @@ class LCCSLSH(ANNIndex):
             arrays.update(
                 {f"csa.{key}": val for key, val in self.csa.export_arrays().items()}
             )
-        elif self.hash_strings is not None:  # pragma: no cover - defensive
-            arrays["hash_strings"] = self.hash_strings
         return state, arrays
 
     @classmethod
@@ -355,11 +351,6 @@ class LCCSLSH(ANNIndex):
                 csa_arrays, source="<csa>", backend=index.backend
             )
             index.hash_strings = index.csa.strings
-        elif "hash_strings" in arrays:  # pre-v2 bundle: rebuild the CSA
-            index.hash_strings = arrays["hash_strings"]
-            index.csa = CircularShiftArray(
-                index.hash_strings, backend=index.backend
-            )
         index._kv_packed = None
         index._kv_data32 = None
         return index

@@ -4,7 +4,6 @@ from repro.eval.grid import grid, pareto_frontier, sweep, time_at_recall
 from repro.eval.harness import (
     EvalResult,
     evaluate,
-    evaluate_replicas,
     evaluate_service,
 )
 from repro.eval.metrics import overall_ratio, recall
@@ -16,7 +15,6 @@ __all__ = [
     "ascii_plot",
     "banner",
     "evaluate",
-    "evaluate_replicas",
     "evaluate_service",
     "format_curve",
     "format_results",

@@ -30,7 +30,7 @@ from repro.base import ANNIndex
 from repro.data.ground_truth import GroundTruth
 from repro.eval.metrics import overall_ratio, recall
 
-__all__ = ["EvalResult", "evaluate", "evaluate_replicas", "evaluate_service"]
+__all__ = ["EvalResult", "evaluate", "evaluate_service"]
 
 
 @dataclass
@@ -161,77 +161,6 @@ def evaluate(
         qps=nq / elapsed if elapsed > 0 else float("inf"),
         params=params,
         stats=stats_avg,
-    )
-
-
-def evaluate_replicas(
-    replica_set,
-    queries: np.ndarray,
-    ground_truth: GroundTruth,
-    k: int = 10,
-    query_kwargs: Optional[Dict[str, Any]] = None,
-    params: Optional[Dict[str, Any]] = None,
-    threads: int = 1,
-    min_version: Optional[int] = None,
-) -> EvalResult:
-    """Evaluate a :class:`repro.serve.ReplicaSet`'s read path.
-
-    Every query is routed through the replica set's round-robin reader
-    from ``threads`` concurrent client threads, so the measured QPS is
-    the replicated-read serving configuration: per-replica locks held
-    only for their own queries, distinct replicas answering in
-    parallel.  With ``min_version`` set, every read first ensures its
-    replica caught up to that WAL position (the read-your-writes path).
-
-    Replicas are caught up to the primary before the timed window (the
-    steady state a deployment converges to between writes), so accuracy
-    metrics match :func:`evaluate` on the primary exactly.
-
-    The result's ``stats`` carries the replica set's counters:
-    ``primary_seq``, per-replica ``applied_seq`` / ``reads``.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    if ground_truth.k < k:
-        raise ValueError(
-            f"ground truth has k={ground_truth.k}, need at least {k}"
-        )
-    if len(queries) != len(ground_truth):
-        raise ValueError("queries and ground truth must align")
-    if threads <= 0:
-        raise ValueError("threads must be positive")
-    query_kwargs = query_kwargs or {}
-    replica_set.catch_up_all()
-    nq = len(queries)
-
-    def one(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return replica_set.query(
-            q, k=k, min_version=min_version, **query_kwargs
-        )
-
-    start = time.perf_counter()
-    if threads == 1:
-        collected = [one(q) for q in queries]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as clients:
-            collected = list(clients.map(one, queries))
-    elapsed = time.perf_counter() - start
-    mean_recall, mean_ratio = _score(collected, ground_truth, k)
-    params = dict(params or {})
-    params.setdefault("threads", int(threads))
-    params.setdefault("replicas", len(replica_set.replicas))
-    primary = replica_set.primary
-    return EvalResult(
-        method=f"{primary.name}+replicas({len(replica_set.replicas)})",
-        k=k,
-        recall=mean_recall,
-        ratio=mean_ratio,
-        avg_query_time_ms=elapsed / nq * 1e3,
-        build_time_s=primary.build_time,
-        index_size_mb=primary.index_size_bytes() / (1024.0 * 1024.0),
-        qps=nq / elapsed if elapsed > 0 else float("inf"),
-        params=params,
-        stats={key: float(val) for key, val in replica_set.stats().items()},
     )
 
 

@@ -6,9 +6,8 @@ This package turns the in-process indexes into servable artifacts:
   A bundle is a directory of ``manifest.json`` (format version, registry
   class name, ``dim``/``metric``/``seed``, build time, work counters,
   JSON-safe native state, per-array file/shape/dtype/offset index) plus
-  one raw ``.npy`` file per array (format v2; the legacy v1
-  ``arrays.npz`` archive stays readable).  ``load_index(path,
-  mmap=True)`` opens a v2 bundle as read-only memory maps through the
+  one raw ``.npy`` file per array.  ``load_index(path,
+  mmap=True)`` opens a bundle as read-only memory maps through the
   :class:`~repro.serve.persistence.ArrayStore` abstraction — cold start
   in milliseconds, one page-cache copy of the data shared by every
   local reader, byte-identical query results.  ``LCCSLSH``,
@@ -46,8 +45,8 @@ This package turns the in-process indexes into servable artifacts:
   index as WAL-position-tagged bundles,
   :func:`~repro.serve.durability.recover` rebuilds the acknowledged
   state (snapshot + log-suffix replay, with corrupt-snapshot
-  fallback), and :class:`~repro.serve.durability.ReplicaSet` serves
-  round-robin reads from replicas that tail the WAL.
+  fallback), and a :class:`~repro.serve.durability.Replica` follows
+  the WAL to serve reads from its own copy.
 * :mod:`repro.serve.server` — the front door:
   :class:`~repro.serve.server.AsyncANNServer` is the one JSON-lines
   request handler — verb dispatch, admission control (explicit overload
@@ -67,7 +66,6 @@ from repro.serve.durability import (
     DurableIndex,
     RecoveryError,
     Replica,
-    ReplicaSet,
     SnapshotManager,
     StaleReadError,
     WALError,
@@ -124,7 +122,6 @@ __all__ = [
     "RWLock",
     "RecoveryError",
     "Replica",
-    "ReplicaSet",
     "ServeClient",
     "ServerConfig",
     "ServerError",

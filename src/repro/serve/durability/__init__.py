@@ -17,13 +17,15 @@ on-disk formats and guarantees):
   falling back to older snapshots or a full-log replay when snapshots
   are corrupt.
 * :mod:`repro.serve.durability.replica` —
-  :class:`~repro.serve.durability.replica.ReplicaSet`: a durable primary
-  applies writes while replicas tail the shared WAL (file-based log
-  shipping) and serve round-robin reads, with per-replica applied-seq
-  tracking and a ``min_version`` read-your-writes option.
+  :class:`~repro.serve.durability.replica.Replica`, the one log
+  follower: a durable primary applies writes while a replica tails the
+  shared WAL (file-based log shipping) and serves reads from its own
+  copy, tracking its applied seq, with a ``min_version``
+  read-your-writes option.  ``serve --workers N --wal-dir`` runs one per
+  worker process.
 """
 
-from repro.serve.durability.replica import Replica, ReplicaSet, StaleReadError
+from repro.serve.durability.replica import Replica, StaleReadError
 from repro.serve.durability.snapshots import (
     RecoveryError,
     RecoveryResult,
@@ -45,7 +47,6 @@ __all__ = [
     "DurableIndex",
     "Op",
     "Replica",
-    "ReplicaSet",
     "RecoveryError",
     "RecoveryResult",
     "SnapshotManager",

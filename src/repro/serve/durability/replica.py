@@ -1,26 +1,21 @@
-"""Log-shipping read replicas over a shared WAL directory.
+"""The log follower: a read-serving copy of the index fed by the WAL.
 
 The primary is a :class:`~repro.serve.durability.wal.DurableIndex`:
 every acknowledged write is already on disk in its WAL.  A
 :class:`Replica` bootstraps its own private copy of the index via
 :func:`~repro.serve.durability.snapshots.recover` and then **tails the
-log**: ``catch_up`` reads records past its ``applied_seq`` and applies
-them.  Because the WAL reader tolerates the in-flight tail (it stops in
-front of a record still being written), replicas can tail a live log
-safely — this is classic file-based log shipping.
+log**: ``catch_up`` reads the records past its ``applied_seq`` and
+applies them.  Because the WAL reader tolerates the in-flight tail (it
+stops in front of a record still being written), a replica can follow a
+live log safely — this is classic file-based log shipping.
 
-:class:`ReplicaSet` bundles a primary with ``N`` replicas:
-
-* writes (``insert``/``delete``/``fit``) go to the primary and return
-  ``(result, seq)`` — the WAL sequence number the write produced;
-* reads round-robin across the replicas, each replica serialized by its
-  own lock (different replicas answer in parallel);
-* ``min_version=seq`` turns a read into a **read-your-writes** read:
-  the chosen replica catches up to at least ``seq`` first (raising
-  :class:`StaleReadError` if the log does not reach that far — e.g. the
-  primary process died before flushing);
-* an optional background tailer keeps replicas near-current without
-  per-read catch-up latency.
+There is one follower.  A library caller polls it (``catch_up``) or
+asks for **read-your-writes** per read (``min_version=seq``, the ``seq``
+a primary write returned; :class:`StaleReadError` if the log does not
+reach that far — e.g. the primary died before flushing).  The prefork
+server's workers (``serve --workers N --wal-dir``) each hold one and add
+only what is server-shaped: the tail task, a bounded wait, and write
+forwarding (:class:`repro.serve.server.ReplicaBackend`).
 
 A caught-up replica is state-identical to the primary (same snapshot
 format, same deterministic replay), so its query results are
@@ -29,16 +24,16 @@ byte-identical — the contract ``tests/test_replica.py`` pins down.
 
 from __future__ import annotations
 
-import itertools
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.serve.concurrency import ConcurrentIndex
 from repro.serve.durability.snapshots import recover
-from repro.serve.durability.wal import DurableIndex, WALReader, apply_op
+from repro.serve.durability.wal import WALReader, apply_op
 
-__all__ = ["Replica", "ReplicaSet", "StaleReadError"]
+__all__ = ["Replica", "StaleReadError"]
 
 
 class StaleReadError(RuntimeError):
@@ -54,48 +49,61 @@ class Replica:
             :func:`~repro.serve.durability.snapshots.recover` (needed
             only when the directory has neither snapshots nor a
             ``durable.json`` sidecar).
-        replica_id: label used in stats.
         mmap: bootstrap from the snapshot as read-only memory maps.
             Every replica on the machine then shares one physical copy
             of the snapshotted arrays (the page cache's), so replica
             RSS stops scaling with index size; replayed writes promote
             state copy-on-write.
 
-    ``query``/``batch_query``/``catch_up`` are serialized per replica by
-    an internal lock, so one replica is safe to share across threads;
-    distinct replicas proceed in parallel.
+    ``index`` is a :class:`~repro.serve.concurrency.ConcurrentIndex`:
+    reads from any number of threads run in parallel under its shared
+    lock, and a catch-up applies its whole batch of records in one
+    exclusive section.
     """
 
-    def __init__(
-        self, wal_dir: str, spec=None, replica_id: int = 0, mmap: bool = False
-    ):
+    def __init__(self, wal_dir: str, spec=None, mmap: bool = False):
         self.wal_dir = wal_dir
-        self.replica_id = int(replica_id)
         result = recover(wal_dir, spec=spec, mmap=mmap)
-        self.index = result.index
+        self.index = ConcurrentIndex(result.index)
         #: ops reflected by this replica's state
         self.applied_seq = int(result.applied_seq)
         # Incremental tail reader: each poll costs O(new bytes), not
         # O(active segment), so frequent polling of a large log is cheap.
         self._reader = WALReader(wal_dir, start_seq=self.applied_seq)
-        self.reads = 0
         self.catch_ups = 0
-        self._lock = threading.Lock()
+        self._tail_lock = threading.Lock()  # one poller at a time
 
     def catch_up(self) -> int:
         """Apply every newly shipped record; returns ``applied_seq``."""
-        with self._lock:
-            return self._catch_up_locked()
+        with self._tail_lock:
+            ops = self._reader.poll()
+            if ops:
 
-    def _catch_up_locked(self) -> int:
-        advanced = False
-        for seq, op in self._reader.poll():
-            apply_op(self.index, op)
-            self.applied_seq = seq + 1
-            advanced = True
-        if advanced:
-            self.catch_ups += 1
-        return self.applied_seq
+                def apply_all(index):
+                    for _, op in ops:
+                        apply_op(index, op)
+
+                # One exclusive section for the whole batch: one version
+                # bump, so version-keyed cache entries from before the
+                # catch-up are unreachable afterwards.
+                self.index.apply_exclusive(apply_all)
+                self.applied_seq = int(ops[-1][0]) + 1
+                self.catch_ups += 1
+            return self.applied_seq
+
+    def ensure(self, min_version: Optional[int]) -> None:
+        """Read-your-writes: reflect ``min_version`` ops or raise.
+
+        Polls the log once if this replica is behind;
+        :class:`StaleReadError` when the log does not reach that far.
+        """
+        if min_version is None or self.applied_seq >= min_version:
+            return
+        if self.catch_up() < min_version:
+            raise StaleReadError(
+                f"replica is at seq {self.applied_seq}, the log does not "
+                f"(yet) reach min_version={min_version}"
+            )
 
     def query(
         self,
@@ -104,10 +112,8 @@ class Replica:
         min_version: Optional[int] = None,
         **kwargs,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        with self._lock:
-            self._ensure_version_locked(min_version)
-            self.reads += 1
-            return self.index.query(q, k=k, **kwargs)
+        self.ensure(min_version)
+        return self.index.query(q, k=k, **kwargs)
 
     def batch_query(
         self,
@@ -116,30 +122,17 @@ class Replica:
         min_version: Optional[int] = None,
         **kwargs,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        with self._lock:
-            self._ensure_version_locked(min_version)
-            self.reads += 1
-            return self.index.batch_query(queries, k=k, **kwargs)
-
-    def _ensure_version_locked(self, min_version: Optional[int]) -> None:
-        if min_version is None or self.applied_seq >= min_version:
-            return
-        self._catch_up_locked()
-        if self.applied_seq < min_version:
-            raise StaleReadError(
-                f"replica {self.replica_id} is at seq {self.applied_seq}, "
-                f"the log does not (yet) reach min_version={min_version}"
-            )
+        self.ensure(min_version)
+        return self.index.batch_query(queries, k=k, **kwargs)
 
     def stats(self) -> Dict[str, float]:
         out = {
             "applied_seq": float(self.applied_seq),
-            "reads": float(self.reads),
             "catch_ups": float(self.catch_ups),
         }
         # Tier shape confirms replayed seal/compact records landed: a
         # replica's segment count tracks the primary's exactly.
-        tier = getattr(self.index, "tier_stats", None)
+        tier = getattr(self.index.inner, "tier_stats", None)
         if callable(tier):
             shape = tier()
             out["segments"] = float(shape.get("segments", 0))
@@ -148,159 +141,4 @@ class Replica:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Replica(id={self.replica_id}, seq={self.applied_seq}, "
-            f"wal={self.wal_dir!r})"
-        )
-
-
-class ReplicaSet:
-    """A durable primary plus ``N`` log-shipping read replicas.
-
-    Args:
-        primary: the :class:`~repro.serve.durability.wal.DurableIndex`
-            applying (and logging) all writes.
-        num_replicas: how many read copies to bootstrap from its WAL.
-        spec: optional recipe forwarded to replica recovery.
-        mmap: bootstrap every replica from memory-mapped snapshots —
-            N replicas, one physical copy of the snapshotted arrays.
-
-    Reads route round-robin; pass ``min_version`` (a seq returned by a
-    write) for read-your-writes.  ``start_tailing`` launches a daemon
-    thread that calls :meth:`catch_up_all` every ``interval_s`` so
-    replicas stay near-current without per-read catch-ups.
-    """
-
-    def __init__(
-        self,
-        primary: DurableIndex,
-        num_replicas: int = 2,
-        spec=None,
-        mmap: bool = False,
-    ):
-        if not isinstance(primary, DurableIndex):
-            raise TypeError("primary must be a DurableIndex")
-        if num_replicas <= 0:
-            raise ValueError("num_replicas must be positive")
-        self.primary = primary
-        # Replicas bootstrap by recovering from the shared directory, so
-        # the primary's acknowledged state must be on disk first.
-        primary.wal.sync()
-        self.replicas: List[Replica] = [
-            Replica(primary.wal.path, spec=spec, replica_id=i, mmap=mmap)
-            for i in range(num_replicas)
-        ]
-        self._rr = itertools.cycle(range(num_replicas))
-        self._rr_lock = threading.Lock()
-        self._tailer: Optional[threading.Thread] = None
-        self._stop_tailing = threading.Event()
-
-    # ------------------------------------------------------------------
-    # Writes: primary only
-    # ------------------------------------------------------------------
-
-    def fit(self, data: np.ndarray) -> int:
-        """Fit the primary; returns the seq the fit record produced."""
-        self.primary.fit(data)
-        return self.primary.applied_seq
-
-    def insert(self, vector: np.ndarray) -> Tuple[int, int]:
-        """Insert on the primary; returns ``(handle, seq)``."""
-        handle = self.primary.insert(vector)
-        return handle, self.primary.applied_seq
-
-    def delete(self, handle: int) -> int:
-        """Delete on the primary; returns the seq the delete produced."""
-        self.primary.delete(handle)
-        return self.primary.applied_seq
-
-    # ------------------------------------------------------------------
-    # Reads: round-robin over replicas
-    # ------------------------------------------------------------------
-
-    def _next_replica(self) -> Replica:
-        with self._rr_lock:
-            return self.replicas[next(self._rr)]
-
-    def query(
-        self,
-        q: np.ndarray,
-        k: int = 1,
-        min_version: Optional[int] = None,
-        **kwargs,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Answer from the next replica (read-your-writes via
-        ``min_version=seq``)."""
-        return self._next_replica().query(
-            q, k=k, min_version=min_version, **kwargs
-        )
-
-    def batch_query(
-        self,
-        queries: np.ndarray,
-        k: int = 1,
-        min_version: Optional[int] = None,
-        **kwargs,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._next_replica().batch_query(
-            queries, k=k, min_version=min_version, **kwargs
-        )
-
-    def catch_up_all(self) -> List[int]:
-        """Catch every replica up; returns their applied seqs."""
-        return [replica.catch_up() for replica in self.replicas]
-
-    # ------------------------------------------------------------------
-    # Background tailing
-    # ------------------------------------------------------------------
-
-    def start_tailing(self, interval_s: float = 0.05) -> None:
-        """Poll the log every ``interval_s`` seconds on a daemon thread."""
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if self._tailer is not None:
-            return
-        self._stop_tailing.clear()
-
-        def run() -> None:
-            while not self._stop_tailing.wait(interval_s):
-                try:
-                    self.catch_up_all()
-                except Exception:  # pragma: no cover - tailer resilience
-                    # A transient read race (e.g. segment pruned mid-read)
-                    # must not kill the tailer; the next tick retries.
-                    continue
-
-        self._tailer = threading.Thread(
-            target=run, name="replica-tailer", daemon=True
-        )
-        self._tailer.start()
-
-    def stop_tailing(self) -> None:
-        if self._tailer is None:
-            return
-        self._stop_tailing.set()
-        self._tailer.join()
-        self._tailer = None
-
-    def close(self) -> None:
-        self.stop_tailing()
-
-    def __enter__(self) -> "ReplicaSet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, float]:
-        """Primary seq plus per-replica applied seqs and read counts."""
-        out: Dict[str, float] = {
-            "primary_seq": float(self.primary.applied_seq),
-            "replicas": float(len(self.replicas)),
-        }
-        for replica in self.replicas:
-            for key, val in replica.stats().items():
-                out[f"replica{replica.replica_id}_{key}"] = val
-        return out
+        return f"Replica(seq={self.applied_seq}, wal={self.wal_dir!r})"

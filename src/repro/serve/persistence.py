@@ -1,36 +1,25 @@
 """Index persistence: JSON-manifest bundles with raw-``.npy`` payloads.
 
-A *bundle* is a directory.  Two on-disk layouts exist:
+A *bundle* is a directory::
 
-* **format v2** (written by :func:`save_index`)::
+    <path>/
+        manifest.json   # format version, registry class name, dim,
+                        # metric, seed, build_time, work counters, the
+                        # index's JSON-safe native state, and an
+                        # ``array_index``: per array the file it lives
+                        # in, its shape/dtype, and the byte offset of
+                        # its data inside that file
+        arrays/
+            <name>.npy  # one raw npy file per numpy array
 
-      <path>/
-          manifest.json   # format version, registry class name, dim,
-                          # metric, seed, build_time, work counters, the
-                          # index's JSON-safe native state, and an
-                          # ``array_index``: per array the file it lives
-                          # in, its shape/dtype, and the byte offset of
-                          # its data inside that file
-          arrays/
-              <name>.npy  # one raw npy file per numpy array
+Because every array is a plain contiguous ``.npy`` file, the whole
+bundle can be opened with ``np.load(..., mmap_mode="r")``:
+``load_index(path, mmap=True)`` returns a servable index in
+milliseconds without reading the payload — the OS page cache holds
+the only physical copy of the data, shared by every local process
+that maps the same bundle.
 
-  Because every array is a plain contiguous ``.npy`` file, the whole
-  bundle can be opened with ``np.load(..., mmap_mode="r")``:
-  ``load_index(path, mmap=True)`` returns a servable index in
-  milliseconds without reading the payload — the OS page cache holds
-  the only physical copy of the data, shared by every local process
-  that maps the same bundle.
-
-* **format v1** (the legacy single-archive layout)::
-
-      <path>/
-          manifest.json
-          arrays.npz      # every array in one zip archive
-
-  v1 bundles stay fully readable.  Zip members cannot be memory-mapped,
-  so ``mmap=True`` on a v1 bundle silently degrades to an eager load.
-
-Two serializers share both layouts:
+Two serializers share the layout:
 
 * ``native`` — the index implements the :meth:`ANNIndex._export_state` /
   :meth:`ANNIndex._import_state` hooks, splitting itself into JSON-safe
@@ -51,16 +40,16 @@ Two serializers share both layouts:
   *not* overriding the export hooks.  ``mmap=True`` is ineffective for
   pickle bundles — unpickling materialises a private copy anyway.
 
-:class:`ArrayStore` is the read-side abstraction both layouts load
-through: a mapping from array name to ``np.ndarray`` whose ``mode`` is
-either ``"eager"`` (private in-RAM copies) or ``"mmap"`` (read-only
-memory maps opened lazily, v2 only).  Arrays served by an mmap store
-are **read-only**; index classes must treat loaded state as immutable
-and copy-on-write anything they need to change.
+That in-bundle payload, named by a manifest that says so, is the only
+thing ever unpickled: a path that is not a bundle directory (a regular
+file, whatever it holds) is refused with :class:`BundleError`.
 
-``ANNIndex.load`` also accepts a legacy single-file pickle (what
-``save`` wrote before the bundle format existed) when ``path`` is a
-file rather than a directory.
+:class:`ArrayStore` is the read-side abstraction bundles load through:
+a mapping from array name to ``np.ndarray`` whose ``mode`` is either
+``"eager"`` (private in-RAM copies) or ``"mmap"`` (read-only memory
+maps opened lazily).  Arrays served by an mmap store are **read-only**;
+index classes must treat loaded state as immutable and copy-on-write
+anything they need to change.
 
 Errors are reported as :class:`BundleError` (corrupt or missing
 manifest, wrong ``format_version``, unknown registry class, missing
@@ -69,7 +58,6 @@ arrays), so callers can distinguish bad bundles from programming errors.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import pickle
@@ -86,9 +74,7 @@ __all__ = [
     "ArrayStore",
     "BundleError",
     "FORMAT_VERSION",
-    "READABLE_VERSIONS",
     "MANIFEST_NAME",
-    "ARRAYS_NAME",
     "ARRAYS_DIR",
     "bundle_summary",
     "export_index",
@@ -100,16 +86,12 @@ __all__ = [
     "read_manifest",
 ]
 
-#: bump when the bundle layout changes incompatibly
+#: the one bundle layout written and read; bump when it changes incompatibly
 FORMAT_VERSION = 2
-#: every format version this library can still read
-READABLE_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
-#: v1: the single-archive payload
-ARRAYS_NAME = "arrays.npz"
-#: v2: directory of one raw .npy file per array
+#: directory of one raw .npy file per array
 ARRAYS_DIR = "arrays"
-#: npz key holding the pickled index when the fallback serializer is used
+#: array name holding the pickled index when the fallback serializer is used
 PICKLE_KEY = "__pickle__"
 
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]")
@@ -117,6 +99,18 @@ _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]")
 
 class BundleError(RuntimeError):
     """A bundle is corrupt, incomplete, or from an incompatible version."""
+
+
+def _check_version(manifest, source: str) -> None:
+    """Refuse a manifest this library cannot read, before any array is."""
+    if not isinstance(manifest, dict):
+        raise BundleError(f"{source}: manifest must be a JSON object")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise BundleError(
+            f"{source}: unsupported bundle format_version {version!r} "
+            f"(this library reads version {FORMAT_VERSION})"
+        )
 
 
 def json_safe(obj) -> bool:
@@ -188,14 +182,7 @@ def import_index(
     from repro.base import ANNIndex
     from repro.serve.registry import resolve_index_class
 
-    if not isinstance(manifest, dict):
-        raise BundleError(f"{source}: manifest must be a JSON object")
-    version = manifest.get("format_version")
-    if version not in READABLE_VERSIONS:
-        raise BundleError(
-            f"{source}: unsupported bundle format_version {version!r} "
-            f"(this library reads versions {list(READABLE_VERSIONS)})"
-        )
+    _check_version(manifest, source)
     for key in ("class", "serializer", "dim", "metric"):
         if key not in manifest:
             raise BundleError(f"{source}: manifest is missing {key!r}")
@@ -278,8 +265,8 @@ class ArrayStore(Mapping):
 
     ``mode == "eager"``: every array is a private in-RAM copy, loaded up
     front.  ``mode == "mmap"``: arrays are opened on first access as
-    **read-only** ``np.memmap`` views of their ``.npy`` files (v2
-    layouts only) and cached, so iterating names costs nothing and
+    **read-only** ``np.memmap`` views of their ``.npy`` files and
+    cached, so iterating names costs nothing and
     opening an array costs one header read — the payload pages fault in
     lazily and are shared with every other process mapping the bundle.
 
@@ -350,7 +337,7 @@ class ArrayStore(Mapping):
 
 
 def _array_filenames(names) -> Dict[str, str]:
-    """Deterministic, collision-free name -> filename map for v2 writes."""
+    """Deterministic, collision-free name -> filename map for writes."""
     out: Dict[str, str] = {}
     used = set()
     for i, name in enumerate(sorted(names)):
@@ -379,42 +366,31 @@ def _npy_header(fpath: str) -> Tuple[Tuple[int, ...], np.dtype, int]:
         return shape, dtype, f.tell()
 
 
+def _array_index(path: str, manifest: dict) -> dict:
+    array_index = manifest.get("array_index")
+    if not isinstance(array_index, dict):
+        raise BundleError(f"{path}: manifest has no array_index")
+    return array_index
+
+
 def open_array_store(
     path: str, manifest: dict, mmap: bool = False
 ) -> ArrayStore:
-    """Open a bundle directory's arrays as an :class:`ArrayStore`.
-
-    v2 bundles honour ``mmap`` (lazy read-only maps); v1 bundles are
-    zip archives, which cannot be mapped, so ``mmap=True`` silently
-    degrades to an eager load there.
-    """
-    array_index = manifest.get("array_index")
-    if isinstance(array_index, dict):  # v2: per-array .npy files
-        files = {
-            name: entry["file"] for name, entry in array_index.items()
-            if isinstance(entry, dict) and "file" in entry
-        }
-        return ArrayStore(path=path, files=files, mmap=mmap, source=path)
-    # v1: one npz archive, read eagerly.
-    arrays_path = os.path.join(path, ARRAYS_NAME)
-    try:
-        with open(arrays_path, "rb") as f:
-            buffer = io.BytesIO(f.read())
-    except FileNotFoundError:
-        raise BundleError(f"{path}: missing {ARRAYS_NAME}") from None
-    try:
-        with np.load(buffer, allow_pickle=False) as npz:
-            arrays = {key: npz[key] for key in npz.files}
-    except (ValueError, OSError) as exc:
-        raise BundleError(f"{path}: corrupt {ARRAYS_NAME}: {exc}") from None
-    return ArrayStore.eager(arrays)
+    """Open a bundle directory's arrays as an :class:`ArrayStore`
+    (``mmap``: lazy read-only maps instead of in-RAM copies)."""
+    files = {
+        name: entry["file"]
+        for name, entry in _array_index(path, manifest).items()
+        if isinstance(entry, dict) and "file" in entry
+    }
+    return ArrayStore(path=path, files=files, mmap=mmap, source=path)
 
 
 # ----------------------------------------------------------------------
 # File I/O
 # ----------------------------------------------------------------------
 
-def _write_arrays_v2(path: str, arrays: Dict[str, np.ndarray]) -> dict:
+def _write_arrays(path: str, arrays: Dict[str, np.ndarray]) -> dict:
     """Write one raw ``.npy`` per array; returns the manifest array index."""
     arrays_dir = os.path.join(path, ARRAYS_DIR)
     if os.path.isdir(arrays_dir):  # rewrite in place: drop stale members
@@ -436,11 +412,6 @@ def _write_arrays_v2(path: str, arrays: Dict[str, np.ndarray]) -> dict:
             "offset": int(offset),
             "nbytes": int(np.prod(shape, dtype=np.int64)) * dtype.itemsize,
         }
-    # Switching an old v1 bundle directory to v2 in place: drop the npz
-    # so the directory holds exactly one coherent layout.
-    legacy = os.path.join(path, ARRAYS_NAME)
-    if os.path.exists(legacy):
-        os.remove(legacy)
     return index
 
 
@@ -448,7 +419,6 @@ def save_index(
     index: "ANNIndex",
     path: str,
     extra: Optional[dict] = None,
-    format_version: int = FORMAT_VERSION,
 ) -> str:
     """Write ``index`` as a bundle directory at ``path``; returns ``path``.
 
@@ -458,22 +428,8 @@ def save_index(
         extra: optional JSON-safe application metadata stored under the
             manifest's ``"extra"`` key (the CLI records dataset
             provenance here).
-        format_version: ``2`` (default; per-``.npy`` layout, mmap-able)
-            or ``1`` (legacy ``arrays.npz`` layout).  Note that v1 here
-            fixes only the *layout*: indexes whose array schema evolved
-            (e.g. the LCCS family now persists ``csa.*`` instead of
-            ``hash_strings``) still write their current schema, so a v1
-            bundle written by this version feeds this version's reader
-            and the compatibility tests — not necessarily pre-v2
-            library releases.
     """
-    if format_version not in READABLE_VERSIONS:
-        raise ValueError(
-            f"cannot write format_version {format_version!r}; "
-            f"supported: {list(READABLE_VERSIONS)}"
-        )
     manifest, arrays = export_index(index)
-    manifest["format_version"] = int(format_version)
     if extra is not None:
         if not json_safe(extra):
             raise ValueError("extra metadata must be JSON-safe")
@@ -490,14 +446,7 @@ def save_index(
     stale_manifest = os.path.join(path, MANIFEST_NAME)
     if os.path.exists(stale_manifest):
         os.remove(stale_manifest)
-    if format_version >= 2:
-        manifest["array_index"] = _write_arrays_v2(path, arrays)
-    else:
-        with open(os.path.join(path, ARRAYS_NAME), "wb") as f:
-            np.savez(f, **arrays)
-        stale_dir = os.path.join(path, ARRAYS_DIR)
-        if os.path.isdir(stale_dir):
-            shutil.rmtree(stale_dir)
+    manifest["array_index"] = _write_arrays(path, arrays)
     blob = json.dumps(manifest, indent=2, sort_keys=True)
     with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as f:
         f.write(blob + "\n")
@@ -505,7 +454,11 @@ def save_index(
 
 
 def read_manifest(path: str) -> dict:
-    """Parse a bundle's manifest (without loading any arrays)."""
+    """Parse a bundle's manifest (without loading any arrays).
+
+    :class:`BundleError` unless ``path`` is a directory holding a
+    parseable manifest of the format version this library reads.
+    """
     manifest_path = os.path.join(path, MANIFEST_NAME)
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
@@ -514,16 +467,16 @@ def read_manifest(path: str) -> dict:
         raise BundleError(f"{path}: no {MANIFEST_NAME}; not a bundle") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleError(f"{path}: corrupt manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise BundleError(f"{path}: manifest must be a JSON object")
+    _check_version(manifest, path)
     return manifest
 
 
-def _summary_arrays_v2(path: str, manifest: dict) -> list:
-    """Per-array summary rows from a v2 manifest (no payload I/O at all)."""
+def _summary_arrays(path: str, manifest: dict) -> list:
+    """Per-array summary rows from the manifest (no payload I/O at all)."""
+    array_index = _array_index(path, manifest)
     rows = []
-    for name in sorted(manifest["array_index"]):
-        entry = manifest["array_index"][name]
+    for name in sorted(array_index):
+        entry = array_index[name]
         try:
             shape = tuple(int(s) for s in entry["shape"])
             dtype = np.dtype(entry["dtype"])
@@ -551,64 +504,15 @@ def _summary_arrays_v2(path: str, manifest: dict) -> list:
     return rows
 
 
-def _summary_arrays_v1(path: str) -> list:
-    """Per-array summary rows from a v1 npz (header reads only)."""
-    import zipfile
-
-    arrays_path = os.path.join(path, ARRAYS_NAME)
-    try:
-        zf = zipfile.ZipFile(arrays_path)
-    except FileNotFoundError:
-        raise BundleError(f"{path}: missing {ARRAYS_NAME}") from None
-    except zipfile.BadZipFile as exc:
-        raise BundleError(f"{path}: corrupt {ARRAYS_NAME}: {exc}") from None
-    rows = []
-    with zf:
-        for info in sorted(zf.infolist(), key=lambda i: i.filename):
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[: -len(".npy")]
-            try:
-                with zf.open(info) as member:
-                    version = np.lib.format.read_magic(member)
-                    if version == (1, 0):
-                        shape, _, dtype = np.lib.format.read_array_header_1_0(
-                            member
-                        )
-                    elif version == (2, 0):
-                        shape, _, dtype = np.lib.format.read_array_header_2_0(
-                            member
-                        )
-                    else:
-                        raise ValueError(f"npy format {version}")
-            except (ValueError, OSError) as exc:
-                raise BundleError(
-                    f"{path}: unreadable array {name!r}: {exc}"
-                ) from None
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            rows.append(
-                {
-                    "name": name,
-                    "shape": tuple(int(s) for s in shape),
-                    "dtype": str(dtype),
-                    "bytes": nbytes,
-                    "stored_bytes": int(info.compress_size),
-                }
-            )
-    return rows
-
-
 def bundle_summary(path: str) -> dict:
     """Describe a bundle without loading (or unpickling) any arrays.
 
-    Understands both layouts.  For v2 bundles everything comes from the
-    manifest's ``array_index`` (zero payload I/O beyond one ``stat`` per
-    file); for v1 bundles only the *npy headers* inside ``arrays.npz``
-    are read (a few hundred bytes per member), so inspecting a
-    multi-gigabyte bundle is instant either way.  Returns::
+    Everything comes from the manifest's ``array_index`` (zero payload
+    I/O beyond one ``stat`` per file), so inspecting a multi-gigabyte
+    bundle is instant.  Returns::
 
         {
-          "path", "class", "serializer", "format_version", "layout",
+          "path", "class", "serializer", "format_version",
           "library_version", "dim", "metric", "seed", "fitted",
           "build_time", "shards",            # None unless sharded
           "extra",                           # build provenance, if any
@@ -623,13 +527,11 @@ def bundle_summary(path: str) -> dict:
     """
     manifest = read_manifest(path)
     state = manifest.get("state", {})
-    has_index = isinstance(manifest.get("array_index"), dict)
     summary = {
         "path": path,
         "class": manifest.get("class"),
         "serializer": manifest.get("serializer"),
         "format_version": manifest.get("format_version"),
-        "layout": "npy-dir" if has_index else "npz",
         "library_version": manifest.get("library_version"),
         "dim": manifest.get("dim"),
         "metric": manifest.get("metric"),
@@ -638,11 +540,7 @@ def bundle_summary(path: str) -> dict:
         "build_time": manifest.get("build_time"),
         "shards": state.get("num_shards") if isinstance(state, dict) else None,
         "extra": manifest.get("extra"),
-        "arrays": (
-            _summary_arrays_v2(path, manifest)
-            if has_index
-            else _summary_arrays_v1(path)
-        ),
+        "arrays": _summary_arrays(path, manifest),
     }
     summary["total_bytes"] = sum(a["bytes"] for a in summary["arrays"])
     summary["total_stored_bytes"] = sum(
@@ -652,36 +550,24 @@ def bundle_summary(path: str) -> dict:
 
 
 def load_index(path: str, mmap: bool = False) -> "ANNIndex":
-    """Load a bundle directory (or a legacy single-file pickle).
+    """Load a bundle directory.
 
     Args:
-        path: bundle directory, or a pre-bundle pickle file.
-        mmap: open the arrays of a v2 bundle as read-only memory maps
-            instead of reading them into RAM.  The index is servable
-            immediately — array pages fault in on first touch and live
-            in the OS page cache, shared across every process that maps
-            the same bundle.  Ignored (eager load) for v1 bundles,
-            pickle-serialized bundles, and legacy pickle files.
+        path: bundle directory.
+        mmap: open the arrays as read-only memory maps instead of
+            reading them into RAM.  The index is servable immediately —
+            array pages fault in on first touch and live in the OS page
+            cache, shared across every process that maps the same
+            bundle.  Ineffective for pickle-serialized bundles.
 
-    Directories go through the manifest protocol with
-    :class:`BundleError` on any inconsistency.  A plain file is treated
-    as a pre-bundle pickle for backward compatibility (``TypeError`` if
-    it does not contain an index, matching the historical behaviour).
+    Everything goes through the manifest protocol, with
+    :class:`BundleError` on any inconsistency — including a ``path``
+    that is a regular file: nothing outside a bundle is ever unpickled.
 
     Eager and mmap loads reconstruct byte-identical indexes: every
     query answered by an mmap-loaded index returns exactly the ids and
     distances its eager twin would.
     """
-    if os.path.isfile(path):  # legacy single-file pickle
-        with open(path, "rb") as f:
-            index = pickle.load(f)
-        from repro.base import ANNIndex
-
-        if not isinstance(index, ANNIndex):
-            raise TypeError(f"{path} does not contain an ANNIndex")
-        return index
-    if not os.path.isdir(path):
-        raise BundleError(f"{path}: no such bundle")
     manifest = read_manifest(path)
     store = open_array_store(path, manifest, mmap=mmap)
     index = import_index(manifest, store, source=path)
@@ -696,16 +582,15 @@ def load_index(path: str, mmap: bool = False) -> "ANNIndex":
 def load_shard(path: str, shard: int, mmap: bool = False) -> "ANNIndex":
     """Load one shard of a saved :class:`~repro.serve.sharding.ShardedIndex`.
 
-    With a v2 bundle and ``mmap=True`` only the requested shard's
-    arrays are opened (as read-only maps), so a fan-out worker process
-    touches none of the other shards' pages — this is what lets a
-    process pool serve a sharded bundle with one physical copy of the
-    dataset.  v1 bundles still work but read the whole archive.
+    With ``mmap=True`` only the requested shard's arrays are opened (as
+    read-only maps), so a fan-out worker process touches none of the
+    other shards' pages — this is what lets a process pool serve a
+    sharded bundle with one physical copy of the dataset.
 
     Args:
         path: bundle directory holding a fitted ``ShardedIndex``.
         shard: shard number in ``[0, num_shards)``.
-        mmap: open arrays as read-only memory maps (v2 bundles).
+        mmap: open arrays as read-only memory maps.
     """
     manifest = read_manifest(path)
     state = manifest.get("state")

@@ -221,8 +221,7 @@ class ServiceBackend(_Backend):
     Queries go through the service's cache + micro-batcher (its
     ``concurrent.futures`` future is bridged onto the event loop);
     writes and stats run on a small thread pool so a WAL fsync never
-    blocks the loop.  With ``replica_set`` reads fan out to in-process
-    log-shipping replicas (``--replicas``).
+    blocks the loop.
     """
 
     role = "single"
@@ -233,25 +232,17 @@ class ServiceBackend(_Backend):
         default_kwargs: Optional[dict] = None,
         default_k: int = 10,
         durable=None,
-        replica_set=None,
     ):
-        workers = 2
-        if replica_set is not None:
-            workers = max(2, len(replica_set.replicas))
-        super().__init__(default_kwargs, default_k, pool_workers=workers)
+        super().__init__(default_kwargs, default_k)
         self._service = service
         self._durable = durable
-        self._replica_set = replica_set
 
     @property
     def applied_seq(self) -> Optional[int]:
         return None if self._durable is None else self._durable.applied_seq
 
     def query_nowait(self, request: dict, trace=None):
-        """The service future, or ``None`` under ``--replicas`` (replica
-        fan-out blocks on the thread pool: :meth:`query`)."""
-        if self._replica_set is not None:
-            return None
+        """The service future, always: nothing here has to be awaited."""
         q, k, min_version, kwargs = self.parse_query(request)
         # Local reads always reflect every acknowledged write, so a
         # min_version from one of our own write responses is
@@ -267,18 +258,6 @@ class ServiceBackend(_Backend):
             )
         return self._service.query_async(q, k=k, trace=trace, **kwargs)
 
-    async def query(self, request: dict, trace=None) -> dict:
-        q, k, min_version, kwargs = self.parse_query(request)
-        t0 = time.perf_counter()
-        result = await self._in_pool(
-            lambda: self._replica_set.query(
-                q, k=k, min_version=min_version, **kwargs
-            )
-        )
-        if trace is not None:
-            trace.add_span("replica.query", t0, time.perf_counter())
-        return _query_response(result)
-
     def _insert(self, vector, trace):
         return self._service.insert(vector, trace=trace)
 
@@ -292,30 +271,27 @@ class ServiceBackend(_Backend):
         return ack
 
     def _stats(self) -> dict:
-        stats = self._service.stats()
-        if self._replica_set is not None:
-            stats.update(self._replica_set.stats())
-        return stats
+        return self._service.stats()
 
 
 class ReplicaBackend(_Backend):
-    """Prefork-worker backend: mmap replica reads, forwarded writes.
+    """Prefork-worker backend: replica reads, forwarded writes.
 
     Reads go through the worker's own :class:`ANNService` (so
-    cross-connection micro-batching still applies).  With a WAL the
-    worker tails the shared log on a background task and applies new
-    records under the :class:`ConcurrentIndex` write lock
-    (``apply_exclusive``), bumping the version so cached results from
-    before the catch-up become unreachable.  Writes are forwarded over
-    a persistent connection to the primary process; ``min_version``
-    reads wait (bounded) for the log to reach that seq.
+    cross-connection micro-batching and the cache still apply), built
+    on ``replica.index``.  Following the log is the
+    :class:`~repro.serve.durability.Replica`'s job; this class adds
+    what is server-shaped: a background task that calls its
+    ``catch_up`` every ``tail_interval_s``, a bounded wait for
+    ``min_version`` reads, and forwarding of writes over a persistent
+    connection to the primary process.  Without a ``replica`` the
+    worker is read-only (no WAL: nothing to follow, nowhere to write).
     """
 
     def __init__(
         self,
         service,
-        wal_dir: Optional[str] = None,
-        applied_seq: Optional[int] = None,
+        replica=None,
         primary_addr: Optional[Tuple[str, int]] = None,
         default_kwargs: Optional[dict] = None,
         default_k: int = 10,
@@ -323,78 +299,54 @@ class ReplicaBackend(_Backend):
         stale_timeout_s: float = 2.0,
     ):
         super().__init__(default_kwargs, default_k)
+        if replica is not None and service.index is not replica.index:
+            raise ValueError("service must be built on replica.index")
         self._service = service
-        self._reader = None
-        if wal_dir is not None:
-            from repro.serve.durability.wal import WALReader
-
-            self._reader = WALReader(wal_dir, start_seq=int(applied_seq or 0))
-        self.role = "replica" if self._reader is not None else "reader"
-        self.applied_seq = None if applied_seq is None else int(applied_seq)
+        self._replica = replica
+        self.role = "replica" if replica is not None else "reader"
         self._primary_addr = primary_addr
         self._primary: Optional[AsyncServeClient] = None
         self._primary_lock: Optional[asyncio.Lock] = None
         self._tail_interval = float(tail_interval_s)
         self._stale_timeout = float(stale_timeout_s)
-        self._tail_lock = threading.Lock()
         self._tail_task: Optional[asyncio.Task] = None
+
+    @property
+    def applied_seq(self) -> Optional[int]:
+        return None if self._replica is None else self._replica.applied_seq
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         """Launch the background WAL tailing task (if there is a WAL)."""
-        if self._reader is not None and self._tail_task is None:
+        if self._replica is not None and self._tail_task is None:
             self._tail_task = loop.create_task(self._tail_loop())
 
     async def _tail_loop(self) -> None:
         while True:
             await asyncio.sleep(self._tail_interval)
             try:
-                await self._catch_up()
+                await self._in_pool(self._replica.catch_up)
             except Exception:  # transient log race; next tick retries
                 continue
 
-    async def _catch_up(self) -> None:
-        await self._in_pool(self._poll_apply)
-
-    def _poll_apply(self) -> None:
-        from repro.serve.durability.wal import apply_op
-
-        with self._tail_lock:
-            ops = self._reader.poll()
-            if not ops:
-                return
-
-            def apply_all(index):
-                for _, op in ops:
-                    apply_op(index, op)
-
-            # One exclusive critical section for the whole batch: one
-            # version bump, so version-keyed cache entries from before
-            # the catch-up are unreachable afterwards.
-            self._service.index.apply_exclusive(apply_all)
-            self.applied_seq = int(ops[-1][0]) + 1
-
-    async def _ensure_seq(self, min_version: int) -> None:
-        if self.applied_seq is not None and self.applied_seq >= min_version:
-            return
-        if self._reader is None:
+    async def _wait_for(self, min_version: int) -> None:
+        """Poll the log until it reaches ``min_version``, at most
+        ``stale_timeout_s``; then the replica's ``StaleReadError``."""
+        if self._replica is None:
             raise RuntimeError(
                 "min_version requires --wal-dir (read-only worker has no "
                 "log to wait on)"
             )
+        from repro.serve.durability import StaleReadError
+
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self._stale_timeout
-        while True:
-            await self._catch_up()
-            if self.applied_seq is not None and self.applied_seq >= min_version:
-                return
-            if loop.time() >= deadline:
-                from repro.serve.durability import StaleReadError
-
-                raise StaleReadError(
-                    f"worker replica is at seq {self.applied_seq}; the log "
-                    f"does not (yet) reach min_version={min_version}"
-                )
-            await asyncio.sleep(0.005)
+        while self._replica.applied_seq < min_version:
+            try:
+                await self._in_pool(lambda: self._replica.ensure(min_version))
+            except StaleReadError:
+                if loop.time() >= deadline:
+                    raise
+                await asyncio.sleep(0.005)
 
     def query_nowait(self, request: dict, trace=None):
         """The service future for a query that needs no catch-up, else
@@ -409,7 +361,7 @@ class ReplicaBackend(_Backend):
         q, k, min_version, kwargs = self.parse_query(request)
         if min_version is not None:
             t0 = time.perf_counter()
-            await self._ensure_seq(min_version)
+            await self._wait_for(min_version)
             if trace is not None:
                 trace.add_span(
                     "replica.catchup", t0, time.perf_counter(),
@@ -449,9 +401,9 @@ class ReplicaBackend(_Backend):
                     continue
                 # Pull the write home eagerly so even min_version-less
                 # follow-up reads usually see it without a tail tick.
-                if "error" not in response and self._reader is not None:
+                if "error" not in response and self._replica is not None:
                     with contextlib.suppress(Exception):
-                        await self._catch_up()
+                        await self._in_pool(self._replica.catch_up)
                 return response
             raise ConnectionError(
                 f"cannot reach primary at {self._primary_addr}: {last_exc}"
@@ -460,7 +412,12 @@ class ReplicaBackend(_Backend):
     insert = delete = _forward  # the primary applies and acknowledges both
 
     def _stats(self) -> dict:
-        return self._service.stats()
+        stats = self._service.stats()
+        if self._replica is not None:
+            stats.update(
+                {f"replica_{k}": v for k, v in self._replica.stats().items()}
+            )
+        return stats
 
     async def aclose(self) -> None:
         if self._tail_task is not None:
@@ -1062,7 +1019,6 @@ class ServerConfig:
     fsync: str = "always"
     snapshot_every: int = 500
     snapshot_keep: int = 3
-    replicas: int = 0
     tail_interval_ms: float = 50.0
     #: trace 1 in N requests (0 disables tracing; 1 traces everything)
     trace_sample: int = 0
@@ -1174,23 +1130,14 @@ def run_server(config: ServerConfig, connect=None) -> int:
 # -- single process ----------------------------------------------------
 
 def _run_single(config: ServerConfig, connect=None) -> int:
-    from repro.serve.durability import ReplicaSet
     from repro.serve.persistence import load_index
     from repro.serve.service import ANNService
 
-    if config.replicas > 0 and not config.wal_dir:
-        _log("--replicas requires --wal-dir (replicas tail the WAL)")
-        return 2
     default_kwargs = _default_query_kwargs(config.bundle)
     obs_spool = _configure_obs(config)
-    durable = replica_set = None
+    durable = None
     if config.wal_dir:
         index = durable = _open_durable(config)
-        if config.replicas > 0:
-            replica_set = ReplicaSet(
-                durable, num_replicas=config.replicas, mmap=config.mmap
-            )
-            replica_set.start_tailing(config.tail_interval_ms / 1e3)
     else:
         index = load_index(config.bundle, mmap=config.mmap)
 
@@ -1204,7 +1151,6 @@ def _run_single(config: ServerConfig, connect=None) -> int:
         default_kwargs=default_kwargs,
         default_k=config.k,
         durable=durable,
-        replica_set=replica_set,
     )
 
     async def main() -> int:
@@ -1240,8 +1186,6 @@ def _run_single(config: ServerConfig, connect=None) -> int:
     finally:
         _dump_slow_log(config)
         service.close()
-        if replica_set is not None:
-            replica_set.close()
         if durable is not None:
             durable.close()
             _log(f"WAL at {config.wal_dir}: seq={durable.applied_seq}")
@@ -1279,17 +1223,16 @@ async def _worker_async(
 
     default_kwargs = _default_query_kwargs(config.bundle)
     obs_spool = _configure_obs(config)
-    applied_seq = None
+    replica = None
     if config.wal_dir:
-        from repro.serve.durability import recover
+        from repro.serve.durability import Replica
 
         # Bootstrap as a log-shipping replica: the primary's baseline
         # snapshot (taken before the fork) plus a log-suffix replay.
         # mmap=True keeps the snapshot's arrays one physical copy
         # shared by every worker on the machine.
-        result = recover(config.wal_dir, mmap=config.mmap)
-        index = result.index
-        applied_seq = int(result.applied_seq)
+        replica = Replica(config.wal_dir, mmap=config.mmap)
+        index = replica.index
     else:
         index = load_index(config.bundle, mmap=config.mmap)
     service = ANNService(
@@ -1299,8 +1242,7 @@ async def _worker_async(
     )
     backend = ReplicaBackend(
         service,
-        wal_dir=config.wal_dir,
-        applied_seq=applied_seq,
+        replica=replica,
         primary_addr=(
             None if write_port is None else ("127.0.0.1", write_port)
         ),

@@ -151,7 +151,7 @@ def _query_shard_from_bundle(
 
     The shard is identified by ``(bundle_path, shard)`` rather than
     shipped as a pickled index, so the parent never serializes the
-    dataset.  With an mmap-capable (v2) bundle each worker opens only
+    dataset.  With ``mmap`` each worker opens only
     its own shard's arrays as read-only maps — every worker on the
     machine shares the same physical page-cache copy of the index.
     Loaded shards are cached per process, so only the first call pays

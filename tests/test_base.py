@@ -5,6 +5,7 @@ import pytest
 
 from repro.base import ANNIndex
 from repro.baselines import LinearScan
+from repro.serve import BundleError
 
 
 class _Dummy(ANNIndex):
@@ -81,5 +82,5 @@ def test_save_load_type_check(tmp_path):
     path = tmp_path / "junk.pkl"
     with open(path, "wb") as f:
         pickle.dump({"not": "an index"}, f)
-    with pytest.raises(TypeError):
+    with pytest.raises(BundleError, match="not a bundle"):
         ANNIndex.load(str(path))

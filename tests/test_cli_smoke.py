@@ -84,7 +84,6 @@ def test_inspect_describes_the_bundle(bundle, capsys):
     assert main(["inspect", bundle]) == 0
     out = capsys.readouterr().out
     assert "ShardedIndex" in out
-    assert "npy-dir" in out
     assert "shard0.csa.sorted_idx" in out
     assert main(["inspect", bundle, "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)

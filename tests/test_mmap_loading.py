@@ -8,8 +8,6 @@ The storage-engine contract this file pins down:
   Sharded indexes, including after ``insert``/``delete``-then-rebuild
   on the loaded copies (copy-on-write promotion).
 * mmap-loaded arrays are read-only; the index never writes into them.
-* format-v1 bundles (``arrays.npz``) and legacy single-file pickles
-  still load and answer identically (``mmap=True`` degrades to eager).
 * ``load_shard`` opens a single shard of a sharded bundle, and the
   process fan-out path answers byte-identically to in-process fan-out.
 """
@@ -33,7 +31,6 @@ from repro.serve import (
     read_manifest,
     save_index,
 )
-from repro.serve.persistence import bundle_summary
 
 DIM = 12
 SEED = 7
@@ -206,51 +203,15 @@ def test_property_eager_mmap_identical(
 
 
 # ----------------------------------------------------------------------
-# Regression: v1 bundles and legacy pickles still load
+# Torn writes
 # ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("mmap", [False, True])
-def test_v1_bundle_still_loads(tmp_path, workload, mmap):
-    data, queries = workload
-    index = LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED).fit(data)
-    path = str(tmp_path / "v1bundle")
-    save_index(index, path, format_version=1)
-    assert read_manifest(path)["format_version"] == 1
-    assert os.path.exists(os.path.join(path, "arrays.npz"))
-    # mmap degrades to an eager load on the zip layout — same answers.
-    loaded = load_index(path, mmap=mmap)
-    assert_same_answers(index, loaded, queries)
-
-
-def test_v1_pickle_fallback_bundle_still_loads(tmp_path, workload):
-    from repro.baselines import C2LSH
-
-    data, queries = workload
-    index = C2LSH(dim=DIM, m=8, l=2, w=2.0, beta=0.1, seed=SEED).fit(data)
-    path = str(tmp_path / "v1pickle")
-    save_index(index, path, format_version=1)
-    loaded = load_index(path, mmap=True)
-    assert_same_answers(index, loaded, queries)
-
-
-def test_legacy_single_file_pickle_still_loads(tmp_path, workload):
-    import pickle
-
-    data, queries = workload
-    index = LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED).fit(data)
-    path = str(tmp_path / "legacy.pkl")
-    with open(path, "wb") as f:
-        pickle.dump(index, f)
-    loaded = load_index(str(path), mmap=True)  # mmap is a no-op for files
-    assert_same_answers(index, loaded, queries)
-
 
 def test_torn_resave_leaves_no_parseable_manifest(tmp_path, workload):
     """An in-place re-save drops the stale manifest before touching the
     arrays, so a crash mid-rewrite yields BundleError — never a load
     that silently pairs the old manifest with new payloads."""
     from repro.serve import BundleError
-    from repro.serve.persistence import _write_arrays_v2, export_index
+    from repro.serve.persistence import _write_arrays, export_index
 
     data, _ = workload
     path = str(tmp_path / "bundle")
@@ -259,27 +220,9 @@ def test_torn_resave_leaves_no_parseable_manifest(tmp_path, workload):
     # arrays written, manifest never rewritten.
     os.remove(os.path.join(path, "manifest.json"))
     other = LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED + 1).fit(data)
-    _write_arrays_v2(path, export_index(other)[1])
+    _write_arrays(path, export_index(other)[1])
     with pytest.raises(BundleError, match="not a bundle"):
         load_index(path)
-
-
-def test_bundle_summary_reports_both_layouts(tmp_path, workload):
-    data, _ = workload
-    index = LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED).fit(data)
-    v1 = str(tmp_path / "v1")
-    v2 = str(tmp_path / "v2")
-    save_index(index, v1, format_version=1)
-    save_index(index, v2)
-    s1, s2 = bundle_summary(v1), bundle_summary(v2)
-    assert (s1["format_version"], s1["layout"]) == (1, "npz")
-    assert (s2["format_version"], s2["layout"]) == (2, "npy-dir")
-    names1 = {a["name"] for a in s1["arrays"]}
-    names2 = {a["name"] for a in s2["arrays"]}
-    assert names1 == names2
-    by2 = {a["name"]: a for a in s2["arrays"]}
-    assert by2["data"]["shape"] == (len(data), DIM)
-    assert by2["data"]["bytes"] == data.nbytes
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +339,7 @@ def test_process_fanout_from_bundle_identical(tmp_path, workload):
 # ----------------------------------------------------------------------
 
 def test_recover_and_replica_mmap_identical(tmp_path, workload):
-    from repro.serve import DurableIndex, ReplicaSet, SnapshotManager, recover
+    from repro.serve import DurableIndex, Replica, SnapshotManager, recover
 
     data, queries = workload
     wal_dir = str(tmp_path / "wal")
@@ -417,10 +360,13 @@ def test_recover_and_replica_mmap_identical(tmp_path, workload):
     assert_same_answers(eager.index, mapped.index, queries)
     assert_same_answers(primary.inner, mapped.index, queries)
 
-    with ReplicaSet(primary, num_replicas=2, mmap=True) as rs:
-        handle, seq = rs.insert(rng.normal(size=DIM))
-        ids, dists = rs.query(queries[0], k=5, min_version=seq)
-        primary_ids, primary_dists = primary.inner.query(queries[0], k=5)
-        assert ids.tolist() == primary_ids.tolist()
-        assert dists.tolist() == primary_dists.tolist()
+    replica = Replica(wal_dir, mmap=True)
+    primary.insert(rng.normal(size=DIM))
+    ids, dists = replica.batch_query(
+        queries, k=5, min_version=primary.applied_seq
+    )
+    primary_ids, primary_dists = primary.inner.batch_query(queries, k=5)
+    assert ids.tobytes() == primary_ids.tobytes()
+    assert dists.tobytes() == primary_dists.tobytes()
+    assert_same_answers(primary.inner, replica.index.inner, queries)
     primary.close()

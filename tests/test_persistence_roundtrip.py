@@ -224,7 +224,6 @@ def test_cli_inspect_prints_manifest_and_arrays(tmp_path, workload, capsys):
     out = capsys.readouterr().out
     assert "LCCSLSH" in out
     assert "csa.sorted_idx" in out
-    assert "npy-dir" in out  # v2 layout reported
     assert "150x16" in out  # the data payload's shape
     # JSON mode emits the machine-readable summary.
     assert main(["inspect", path, "--json"]) == 0
@@ -286,14 +285,22 @@ def test_missing_arrays_raises(bundle):
         load_index(bundle)
 
 
-def test_missing_arrays_npz_raises_v1(bundle, tmp_path, workload):
-    data, _ = workload
-    index = LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED).fit(data)
-    path = str(tmp_path / "v1bundle")
-    save_index(index, path, format_version=1)
-    os.remove(os.path.join(path, "arrays.npz"))
-    with pytest.raises(BundleError, match="arrays.npz"):
-        load_index(path)
+def test_v1_manifest_is_refused_before_any_array_is_opened(tmp_path):
+    """What a v1 writer left behind: a manifest without ``array_index``
+    next to an archive.  The version decides, not a missing file."""
+    from repro.serve.persistence import bundle_summary
+
+    path = tmp_path / "v1bundle"
+    path.mkdir()
+    (path / "manifest.json").write_text(json.dumps({
+        "format_version": 1, "class": "LCCSLSH", "serializer": "native",
+        "dim": DIM, "metric": "euclidean", "seed": SEED, "fitted": True,
+        "state": {}, "array_names": [],
+    }))
+    (path / "arrays.npz").write_bytes(b"never opened")
+    for opener in (load_index, read_manifest, bundle_summary):
+        with pytest.raises(BundleError, match="unsupported bundle format_version 1"):
+            opener(str(path))
 
 
 def test_missing_manifest_raises(bundle):
@@ -303,12 +310,12 @@ def test_missing_manifest_raises(bundle):
 
 
 def test_nonexistent_path_raises(tmp_path):
-    with pytest.raises(BundleError, match="no such bundle"):
+    with pytest.raises(BundleError, match="not a bundle"):
         load_index(str(tmp_path / "nope"))
 
 
 def test_read_manifest_on_plain_file_raises(tmp_path):
-    """A legacy pickle (or any file) is cleanly 'not a bundle'."""
+    """A pickle (or any file) is cleanly 'not a bundle'."""
     path = tmp_path / "legacy.pkl"
     path.write_bytes(b"\x80\x04N.")
     with pytest.raises(BundleError, match="not a bundle"):
@@ -337,24 +344,32 @@ def test_save_refuses_file_path(bundle, tmp_path, workload):
 
 
 # ----------------------------------------------------------------------
-# Legacy single-file pickles stay loadable
+# A regular file is never unpickled
 # ----------------------------------------------------------------------
 
-def test_legacy_pickle_file_roundtrip(tmp_path, workload):
-    data, q = workload
-    index = LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED).fit(data)
-    want = index.query(q, k=5)
-    path = tmp_path / "legacy.pkl"
-    with open(path, "wb") as f:
-        pickle.dump(index, f)
-    loaded = load_index(str(path))
-    got = loaded.query(q, k=5)
-    assert got[0].tolist() == want[0].tolist()
+class _TouchOnUnpickle:
+    """Unpickling an instance creates ``path`` (via ``__reduce__``)."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
-def test_legacy_pickle_type_check(tmp_path):
-    path = tmp_path / "junk.pkl"
-    with open(path, "wb") as f:
-        pickle.dump({"not": "an index"}, f)
-    with pytest.raises(TypeError):
-        load_index(str(path))
+def test_pickle_file_is_refused_without_unpickling(tmp_path, capsys):
+    from repro import ANNIndex
+    from repro.cli import main
+
+    sentinel = tmp_path / "unpickled"
+    path = tmp_path / "index.pkl"
+    path.write_bytes(pickle.dumps(_TouchOnUnpickle(str(sentinel))))
+    for load in (load_index, ANNIndex.load):
+        with pytest.raises(BundleError, match="not a bundle"):
+            load(str(path))
+    for argv in (["query"], ["serve"], ["inspect"]):
+        assert main(argv + [str(path)]) == 2
+        assert "not a bundle" in capsys.readouterr().err
+    assert not sentinel.exists()
+    pickle.loads(path.read_bytes()).close()  # the payload was live
+    assert sentinel.exists()

@@ -62,16 +62,21 @@ def test_verify_dominates_at_alpha_zero(clustered):
 
 
 # ----------------------------------------------------------------------
-# CSA npz persistence
+# CSA persistence: export_arrays -> (an npz, here) -> from_arrays
 # ----------------------------------------------------------------------
+
+def _through_npz(path, **arrays):
+    np.savez_compressed(path, **arrays)
+    with np.load(path) as payload:
+        return CircularShiftArray.from_arrays(dict(payload), source=path)
+
 
 def test_csa_npz_roundtrip(tmp_path, rng):
     strings = rng.integers(0, 5, size=(50, 8))
     csa = CircularShiftArray(strings)
-    path = str(tmp_path / "csa.npz")
-    csa.save_npz(path)
-    loaded = CircularShiftArray.load_npz(path)
+    loaded = _through_npz(str(tmp_path / "csa.npz"), **csa.export_arrays())
     assert loaded.n == csa.n and loaded.m == csa.m
+    assert np.array_equal(loaded.strings, strings)
     assert np.array_equal(loaded.sorted_idx, csa.sorted_idx)
     assert np.array_equal(loaded.next_link, csa.next_link)
     q = rng.integers(0, 5, size=8)
@@ -83,19 +88,20 @@ def test_csa_npz_roundtrip(tmp_path, rng):
 
 def test_csa_npz_rejects_corrupt(tmp_path, rng):
     strings = rng.integers(0, 5, size=(10, 4))
-    csa = CircularShiftArray(strings)
-    # missing arrays
-    path = str(tmp_path / "bad.npz")
-    np.savez_compressed(path, strings=csa.strings)
+    arrays = CircularShiftArray(strings).export_arrays()
+    # missing arrays (the pre-``doubled`` ``strings`` layout included)
     with pytest.raises(ValueError, match="missing"):
-        CircularShiftArray.load_npz(path)
+        _through_npz(str(tmp_path / "bad.npz"), doubled=arrays["doubled"])
+    with pytest.raises(ValueError, match="missing array 'doubled'"):
+        _through_npz(
+            str(tmp_path / "old.npz"),
+            strings=strings,
+            sorted_idx=arrays["sorted_idx"],
+            next_link=arrays["next_link"],
+        )
     # inconsistent shapes
-    path2 = str(tmp_path / "bad2.npz")
-    np.savez_compressed(
-        path2,
-        strings=csa.strings,
-        sorted_idx=csa.sorted_idx[:, :5],
-        next_link=csa.next_link,
-    )
     with pytest.raises(ValueError, match="inconsistent"):
-        CircularShiftArray.load_npz(path2)
+        _through_npz(
+            str(tmp_path / "bad2.npz"),
+            **{**arrays, "sorted_idx": arrays["sorted_idx"][:, :5]},
+        )

@@ -274,48 +274,41 @@ def test_stream_longer_than_max_inflight_is_never_shed(
         assert response["dists"] == want_dists.tolist()
 
 
-def test_redirected_file_with_wal_and_replicas(bundle, tmp_path):
+def test_redirected_file_with_wal_serves_min_version(bundle, tmp_path):
     """Subprocess, stdin redirected from a *regular file* (no readiness
-    to poll): ``--wal-dir --replicas`` serve ``min_version`` reads, and a
-    second run resumes from the recovered WAL state."""
+    to poll): a second ``--wal-dir`` run resumes from the recovered WAL
+    state and serves ``min_version`` reads against it — at once when the
+    log already reaches that seq, as an error line when it does not."""
     rng = np.random.default_rng(2)
     vector = rng.normal(size=DIM).tolist()
-    requests = tmp_path / "requests.jsonl"
-    requests.write_text(
-        "\n".join(
-            [
-                json.dumps({"insert": vector}),
-                json.dumps({"query": vector, "k": 1, "min_version": 1}),
-                json.dumps({"stats": True}),
-            ]
-        )
-        + "\n"
-    )
+    insert, stats = {"insert": vector}, {"stats": True}
+    read = {"query": vector, "k": 1, "min_version": 1}
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
     command = [
         sys.executable, "-m", "repro.cli", "serve", bundle,
-        "--wal-dir", str(tmp_path / "wal"), "--replicas", "1",
-        "--tail-interval-ms", "5",
+        "--wal-dir", str(tmp_path / "wal"),
     ]
-    handles = []
-    for run in range(2):
+    runs = []
+    for lines in ([insert, stats], [read, {**read, "min_version": 99}, insert, stats]):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("".join(json.dumps(line) + "\n" for line in lines))
         with open(requests) as stdin:
             proc = subprocess.run(
                 command, stdin=stdin, capture_output=True, text=True,
                 env=env, timeout=120,
             )
         assert proc.returncode == 0, proc.stderr
-        assert "served 3 responses" in proc.stderr
-        assert ("recovered WAL state" in proc.stderr) == (run == 1)
-        inserted, read, stats = map(json.loads, proc.stdout.splitlines())
-        assert inserted["seq"] == run + 1
-        handles.append(inserted["handle"])
-        # run 1's min_version=1 is long satisfied; either way the read
-        # sees every copy of the vector inserted so far, at distance 0
-        assert read["dists"] == [0.0] and read["ids"][0] in handles
-        assert stats["stats"]["applied_seq"] == run + 1
-        assert stats["stats"]["replicas"] == 1
-    assert handles == [300, 301]
+        assert f"served {len(lines)} responses" in proc.stderr
+        assert ("recovered WAL state" in proc.stderr) == bool(runs)
+        runs.append([json.loads(line) for line in proc.stdout.splitlines()])
+    (first, stats0), (seen, ahead, second, stats1) = runs
+    assert (first["handle"], first["seq"]) == (300, 1)
+    assert stats0["stats"]["applied_seq"] == 1
+    # the first run's acknowledged write, read back through its seq
+    assert (seen["ids"], seen["dists"]) == ([300], [0.0])
+    assert "ahead of the log" in ahead["error"]
+    assert (second["handle"], second["seq"]) == (301, 2)
+    assert stats1["stats"]["applied_seq"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import DynamicLCCSLSH, IndexSpec
 from repro.serve import DurableIndex, WALError, recover
-from repro.serve.durability.replica import ReplicaSet
+from repro.serve.durability.replica import Replica
 from repro.serve.durability.wal import (
     OP_COMPACT,
     OP_SEAL,
@@ -232,28 +232,31 @@ def test_replicas_track_tier_shape_through_compactions(tmp_path):
     wal_dir = str(tmp_path / "wal")
     primary = DurableIndex(SPEC.build(), wal_dir, spec=SPEC)
     primary.fit(rng.normal(size=(15, DIM)))
-    with ReplicaSet(primary, num_replicas=2) as rs:
-        seq = 0
-        for i, v in enumerate(rng.normal(size=(30, DIM))):
-            _, seq = rs.insert(v)
-            if i % 9 == 8:
-                primary.flush()
-                primary.compact()
-                seq = primary.applied_seq
-        primary.wal.sync()
-        assert primary.inner.compactions >= 1
-        rs.catch_up_all()
-        queries = queries_for(4)
-        for replica in rs.replicas:
-            assert_same_tier_shape(replica.index, primary.inner)
-            assert_identical_answers(replica.index, primary.inner, queries)
-        # read-your-writes through the round-robin front door
-        cap = max(primary.inner.n, 1)
+    replicas = [Replica(wal_dir), Replica(wal_dir)]
+    for i, v in enumerate(rng.normal(size=(30, DIM))):
+        primary.insert(v)
+        if i % 9 == 8:
+            primary.flush()
+            primary.compact()
+        if i == 13:
+            replicas[1].catch_up()  # one follower polls mid-stream too
+    primary.wal.sync()
+    assert primary.inner.compactions >= 1
+    queries = queries_for(4)
+    cap = max(primary.inner.n, 1)
+    for replica in replicas:
+        replica.catch_up()
+        assert_same_tier_shape(replica.index.inner, primary.inner)
+        assert_identical_answers(replica.index.inner, primary.inner, queries)
+        # read-your-writes through the replica's own front door
         for q in queries:
-            ids, dists = rs.query(q, k=5, min_version=seq, num_candidates=cap)
+            ids, dists = replica.query(
+                q, k=5, min_version=primary.applied_seq, num_candidates=cap
+            )
             pids, pdists = primary.inner.query(q, k=5, num_candidates=cap)
             assert ids.tobytes() == pids.tobytes()
             assert dists.tobytes() == pdists.tobytes()
+    primary.close()
 
 
 def test_background_compaction_is_logged_before_visible(tmp_path):
