@@ -945,15 +945,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-segments", type=int, default=None,
-        help="(--method dynamic) compact once the sealed segment count "
-        "exceeds this (default 4)",
+        help="(--method dynamic) hard cap on sealed segments (default 4); "
+        "the size-tiered policy usually merges well before it binds",
     )
     p.add_argument(
-        "--compaction", choices=("inline", "background", "rebuild"),
+        "--compaction", choices=("inline", "background"),
         default=None,
-        help="(--method dynamic) segment merge strategy: inline "
-        "(deterministic, default), background (off the write path), or "
-        "rebuild (legacy full O(n) rebuild per seal)",
+        help="(--method dynamic) where the size-tiered segment merges "
+        "run: inline (deterministic, default) or background (off the "
+        "write path)",
     )
     p.add_argument("--seed", type=int, default=42)
     _add_backend_arg(p)

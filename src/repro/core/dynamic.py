@@ -15,17 +15,20 @@ updates, so this wrapper applies the LSM recipe on top of it:
   merge through the same canonical ``(distance, handle)`` order the
   sharded fan-out path uses, so under candidate saturation results are
   byte-identical to a single index built over the whole live set;
-* segments are **merge-compacted** back into one — inline by default
-  (deterministic in op order), or on a background thread
-  (``compaction="background"``) that builds the merged CSA off the
-  write path and publishes it via the usual atomic epoch swap, with the
-  merge sequenced through the WAL (``seal``/``compact`` records) so
+* segments are **size-tiered** (:func:`repro.core.segments.merge_range`):
+  a seal merges the newest segments while the one before them is under
+  twice their rows, so the stack stays ``O(log(n / memtable))`` deep and
+  the big base is rewritten only once the data beside it rivals it —
+  inline by default (deterministic in op order), or on a background
+  thread (``compaction="background"``) that builds the merged CSA off
+  the write path and publishes it via the usual atomic epoch swap, with
+  the merge sequenced through the WAL (``seal``/``compact`` records) so
   crash recovery and log-tailing replicas stay byte-exact.
 
 This is an extension beyond the paper (which evaluates static indexes);
 it exercises the same public machinery and shows the cost model: queries
-pay ``O(|memtable| * d)`` plus one extra CSA probe per segment until the
-next compaction, and writers never stall on an O(n) rebuild.
+pay ``O(|memtable| * d)`` plus one CSA probe per segment, and a write
+costs what was written — ``O(log)`` rebuilds per sealed row, never O(n).
 
 **Interleaving discipline.**  All of the segment/memtable/tombstone
 bookkeeping lives in one :class:`_DynState` object published with a
@@ -53,33 +56,36 @@ import numpy as np
 
 from repro.base import ANNIndex
 from repro.core.lccs_lsh import LCCSLSH
-from repro.core.segments import CompactionManager, Segment, merge_segments
+from repro.core.segments import (
+    CompactionManager,
+    Segment,
+    merge_range,
+    merge_segments,
+)
 from repro.distances import pairwise, pairwise_rows
 from repro.obs.tracing import span as obs_span
 
 __all__ = ["DynamicLCCSLSH"]
 
-_COMPACT_HIST = None
 
+def _observe_structural(kind: str, duration_s: float) -> None:
+    """Record one structural op in the duration-by-kind histogram.
 
-def _compact_hist():
-    """Lazy handle: structural-op duration histogram by kind.
-
-    Lazy so importing the core index never forces the registry module;
-    the handle is process-wide (the registry dedupes by name).
+    Imported lazily so the core index never forces the registry module;
+    never allowed to break the write path or a background build.
     """
-    global _COMPACT_HIST
-    if _COMPACT_HIST is None:
+    try:
         from repro.obs.metrics import get_registry
 
-        _COMPACT_HIST = get_registry().histogram(
+        get_registry().histogram(
             "repro_compaction_seconds",
             "LSM structural-op duration by kind (seconds)",
-        )
-    return _COMPACT_HIST
+        ).observe(duration_s, kind=kind)
+    except Exception:
+        pass
 
 #: accepted compaction strategies (see :class:`DynamicLCCSLSH`)
-_COMPACTION_MODES = ("inline", "background", "rebuild")
+_COMPACTION_MODES = ("inline", "background")
 
 
 class _DynState:
@@ -116,15 +122,14 @@ class DynamicLCCSLSH(ANNIndex):
             fraction of the indexed (segment) rows (default 0.2).
         memtable_size: absolute memtable row budget; when given it
             replaces the relative ``rebuild_threshold`` seal rule.
-        max_segments: compact back to one segment once the sealed
-            segment count exceeds this (default 4).
+        max_segments: hard cap on the sealed segment count (default 4);
+            the size-tiered policy merges further than its 2x rule asks
+            when the stack would otherwise exceed it.
         compaction: ``"inline"`` (default) merges synchronously on the
             write path — deterministic in op order; ``"background"``
             builds the merged segment on a helper thread and commits it
             at the end of a later write op (sequenced through the WAL
-            when wrapped in a ``DurableIndex``); ``"rebuild"`` restores
-            the legacy behavior — every seal is a full O(n) rebuild —
-            and exists as the benchmark baseline.
+            when wrapped in a ``DurableIndex``).
         (other arguments forwarded to :class:`LCCSLSH`)
 
     Point ids are *stable handles*: the id returned by :meth:`insert`
@@ -155,6 +160,10 @@ class DynamicLCCSLSH(ANNIndex):
             raise ValueError("memtable_size must be >= 1")
         if int(max_segments) < 1:
             raise ValueError("max_segments must be >= 1")
+        if compaction == "rebuild":
+            # removed mode (every seal a full rebuild) still named by
+            # recipes persisted before PR 23: same answers, tiered writes
+            compaction = "inline"
         if compaction not in _COMPACTION_MODES:
             raise ValueError(
                 f"compaction must be one of {_COMPACTION_MODES}, got {compaction!r}"
@@ -178,11 +187,13 @@ class DynamicLCCSLSH(ANNIndex):
         self.seals = 0
         #: segment merges committed (inline, background, or replayed)
         self.compactions = 0
+        #: rows indexed by seals, merges and GC rebuilds since fit
+        self.rows_rebuilt = 0
         #: background builds that died with an exception
         self.compaction_errors = 0
         #: total write-path seconds spent in structural ops (seal /
         #: inline compaction / rebuild) and the most recent one's cost —
-        #: the stall the LSM design exists to bound
+        #: the stall the LSM design exists to bound (fit is not one)
         self.compaction_time_s = 0.0
         self.last_compaction_s = 0.0
         self._compactor = CompactionManager()
@@ -198,10 +209,6 @@ class DynamicLCCSLSH(ANNIndex):
     # Epoch-state accessors (kept for persistence and inspection; always
     # read them through one `state = self._state` snapshot in hot paths)
     # ------------------------------------------------------------------
-
-    @property
-    def _buffer_handles(self) -> List[int]:
-        return self._state.buffer
 
     @property
     def _dead(self) -> set:
@@ -242,6 +249,7 @@ class DynamicLCCSLSH(ANNIndex):
             "compaction": self.compaction,
             "seals": int(self.seals),
             "compactions": int(self.compactions),
+            "rows_rebuilt": int(self.rows_rebuilt),
             "compaction_errors": int(self.compaction_errors),
             "rebuilds": int(self.rebuilds),
             "pending_compaction": self._compactor.busy,
@@ -255,9 +263,9 @@ class DynamicLCCSLSH(ANNIndex):
         Called *before* the corresponding epoch swap, on the write path,
         so a durability wrapper can append the WAL record first
         (log-then-apply).  ``kind`` is ``"seal"`` (payload: store size at
-        the seal point) or ``"compact"`` (payload: ``(j, dropped)`` — the
-        number of head segments merged and the tombstoned handles the
-        merge excluded).
+        the seal point) or ``"compact"`` (payload: ``(start, stop,
+        dropped)`` — the range of the segment stack merged and the
+        tombstoned handles the merge excluded).
         """
         self._listener = listener
 
@@ -308,6 +316,8 @@ class DynamicLCCSLSH(ANNIndex):
         handles = list(range(len(data)))
         self._state = _DynState((), handles, set(handles), set())
         self._rebuild()
+        self.compaction_time_s = self.last_compaction_s = 0.0
+        self.rows_rebuilt = 0
 
     def _rebuild(self) -> None:
         """Full compaction: rebuild ONE CSA over the live set and swap.
@@ -322,27 +332,17 @@ class DynamicLCCSLSH(ANNIndex):
         t0 = time.perf_counter()
         with obs_span("lsm.rebuild"):
             old = self._state
-            parts = [seg.handles for seg in old.segments]
-            if old.buffer:
-                parts.append(np.asarray(old.buffer, dtype=np.int64))
-            live = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            )
-            if old.dead and len(live):
-                dead_arr = np.fromiter(
-                    old.dead, dtype=np.int64, count=len(old.dead)
-                )
-                live = live[~np.isin(live, dead_arr)]
-            live = np.sort(live)
-            if len(live) == 0:
-                # Everything was deleted: no CSA to build; queries fall
-                # back to the (empty) memtable scan until the next
-                # insert.
-                segments: Tuple[Segment, ...] = ()
-            else:
-                segments = (self._build_segment(live),)
+            # the memtable rides along as one more (handle-only) input
+            inputs = old.segments + (Segment(None, old.buffer),)
+            merged = merge_segments(
+                inputs, 0, len(inputs), old.dead, self._build_segment
+            ).segment
+            # Everything deleted: no CSA to build; queries fall back to
+            # the (empty) memtable scan until the next insert.
+            segments = () if merged is None else (merged,)
             self._state = _DynState(segments, [], set(), set())
             self.rebuilds += 1
+            self.rows_rebuilt += sum(seg.n for seg in segments)
         self._note_structural("rebuild", time.perf_counter() - t0)
 
     def _seal(self) -> None:
@@ -367,80 +367,80 @@ class DynamicLCCSLSH(ANNIndex):
             )
             self.rebuilds += 1
             self.seals += 1
+            self.rows_rebuilt += len(live)
         self._note_structural("seal", time.perf_counter() - t0)
 
     def _commit_compaction(self, result, log: bool) -> None:
-        """Swap a finished merge in: replace the first ``j`` segments.
+        """Swap a finished merge in: replace the range it consumed.
 
         When ``log`` is set and a structural listener is registered, the
         WAL ``compact`` record is appended *before* the swap
-        (log-then-apply), carrying the dropped handles so replay
-        reproduces this exact merge.
+        (log-then-apply), carrying the range and the dropped handles so
+        replay reproduces this exact merge.
         """
-        j = len(result.inputs)
+        start, stop = result.start, result.start + len(result.inputs)
         if log and self._listener is not None and not self._replaying:
-            self._listener("compact", (j, list(result.dropped)))
+            self._listener("compact", (start, stop, list(result.dropped)))
         state = self._state
         merged = (result.segment,) if result.segment is not None else ()
         self._state = _DynState(
-            merged + state.segments[j:],
+            state.segments[:start] + merged + state.segments[stop:],
             state.buffer,
             state.buffer_set,
             state.dead - set(result.dropped),
         )
         self.rebuilds += 1
         self.compactions += 1
+        self.rows_rebuilt += sum(seg.n for seg in merged)
 
     def _note_structural(self, kind: str, duration_s: float) -> None:
         """Account one structural op's write-path cost (stats + metrics)."""
         self.compaction_time_s += duration_s
         self.last_compaction_s = duration_s
-        try:
-            _compact_hist().observe(duration_s, kind=kind)
-        except Exception:  # metrics must never break the write path
-            pass
+        _observe_structural(kind, duration_s)
 
-    def _compact_now(self, log: bool) -> None:
+    def _compact_now(
+        self, start: int, stop: int, log: bool, dead: Optional[set] = None
+    ) -> None:
+        """Merge ``segments[start:stop]`` on the write path, dropping the
+        current tombstones (or exactly ``dead``, when replaying)."""
         t0 = time.perf_counter()
         with obs_span("lsm.compact"):
             state = self._state
+            if not 0 <= start < stop <= len(state.segments):  # a bad record
+                raise ValueError(
+                    f"compact record merges segments {start}..{stop}, "
+                    f"index has {len(state.segments)}"
+                )
             result = merge_segments(
-                state.segments, state.dead, self._build_segment
+                state.segments,
+                start,
+                stop,
+                state.dead if dead is None else dead,
+                self._build_segment,
             )
             self._commit_compaction(result, log=log)
         self._note_structural("inline", time.perf_counter() - t0)
 
-    def _schedule_compaction(self) -> bool:
-        """Start a background merge of the current segment stack.
+    def _schedule_compaction(self, start: int, stop: int) -> bool:
+        """Start a background merge of ``segments[start:stop]``.
 
         The job captures an immutable snapshot (segment tuple, a copy of
-        the tombstones, the store prefix view — rows below the current
-        size are never rewritten, growth allocates a fresh array) and
-        only *builds*; the commit happens on a later write op.
+        the tombstones; store rows below the current size are never
+        rewritten, growth allocates a fresh array) and only *builds*;
+        the commit happens on a later write op.
         """
-        state = self._state
-        inputs = state.segments
-        if len(inputs) < 2:
-            return False
-        dead = set(state.dead)
-        vectors = self._vectors
-        make_inner = self._make_inner
-
-        def build(handles: np.ndarray) -> Segment:
-            return Segment(make_inner().fit(vectors[handles]), handles)
+        segments = self._state.segments
+        dead = set(self._state.dead)
+        build = self._build_segment
 
         def job():
-            # Off the write path: only the histogram is touched (it is
-            # thread-safe); the instance stall counters stay write-path
-            # -only so they keep meaning "time writers actually waited".
+            # Off the write path: only the histogram is touched; the
+            # instance stall counters stay write-path-only so they keep
+            # meaning "time writers actually waited".
             t0 = time.perf_counter()
-            result = merge_segments(inputs, dead, build)
-            try:
-                _compact_hist().observe(
-                    time.perf_counter() - t0, kind="background"
-                )
-            except Exception:
-                pass
+            result = merge_segments(segments, start, stop, dead, build)
+            _observe_structural("background", time.perf_counter() - t0)
             return result
 
         return self._compactor.schedule(job)
@@ -448,9 +448,9 @@ class DynamicLCCSLSH(ANNIndex):
     def _commit_ready(self) -> None:
         """Commit a finished background build, if still valid.
 
-        Seals only *append* segments, so a build over the first ``j``
-        segments stays valid as long as those exact objects still head
-        the stack; a full rebuild (tombstone GC) replaces them, in which
+        Seals only *append* segments, so a build over a range stays
+        valid as long as those exact objects still fill it; a full
+        rebuild (tombstone GC) or ``compact()`` replaces them, in which
         case the stale result is dropped and a later op reschedules.
         """
         try:
@@ -462,50 +462,50 @@ class DynamicLCCSLSH(ANNIndex):
             return
         if result is None:
             return
-        j = len(result.inputs)
-        state = self._state
-        if len(state.segments) < j or any(
-            state.segments[i] is not result.inputs[i] for i in range(j)
-        ):
-            return
-        self._commit_compaction(result, log=True)
+        stop = result.start + len(result.inputs)
+        # segments compare by identity: the same objects, the same slots
+        if self._state.segments[result.start : stop] == result.inputs:
+            self._commit_compaction(result, log=True)
 
-    def _service_background(self) -> None:
-        """End-of-write-op hook: commit ready builds, schedule new ones."""
-        if self.compaction != "background" or self._replaying:
+    def _service_tiers(self) -> None:
+        """End-of-write-op hook: one merge policy, run as the mode says.
+
+        ``background`` commits a finished build (logged: replay follows
+        the records and skips this) and hands the helper thread the next
+        due range; ``inline`` merges it here — deterministic in op
+        order, so replay reaches the same merge and nothing is logged.
+        """
+        background = self.compaction == "background"
+        if background:
+            if self._replaying:
+                return
+            self._commit_ready()
+            if self._compactor.busy:
+                return
+        due = merge_range(
+            [seg.n for seg in self._state.segments], self.max_segments
+        )
+        if due is None:
             return
-        self._commit_ready()
-        if (
-            len(self._state.segments) > self.max_segments
-            and not self._compactor.busy
-        ):
-            self._schedule_compaction()
+        if background:
+            self._schedule_compaction(*due)
+        else:
+            self._compact_now(*due, log=False)
 
     def _maybe_compact(self) -> None:
         state = self._state
         indexed = max(1, sum(seg.n for seg in state.segments))
-        # Tombstone GC first: reclaiming dead rows needs a full rebuild
-        # (they live inside sealed segments), same cadence as ever.
-        if len(state.dead) > indexed // 2:
-            self._rebuild()
-            return
         if self.memtable_size is not None:
             full = len(state.buffer) >= self.memtable_size
         else:
             full = len(state.buffer) > self.rebuild_threshold * indexed
-        if not full:
-            return
-        if self.compaction == "rebuild":
+        # Tombstone GC first: reclaiming dead rows needs a full rebuild
+        # (they live inside sealed segments), same cadence as ever.
+        if len(state.dead) > indexed // 2:
             self._rebuild()
-            return
-        self._seal()
-        if (
-            self.compaction == "inline"
-            and len(self._state.segments) > self.max_segments
-        ):
-            # Deterministic in op order — replicas replaying the same
-            # insert stream reach the same merge, so nothing is logged.
-            self._compact_now(log=False)
+        elif full:
+            self._seal()
+        self._service_tiers()
 
     # ------------------------------------------------------------------
     # Mutations
@@ -538,7 +538,6 @@ class DynamicLCCSLSH(ANNIndex):
         state.buffer_set.add(handle)
         self._data = self._vectors  # keep the base-class view in sync
         self._maybe_compact()
-        self._service_background()
         return handle
 
     def delete(self, handle: int) -> None:
@@ -562,7 +561,6 @@ class DynamicLCCSLSH(ANNIndex):
             raise KeyError(f"handle {handle} already deleted")
         state.dead.add(handle)
         self._maybe_compact()
-        self._service_background()
 
     def flush(self) -> bool:
         """Seal the memtable into a fresh segment now (manual seal).
@@ -576,25 +574,21 @@ class DynamicLCCSLSH(ANNIndex):
         if self._listener is not None and not self._replaying:
             self._listener("seal", int(self._size))
         self._seal()
-        if (
-            self.compaction == "inline"
-            and len(self._state.segments) > self.max_segments
-        ):
-            self._compact_now(log=False)
-        self._service_background()
+        self._service_tiers()
         return True
 
     def compact(self) -> bool:
-        """Synchronously merge every sealed segment, dropping tombstones
-        that live inside them.
+        """Synchronously merge every sealed segment (the whole stack,
+        not the policy's pick), dropping tombstones that live inside them.
 
-        Logged as a WAL ``compact`` record (carrying the dropped
-        handles) so replay reproduces the merge byte-exactly.  Returns
-        False when there are no segments to merge.
+        Logged as a WAL ``compact`` record (carrying the range and the
+        dropped handles) so replay reproduces the merge byte-exactly.
+        Returns False when there are no segments to merge.
         """
-        if not self._state.segments:
+        count = len(self._state.segments)
+        if not count:
             return False
-        self._compact_now(log=True)
+        self._compact_now(0, count, log=True)
         return True
 
     def drain_compaction(self, timeout: Optional[float] = None) -> bool:
@@ -602,22 +596,17 @@ class DynamicLCCSLSH(ANNIndex):
 
         A convenience for tests, benchmarks, and orderly shutdown —
         normal operation commits on the next write op instead.  If the
-        segment count is still over ``max_segments`` afterwards (the
-        writer outran the compactor), the next merge is scheduled, so
-        looping until this returns False fully quiesces the tier shape.
-        Returns True if a build was committed.
+        policy still finds a range due afterwards (the writer outran the
+        compactor), the next merge is scheduled, so looping until this
+        returns False fully quiesces the tier shape.  Returns True if a
+        build was committed or the next one is in flight.
         """
         if self.compaction != "background":
             return False
         self._compactor.drain(timeout)
         before = self.compactions
-        self._commit_ready()
-        if (
-            len(self._state.segments) > self.max_segments
-            and not self._compactor.busy
-        ):
-            self._schedule_compaction()
-        return self.compactions > before
+        self._service_tiers()
+        return self.compactions > before or self._compactor.busy
 
     # ------------------------------------------------------------------
     # Queries: fan out across memtable + segments, merge canonically
@@ -816,6 +805,7 @@ class DynamicLCCSLSH(ANNIndex):
             "rebuilds": int(self.rebuilds),
             "seals": int(self.seals),
             "compactions": int(self.compactions),
+            "rows_rebuilt": int(self.rows_rebuilt),
             "segments": [],
         }
         arrays: Dict[str, np.ndarray] = {}
@@ -881,6 +871,7 @@ class DynamicLCCSLSH(ANNIndex):
         index.rebuilds = int(state["rebuilds"])
         index.seals = int(state.get("seals", 0))
         index.compactions = int(state.get("compactions", 0))
+        index.rows_rebuilt = int(state.get("rows_rebuilt", 0))
         return index
 
     # The compaction manager owns a lock and (possibly) a thread, and
@@ -906,8 +897,8 @@ class DynamicLCCSLSH(ANNIndex):
 
         ``op`` is a ``(kind, payload)`` pair — ``("fit", data)``,
         ``("insert", vector)``, ``("delete", handle)``, ``("seal",
-        boundary)`` or ``("compact", (j, dropped))`` — the shapes the
-        write-ahead log decodes records into.  Because handles are
+        boundary)`` or ``("compact", (start, stop, dropped))`` — the
+        shapes the write-ahead log decodes records into.  Because handles are
         assigned deterministically in op order and structural ops carry
         their inputs explicitly, replaying a log of these records on a
         fresh index reproduces the original state exactly.  While
@@ -939,28 +930,15 @@ class DynamicLCCSLSH(ANNIndex):
                 self.flush()
                 return None
             if kind == "compact":
-                j, dropped = payload
-                self._apply_compact_record(
-                    int(j), [int(h) for h in dropped]
+                # the logged range, minus exactly what the merge dropped
+                start, stop, dropped = payload
+                self._compact_now(
+                    int(start), int(stop), log=False, dead=set(map(int, dropped))
                 )
                 return None
             raise ValueError(f"unknown op kind {kind!r}")
         finally:
             self._replaying = prev
-
-    def _apply_compact_record(self, j: int, dropped: List[int]) -> None:
-        """Replay one logged compaction: merge the first ``j`` segments,
-        excluding exactly the handles the original merge dropped."""
-        state = self._state
-        if not 0 < j <= len(state.segments):
-            raise ValueError(
-                f"compact record merges {j} segments, index has "
-                f"{len(state.segments)}"
-            )
-        result = merge_segments(
-            state.segments[:j], set(dropped), self._build_segment
-        )
-        self._commit_compaction(result, log=False)
 
     def get_vector(self, handle: int) -> np.ndarray:
         """The vector behind a *live* handle (copies; raises KeyError

@@ -1,4 +1,4 @@
-"""Sealed CSA segments and the background merge-compaction machinery.
+"""Sealed CSA segments, the size-tiered merge policy and its machinery.
 
 The LSM-tiered :class:`repro.core.dynamic.DynamicLCCSLSH` is built from
 three kinds of state: a small writable *memtable* (the pending insert
@@ -11,11 +11,14 @@ that design that are independent of the dynamic wrapper itself:
   pair.  Segments are never mutated after construction; compaction
   replaces them wholesale, which is what makes the epoch-publish
   concurrency story (and mmap sharing of exported segments) work.
+* :func:`merge_range` — the one merge policy (size-tiered): which
+  suffix of the stack is due a merge.
 * :func:`merge_segments` — the pure merge step: gather the handles of
-  the input segments, drop the ones in a tombstone snapshot, and build
-  one merged segment.  It records exactly which handles were dropped so
-  the merge can be replayed deterministically from a WAL ``compact``
-  record even if more deletes raced in after the build started.
+  one range of the stack, drop the ones in a tombstone snapshot, and
+  build one merged segment.  It records exactly which handles were
+  dropped so the merge can be replayed deterministically from a WAL
+  ``compact`` record even if more deletes raced in after the build
+  started.
 * :class:`CompactionManager` — a one-slot background worker.  At most
   one merge build is in flight (or finished-but-uncommitted) at a time;
   the *caller* commits results on its own write path, so the background
@@ -25,11 +28,18 @@ that design that are independent of the dynamic wrapper itself:
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple
+from concurrent.futures import Future, wait
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Segment", "CompactionResult", "CompactionManager", "merge_segments"]
+__all__ = [
+    "Segment",
+    "CompactionResult",
+    "CompactionManager",
+    "merge_range",
+    "merge_segments",
+]
 
 
 class Segment:
@@ -60,44 +70,64 @@ class Segment:
         return f"Segment(n={self.n})"
 
 
-class CompactionResult:
+class CompactionResult(NamedTuple):
     """Output of one merge build, held until the caller commits it.
 
-    ``inputs`` are the exact segment objects the build consumed — the
-    commit step validates them by identity against the head of the live
-    segment stack (seals only append, so a still-valid build always
-    matches a prefix).  ``dropped`` lists the tombstoned handles the
+    ``inputs`` are the exact segment objects the build consumed, found
+    at ``start`` in the stack — the commit step validates those slots by
+    identity (seals only append, so a still-valid build finds its inputs
+    where it left them).  ``dropped`` lists the tombstoned handles the
     merge excluded, in sorted order; a WAL ``compact`` record carries it
     so replay reproduces this merge byte-exactly regardless of deletes
     that happened after the build was scheduled.
     """
 
-    __slots__ = ("inputs", "segment", "dropped")
+    start: int
+    inputs: Tuple[Segment, ...]
+    segment: Optional[Segment]
+    dropped: List[int]
 
-    def __init__(
-        self,
-        inputs: Tuple[Segment, ...],
-        segment: Optional[Segment],
-        dropped: List[int],
-    ):
-        self.inputs = inputs
-        self.segment = segment
-        self.dropped = dropped
+
+def merge_range(
+    rows: Sequence[int], max_segments: int
+) -> Optional[Tuple[int, int]]:
+    """Size-tiered merge policy: the ``(start, stop)`` suffix due a merge.
+
+    ``rows`` are the segment sizes, oldest first.  From the newest
+    segment the tail grows leftwards while the segment before it is under
+    twice the tail's rows (or the stack would still exceed
+    ``max_segments``).  Merging it leaves every segment at least twice
+    its successor: at most ``log2(n / smallest) + 1`` segments, each row
+    rebuilt once per doubling, the base only when the data beside it has
+    grown comparable to it.  ``None`` when nothing is due.
+    """
+    stop = len(rows)
+    if stop < 2:
+        return None
+    start = stop - 1
+    tail = rows[start]
+    while start > 0 and (rows[start - 1] < 2 * tail or start >= max_segments):
+        start -= 1
+        tail += rows[start]
+    return (start, stop) if stop - start > 1 else None
 
 
 def merge_segments(
     segments: Sequence[Segment],
+    start: int,
+    stop: int,
     dead: set,
     build: Callable[[np.ndarray], Segment],
 ) -> CompactionResult:
-    """Merge ``segments`` into one, dropping handles present in ``dead``.
+    """Merge ``segments[start:stop]`` into one, dropping handles in ``dead``.
 
     Pure with respect to the inputs: the same segments + the same dead
     snapshot produce the same merged handle slice, and ``build`` (which
     fits a fresh CSA over those rows) is deterministic given the index
     seed.  Returns ``segment=None`` when every row was tombstoned.
     """
-    parts = [seg.handles for seg in segments]
+    inputs = tuple(segments[start:stop])
+    parts = [seg.handles for seg in inputs]
     allh = (
         np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     )
@@ -109,7 +139,7 @@ def merge_segments(
         allh = allh[~mask]
     allh = np.sort(allh)
     segment = build(allh) if len(allh) else None
-    return CompactionResult(tuple(segments), segment, dropped)
+    return CompactionResult(start, inputs, segment, dropped)
 
 
 class CompactionManager:
@@ -120,42 +150,33 @@ class CompactionManager:
     returns the finished result exactly once (or re-raises the build's
     exception); until it is taken, ``busy`` stays true so no second
     build piles up.  The manager never mutates index state — commits
-    happen on the caller's write path.
+    happen on the caller's write path, which is also the only caller of
+    these methods: the future is all the synchronisation there is.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._result: Optional[CompactionResult] = None
-        self._error: Optional[BaseException] = None
+        self._future: Optional[Future] = None
 
     @property
     def busy(self) -> bool:
         """A build is running or finished-but-uncommitted."""
-        with self._lock:
-            return self._thread is not None
+        return self._future is not None
 
     def schedule(self, job: Callable[[], CompactionResult]) -> bool:
-        with self._lock:
-            if self._thread is not None:
-                return False
-            thread = threading.Thread(
-                target=self._run, args=(job,), name="lccs-compaction", daemon=True
-            )
-            self._thread = thread
-        thread.start()
+        if self._future is not None:
+            return False
+        self._future = future = Future()
+        threading.Thread(
+            target=self._run, args=(future, job), name="lccs-compaction", daemon=True
+        ).start()
         return True
 
-    def _run(self, job: Callable[[], CompactionResult]) -> None:
-        result: Optional[CompactionResult] = None
-        error: Optional[BaseException] = None
+    @staticmethod
+    def _run(future: Future, job: Callable[[], CompactionResult]) -> None:
         try:
-            result = job()
+            future.set_result(job())
         except BaseException as exc:  # surfaced at take_ready()
-            error = exc
-        with self._lock:
-            self._result = result
-            self._error = error
+            future.set_exception(exc)
 
     def take_ready(self) -> Optional[CompactionResult]:
         """Pop the finished build, if any (non-blocking).
@@ -163,24 +184,16 @@ class CompactionManager:
         Returns None while the build is still running (or none exists);
         re-raises the job's exception if it failed.
         """
-        with self._lock:
-            thread = self._thread
-            if thread is None or thread.is_alive():
-                return None
-            self._thread = None
-            result, self._result = self._result, None
-            error, self._error = self._error, None
-        thread.join()
-        if error is not None:
-            raise error
-        return result
+        future = self._future
+        if future is None or not future.done():
+            return None
+        self._future = None
+        return future.result()
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until the in-flight build (if any) finishes."""
-        with self._lock:
-            thread = self._thread
-        if thread is not None:
-            thread.join(timeout)
+        if self._future is not None:
+            wait([self._future], timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CompactionManager(busy={self.busy})"

@@ -114,15 +114,17 @@ OP_DELETE = 3
 #: and a segment merge-compaction.  Logged *before* the epoch swap so
 #: recovery and log-tailing replicas replay the exact same tier shape.
 OP_SEAL = 4
-OP_COMPACT = 5
-_OP_NAMES = {
-    OP_FIT: "fit",
-    OP_INSERT: "insert",
-    OP_DELETE: "delete",
-    OP_SEAL: "seal",
-    OP_COMPACT: "compact",
+#: read-only: the pre-range compact record (``<IQ`` j, count), which
+#: merged the first ``j`` segments — decoded as the range ``0..j``
+OP_COMPACT_PREFIX = 5
+OP_COMPACT = 6
+_OP_CODES = {
+    "fit": OP_FIT,
+    "insert": OP_INSERT,
+    "delete": OP_DELETE,
+    "seal": OP_SEAL,
+    "compact": OP_COMPACT,
 }
-_OP_CODES = {name: code for code, name in _OP_NAMES.items()}
 
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".log"
@@ -143,8 +145,8 @@ class Op(NamedTuple):
     ``(n, dim)`` data matrix, the ``(dim,)`` vector, or the integer
     handle — or a structural op from the LSM index: ``"seal"`` (payload:
     the store size at the seal point, advisory) / ``"compact"``
-    (payload: ``(j, dropped)``, the number of head segments merged and
-    the sorted tombstoned handles the merge excluded).
+    (payload: ``(start, stop, dropped)``, the range of the segment stack
+    merged and the sorted tombstoned handles the merge excluded).
     """
 
     kind: str
@@ -167,8 +169,10 @@ class Op(NamedTuple):
         return cls("seal", int(boundary))
 
     @classmethod
-    def compact(cls, j: int, dropped) -> "Op":
-        return cls("compact", (int(j), [int(h) for h in dropped]))
+    def compact(cls, start: int, stop: int, dropped) -> "Op":
+        return cls(
+            "compact", (int(start), int(stop), [int(h) for h in dropped])
+        )
 
 
 # ----------------------------------------------------------------------
@@ -195,11 +199,14 @@ def encode_record(op: Op, seq: int) -> bytes:
     elif code == OP_SEAL:
         body = struct.pack("<Q", int(op.payload))
     else:  # OP_COMPACT
-        j, dropped = op.payload
+        start, stop, dropped = op.payload
         handles = np.ascontiguousarray(dropped, dtype=np.int64)
         if handles.ndim != 1:
             raise ValueError("compact dropped-handles must be a flat list")
-        body = struct.pack("<IQ", int(j), len(handles)) + handles.tobytes()
+        body = (
+            struct.pack("<IIQ", int(start), int(stop), len(handles))
+            + handles.tobytes()
+        )
     payload = PAYLOAD.pack(code, seq) + body
     return RECORD.pack(len(payload), zlib.crc32(payload)) + payload
 
@@ -237,15 +244,16 @@ def decode_payload(payload: bytes) -> Tuple[int, Op]:
             raise WALError("malformed seal record")
         (boundary,) = struct.unpack("<Q", body)
         return seq, Op("seal", int(boundary))
-    if code == OP_COMPACT:
-        if len(body) < 12:
+    if code in (OP_COMPACT, OP_COMPACT_PREFIX):
+        head = struct.Struct("<IIQ" if code == OP_COMPACT else "<IQ")
+        if len(body) < head.size:
             raise WALError("truncated compact record")
-        j, count = struct.unpack_from("<IQ", body)
-        raw = body[12:]
+        *span, count = head.unpack_from(body)
+        raw = body[head.size:]
         if len(raw) != count * 8:
             raise WALError("compact record length contradicts its count")
-        dropped = np.frombuffer(raw, dtype=np.int64)
-        return seq, Op("compact", (int(j), [int(h) for h in dropped]))
+        start, stop = span if code == OP_COMPACT else (0, span[0])
+        return seq, Op.compact(start, stop, np.frombuffer(raw, dtype=np.int64))
     raise WALError(f"unknown opcode {code}")
 
 
@@ -925,8 +933,7 @@ class DurableIndex(ANNIndex):
         if kind == "seal":
             self.wal.append(Op.seal(int(payload)))
         elif kind == "compact":
-            j, dropped = payload
-            self.wal.append(Op.compact(j, dropped))
+            self.wal.append(Op.compact(*payload))
         else:  # pragma: no cover - future-proofing
             raise WALError(f"unknown structural op {kind!r}")
 

@@ -254,11 +254,15 @@ def _grid_dynamic_aged(rng):
     index = DynamicLCCSLSH(
         dim=12, m=16, seed=8, memtable_size=16, max_segments=8
     ).fit(rng.normal(size=(200, 12)))
-    for row in rng.normal(size=(72, 12)):  # 4 seals + 8 rows pending
+    # 7 seals + 8 rows pending.  The size-tiered policy folds equal-sized
+    # seals together as they land (PR 23), so "several segments" now takes
+    # enough inserts to leave one segment per size tier: 200 / 64 / 32 / 16.
+    for row in rng.normal(size=(120, 12)):
         index.insert(row)
-    for handle in (3, 57, 203, 240, 268):
+    for handle in (3, 57, 203, 270, 300, 316):  # every tier + the memtable
         index.delete(handle)
-    assert index.segment_count >= 4 and index.buffer_size > 0
+    assert index.tier_stats()["segment_rows"] == [200, 64, 32, 16]
+    assert index.buffer_size == 8
     return index
 
 

@@ -311,7 +311,10 @@ def test_parallel_cext_readers_match_the_oracle():
         dim=DIM, m=16, w=4.0, seed=5, backend="cext", memtable_size=16,
         max_segments=8,
     ).fit(rng.normal(size=(N0, DIM)))
-    for row in rng.normal(size=(56, DIM)):
+    # 7 seals: the size-tiered policy keeps one segment per size tier
+    # (base / 64 / 32 / 16), so four CSAs per query takes 112 inserts
+    # where the merge-all policy's four equal seals took 48.
+    for row in rng.normal(size=(120, DIM)):
         dynamic.insert(row)
     dynamic.delete(7)
     assert dynamic.segment_count >= 4

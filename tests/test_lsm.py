@@ -11,15 +11,22 @@ liveness-checked ``get_vector``.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 import pytest
+from helpers import assert_matches_oracle, oracle_query
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicLCCSLSH
-from repro.core.segments import CompactionManager, Segment, merge_segments
+from repro import DynamicLCCSLSH, kernels
+from repro.core.segments import (
+    CompactionManager,
+    Segment,
+    merge_range,
+    merge_segments,
+)
 
 DIM = 6
 
@@ -55,18 +62,24 @@ def _assert_same_answers(a, b, queries, k=5):
 # ----------------------------------------------------------------------
 
 def test_memtable_seals_into_segments():
-    index, rng = _fitted(20, memtable_size=10, max_segments=100)
+    index, rng = _fitted(80, memtable_size=10, max_segments=100)
     assert index.segment_count == 1  # fit builds the base segment
+    shapes = []
     for v in rng.normal(size=(35, DIM)):
         index.insert(v)
+        if index.buffer_size == 0:
+            shapes.append(index.tier_stats()["segment_rows"])
     # 35 inserts with a 10-row memtable: three seals, five left pending.
-    assert index.segment_count == 4
+    # The second seal breaks the 2x rule (10 < 2 * 10) and is folded into
+    # the first; the third sits beside the result (20 >= 2 * 10).
+    assert shapes == [[80, 10], [80, 20], [80, 20, 10]]
     assert index.seals == 3
+    assert index.compactions == 1
     assert index.buffer_size == 5
     stats = index.tier_stats()
-    assert stats["segments"] == 4
-    assert stats["segment_rows"] == [20, 10, 10, 10]
+    assert stats["segments"] == 3
     assert stats["memtable"] == 5
+    assert stats["rows_rebuilt"] == 30 + 20  # three seals + one merge
 
 
 def test_inline_compaction_caps_segment_count():
@@ -78,12 +91,17 @@ def test_inline_compaction_caps_segment_count():
     assert index.live_count == 90
 
 
-def test_rebuild_mode_reproduces_legacy_single_segment():
+def test_recipes_naming_the_removed_rebuild_mode_load_as_inline():
+    """``compaction="rebuild"`` (every seal a full O(n) rebuild) left
+    ``src/`` in PR 23 — the baseline lives in ``bench_lsm.py`` — but
+    bundles and ``durable.json`` recipes written before may name it."""
     index, rng = _fitted(10, memtable_size=5, compaction="rebuild")
+    assert index.compaction == "inline"
     for v in rng.normal(size=(40, DIM)):
         index.insert(v)
-        assert index.segment_count <= 1
-    assert index.compactions == 0  # never merges — it only full-rebuilds
+    assert index.compactions >= 1 and index.live_count == 50
+    with pytest.raises(ValueError, match="compaction"):
+        _mk(compaction="merge-all")
 
 
 def test_seal_drops_tombstoned_memtable_rows():
@@ -104,18 +122,152 @@ def test_seal_drops_tombstoned_memtable_rows():
 
 
 def test_compact_merges_and_drops_segment_tombstones():
-    index, rng = _fitted(20, memtable_size=5, max_segments=100)
+    # Base of 40 so the 20 inserted rows may sit beside it (40 >= 2 * 20):
+    # with the old base of 20 the tiered policy has already merged them.
+    index, rng = _fitted(40, memtable_size=5, max_segments=100)
     for v in rng.normal(size=(20, DIM)):
         index.insert(v)
     index.delete(3)       # fitted row, lives in segment 0
-    index.delete(21)      # sealed insert
+    index.delete(41)      # sealed insert
     assert index.segment_count > 1 and len(index._dead) == 2
     assert index.compact() is True
     assert index.segment_count == 1
     assert index._dead == set()  # dropped rows take their tombstones along
     with pytest.raises(KeyError):
         index.get_vector(3)
-    assert index.live_count == 38
+    with pytest.raises(KeyError):
+        index.get_vector(41)
+    assert index.live_count == 58
+
+
+def test_fit_is_not_a_write_stall():
+    """Regression: the initial build went through ``_note_structural``,
+    so a fresh index reported its whole fit as compaction stall."""
+    index, rng = _fitted(200, memtable_size=4)
+    stats = index.tier_stats()
+    assert stats["compaction_time_s"] == stats["last_compaction_s"] == 0.0
+    assert stats["rows_rebuilt"] == 0
+    for v in rng.normal(size=(4, DIM)):
+        index.insert(v)
+    stats = index.tier_stats()
+    assert stats["seals"] == 1 and stats["rows_rebuilt"] == 4
+    assert stats["compaction_time_s"] >= stats["last_compaction_s"] > 0.0
+    index.fit(rng.normal(size=(10, DIM)))  # a refit starts over as well
+    assert index.tier_stats()["compaction_time_s"] == 0.0
+    assert index.tier_stats()["rows_rebuilt"] == 0
+
+
+# ----------------------------------------------------------------------
+# The size-tiered merge policy
+# ----------------------------------------------------------------------
+
+def test_merge_range_policy():
+    assert merge_range([], 4) is None
+    assert merge_range([100], 4) is None
+    assert merge_range([100, 50], 4) is None          # 100 >= 2 * 50
+    assert merge_range([100, 51], 4) == (0, 2)
+    assert merge_range([10000, 64, 64], 4) == (1, 3)  # the base stays put
+    assert merge_range([10000, 128, 64, 64], 4) == (1, 4)  # cascades
+    assert merge_range([10000, 256, 128, 64], 4) is None
+    # the cap forces a merge the 2x rule alone would not ask for
+    assert merge_range([10000, 1000, 128, 64], 3) == (2, 4)
+    assert merge_range([10000, 4000, 1000, 64], 1) == (0, 4)
+    # ... and keeps going while the grown tail still breaks the rule
+    assert merge_range([10000, 300, 128, 64], 3) == (1, 4)
+
+
+def _assert_tiered(index):
+    """Every segment at least twice its successor, count under the cap."""
+    rows = index.tier_stats()["segment_rows"]
+    assert len(rows) <= index.max_segments, rows
+    assert all(a >= 2 * b for a, b in zip(rows, rows[1:])), rows
+    if rows:
+        assert len(rows) <= math.log2(max(rows) / min(rows)) + 1, rows
+
+
+def _quiesce(index):
+    while index.drain_compaction(30.0):
+        pass
+
+
+@pytest.mark.parametrize("mode", ["inline", "background"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_tiered_policy_holds_over_random_streams(mode, data):
+    """Random insert / delete / flush / compact streams: the 2x size
+    invariant and the count bound hold after every op, rebuilt rows stay
+    within the logarithmic-method bound, saturated answers equal a twin
+    that fully rebuilt, and every backend still answers as the oracle."""
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(24, DIM))
+    memtable = 4
+    tiered = _mk(memtable_size=memtable, max_segments=5, compaction=mode).fit(base)
+    reference = _mk(memtable_size=10**9).fit(base)
+    live = set(range(len(base)))
+    inserts = forced = 0
+    n_ops = data.draw(st.integers(min_value=20, max_value=90), label="n_ops")
+    for i in range(n_ops):
+        choice = data.draw(
+            st.sampled_from(["insert"] * 8 + ["delete", "flush", "compact"]),
+            label=f"op{i}",
+        )
+        before = tiered.rows_rebuilt
+        if choice == "delete" and live:
+            handle = data.draw(st.sampled_from(sorted(live)), label=f"target{i}")
+            tiered.delete(handle)
+            reference.delete(handle)
+            live.discard(handle)
+        elif choice == "flush":
+            tiered.flush()
+        elif choice == "compact":
+            tiered.compact()
+        else:
+            vec = rng.normal(size=DIM)
+            assert tiered.insert(vec) == reference.insert(vec)
+            live.add(len(base) + inserts)
+            inserts += 1
+        _quiesce(tiered)
+        if choice in ("delete", "compact"):
+            # merge-everything and tombstone GC are asked for, not policy
+            forced += tiered.rows_rebuilt - before
+        _assert_tiered(tiered)
+        assert tiered.live_count == len(live)
+    # each row is sealed once and re-merged at most once per doubling
+    # (flush() seals runs shorter than the memtable, hence log2 of n)
+    doublings = math.log2(len(base) + inserts) + 1
+    assert tiered.rows_rebuilt - forced <= 2 * inserts * doublings
+    reference._rebuild()
+    queries = rng.normal(size=(4, DIM))
+    _assert_same_answers(tiered, reference, queries)
+    for backend in ("numpy", "cext"):
+        if backend not in kernels.available_backends():
+            continue
+        tiered.set_kernel_backend(backend)
+        want = [oracle_query(tiered, q, 5) for q in queries]
+        ids, dists = tiered.batch_query(queries, k=5)
+        for qi, q in enumerate(queries):
+            assert_matches_oracle(tiered.query(q, k=5), want[qi], backend)
+            found = ids[qi] >= 0
+            assert_matches_oracle(
+                (ids[qi][found], dists[qi][found]), want[qi], f"{backend} batch"
+            )
+
+
+def test_write_amplification_on_the_mixed_rw_shape():
+    """The benchmark's write schedule as a count: 600 inserts into a
+    10k-row base with a 64-row memtable rebuild 1 600 rows (2.7 per
+    insert); the merge-all policy rebuilt the base twice (35.6)."""
+    rng = np.random.default_rng(0)
+    index = DynamicLCCSLSH(
+        dim=8, m=8, seed=1, memtable_size=64, max_segments=4
+    ).fit(rng.normal(size=(10_000, 8)))
+    for v in rng.normal(size=(600, 8)):
+        index.insert(v)
+        _assert_tiered(index)
+    stats = index.tier_stats()
+    assert stats["segment_rows"] == [10_000, 512, 64]
+    assert stats["rows_rebuilt"] == 9 * 64 + 128 + 256 + 128 + 512
+    assert stats["rows_rebuilt"] <= 5 * 600
 
 
 # ----------------------------------------------------------------------
@@ -201,10 +353,31 @@ def test_stale_background_build_is_discarded():
     assert index.segment_count == 1
 
 
+def test_background_build_is_dropped_when_its_range_moved():
+    """A build over ``segments[1:3]`` commits only while those exact
+    objects still fill slots 1..3: an explicit ``compact()`` that lands
+    first replaces them, and the finished build must not be spliced in."""
+    index, rng = _fitted(
+        40, memtable_size=4, max_segments=8, compaction="background"
+    )
+    while not index._compactor.busy:
+        index.insert(rng.normal(size=DIM))
+    assert index.tier_stats()["segment_rows"] == [40, 4, 4]
+    index._compactor.drain(timeout=30.0)  # built, not yet committed
+    assert index.compact() is True        # the whole stack, synchronously
+    before = index.compactions
+    index.insert(rng.normal(size=DIM))    # the next write finds the build
+    assert index.compactions == before
+    assert index.tier_stats()["segment_rows"] == [48]
+    assert not index._compactor.busy
+
+
 def test_compaction_manager_single_slot():
     manager = CompactionManager()
     assert manager.take_ready() is None
-    started = manager.schedule(lambda: merge_segments([], set(), lambda h: None))
+    started = manager.schedule(
+        lambda: merge_segments([], 0, 0, set(), lambda h: None)
+    )
     assert started
     manager.drain(timeout=10.0)
     assert manager.busy  # finished but uncommitted still occupies the slot
@@ -240,12 +413,14 @@ def test_merge_segments_drops_dead_and_reports_them():
         built["handles"] = handles.copy()
         return Segment(None, handles)
 
-    result = merge_segments([seg_a, seg_b], {2, 7, 99}, build)
+    result = merge_segments([seg_a, seg_b], 0, 2, {2, 7, 99}, build)
     assert result.dropped == [2, 7]
     assert built["handles"].tolist() == [0, 4, 5]
-    assert result.inputs == (seg_a, seg_b)
+    assert (result.start, result.inputs) == (0, (seg_a, seg_b))
 
-    emptied = merge_segments([seg_a], {0, 2, 4}, build)
+    # a range in the middle of the stack leaves its neighbours alone
+    emptied = merge_segments([seg_b, seg_a, seg_b], 1, 2, {0, 2, 4}, build)
+    assert (emptied.start, emptied.inputs) == (1, (seg_a,))
     assert emptied.segment is None
     assert emptied.dropped == [0, 2, 4]
 

@@ -25,6 +25,7 @@ from repro.serve import DurableIndex, WALError, recover
 from repro.serve.durability.replica import Replica
 from repro.serve.durability.wal import (
     OP_COMPACT,
+    OP_COMPACT_PREFIX,
     OP_SEAL,
     PAYLOAD,
     Op,
@@ -113,8 +114,8 @@ def assert_same_tier_shape(a, b):
 def test_structural_record_roundtrip():
     for seq, op in [
         (3, Op.seal(1234)),
-        (9, Op.compact(2, [1, 5, 42])),
-        (10, Op.compact(1, [])),
+        (9, Op.compact(0, 2, [1, 5, 42])),
+        (10, Op.compact(1, 3, [])),  # a range in the middle of the stack
     ]:
         record = encode_record(op, seq)
         got_seq, got = decode_payload(record[8:])
@@ -129,12 +130,46 @@ def test_malformed_structural_bodies_raise():
 
     with pytest.raises(WALError, match="seal"):
         decode_payload(payload(OP_SEAL, b"\x00" * 7))  # short boundary
-    with pytest.raises(WALError, match="compact"):
-        decode_payload(payload(OP_COMPACT, b"\x00" * 11))  # short header
-    with pytest.raises(WALError, match="compact"):
-        # header claims 3 dropped handles, body carries only 2
-        body = struct.pack("<IQ", 1, 3) + b"\x00" * 16
-        decode_payload(payload(OP_COMPACT, body))
+    for code, head in ((OP_COMPACT, "<IIQ"), (OP_COMPACT_PREFIX, "<IQ")):
+        short = struct.calcsize(head) - 1
+        with pytest.raises(WALError, match="compact"):
+            decode_payload(payload(code, b"\x00" * short))  # short header
+        with pytest.raises(WALError, match="compact"):
+            # header claims 3 dropped handles, body carries only 2
+            span = (0, 1) if code == OP_COMPACT else (1,)
+            body = struct.pack(head, *span, 3) + b"\x00" * 16
+            decode_payload(payload(code, body))
+
+
+def test_parent_format_compact_record_replays_as_a_prefix_range(tmp_path):
+    """Logs written before PR 23 carry ``<IQ`` (j, count) under opcode 5:
+    'merge the first j segments'.  They decode as the range ``0..j`` and
+    replay through the one range path."""
+    body = struct.pack("<IQ", 2, 1) + np.array([3], dtype=np.int64).tobytes()
+    seq, op = decode_payload(PAYLOAD.pack(OP_COMPACT_PREFIX, 17) + body)
+    assert (seq, op) == (17, Op.compact(0, 2, [3]))
+
+    rng = np.random.default_rng(2)
+    history = [("fit", rng.normal(size=(40, DIM)))]
+    history += [("insert", v) for v in rng.normal(size=(18, DIM))]
+    history.append(("delete", 3))
+    twins = []
+    for _ in range(2):
+        twin = DynamicLCCSLSH(
+            dim=DIM, m=8, w=4.0, seed=7, memtable_size=6, max_segments=9,
+            compaction="background",  # replay schedules nothing on its own
+        )
+        for record in history:
+            twin.apply_op(record)
+        assert twin.tier_stats()["segment_rows"] == [40, 6, 6, 6]
+        twins.append(twin)
+    twins[0].apply_op((op.kind, op.payload))
+    twins[1].apply_op(("compact", (0, 2, [3])))
+    assert twins[0].tier_stats()["segment_rows"] == [45, 6, 6]
+    assert_same_tier_shape(*twins)
+    assert_identical_answers(*twins, queries_for())
+    with pytest.raises(ValueError, match="compact record"):
+        twins[0].apply_op(("compact", (2, 4, [])))  # past the stack
 
 
 def test_apply_op_structural_requires_lsm_hooks():
@@ -145,7 +180,7 @@ def test_apply_op_structural_requires_lsm_hooks():
     with pytest.raises(WALError, match="seal"):
         apply_op(Plain(), Op.seal(10))
     with pytest.raises(WALError, match="compact"):
-        apply_op(Plain(), Op.compact(1, []))
+        apply_op(Plain(), Op.compact(0, 1, []))
 
 
 def test_durable_flush_requires_index_support(tmp_path):
@@ -256,6 +291,57 @@ def test_replicas_track_tier_shape_through_compactions(tmp_path):
             pids, pdists = primary.inner.query(q, k=5, num_candidates=cap)
             assert ids.tobytes() == pids.tobytes()
             assert dists.tobytes() == pdists.tobytes()
+    primary.close()
+
+
+@pytest.mark.parametrize("mode", ["inline", "background"])
+def test_recovery_and_replica_reach_the_primarys_exact_segments(tmp_path, mode):
+    """The benchmark's write schedule (10k base, 64-row memtable, 600
+    inserts + deletes) under both modes: ``recover()`` (snapshot + log
+    suffix) and a replica polling mid-stream end with the primary's
+    per-segment handle lists and its ``rows_rebuilt``, to the row."""
+    from repro.serve import SnapshotManager
+
+    spec = IndexSpec(
+        "DynamicLCCSLSH", dim=DIM, m=8, w=4.0, seed=7,
+        memtable_size=64, max_segments=4, compaction=mode,
+    )
+    rng = np.random.default_rng(6)
+    wal_dir = str(tmp_path / "wal")
+    primary = DurableIndex(
+        spec.build(), wal_dir, fsync="off", spec=spec,
+        snapshots=SnapshotManager(wal_dir, every_ops=400),
+    )
+    primary.fit(rng.normal(size=(10_000, DIM)))
+    primary.wal.sync()
+    replica = Replica(wal_dir)
+    for i, v in enumerate(rng.normal(size=(600, DIM))):
+        primary.insert(v)
+        if i % 5 == 4:
+            primary.delete(int(rng.integers(10_000 + i)))
+        if i % 97 == 96:
+            primary.wal.sync()
+            replica.catch_up()
+    while primary.drain_compaction(timeout=30.0):
+        pass
+    primary.wal.sync()
+    replica.catch_up()
+    result = recover(wal_dir)
+    assert result.snapshot_seq is not None
+
+    want = primary.inner.tier_stats()
+    assert want["compactions"] >= 3
+    assert want["rows_rebuilt"] <= 5 * 600
+    if mode == "inline":  # background's shape depends on build timing
+        assert want["segment_rows"][0] == 10_000  # the base was never rebuilt
+    handles = [seg.handles.tolist() for seg in primary.inner._state.segments]
+    for other in (result.index, replica.index.inner):
+        got = other.tier_stats()
+        for key in ("segment_rows", "memtable", "tombstones", "seals",
+                    "compactions", "rows_rebuilt"):
+            assert got[key] == want[key], key
+        assert [s.handles.tolist() for s in other._state.segments] == handles
+        assert_identical_answers(other, primary.inner, queries_for(3))
     primary.close()
 
 
