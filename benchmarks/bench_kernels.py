@@ -1,27 +1,25 @@
-"""Compiled kernel backends: batched single-core query throughput.
+"""The compiled engine against the scalar oracle: batched throughput.
 
 Builds one LCCS-LSH index per workload, then answers the same query
-batch with every available kernel backend (``numpy`` reference plus any
-compiled backend — ``cext``), asserting **byte-identical**
-(ids, dists) matrices before timing is trusted.  Workloads:
+batch twice — on the ``cext`` engine, and on the scalar path with the
+engine detached (per-query bisections and heap merge, then
+``ANNIndex._verify_batch``: the oracle, and what a host without a C
+compiler runs) — asserting **byte-identical** (ids, dists) matrices
+before timing is trusted.  Workloads:
 
 * ``euclidean`` — float64 data, random-projection family (n=100k, d=64,
-  m=64 by default).  Compiled backends accelerate CSA bisection, the
-  tournament merge, top-k selection and candidate gathering; the final
-  float64 reduction stays on the shared numpy einsum so distances are
+  m=64 by default).  The engine runs CSA bisection, the tournament
+  merge, top-k selection and candidate gathering; the final float64
+  reduction stays on the shared numpy einsum so distances are
   bit-exact.
 * ``hamming`` — binary data, bit-sampling family.  Verification runs
   fully compiled over uint64 bit-packed rows with popcount.
 
-Each backend's run records the engine's own per-stage wall-clock
+Each run records the index's own per-stage wall-clock
 (``stage_{hash,search,merge,verify}_s``) so the speedup is attributable
-per stage.  An extra row benches the opt-in ``verify_dtype="float32"``
-screen (with exact float64 re-rank) on the Euclidean workload.
-
-Acceptance context: the target is >= 10x batched QPS vs the numpy
-reference at n=100k/m=64 on a single core; >= 5x is acceptable when the
-host is a throttled single-core container (the environment block in the
-results records the CPU model and core count either way).
+per stage.  An extra row benches the engine's opt-in
+``verify_dtype="float32"`` screen (with exact float64 re-rank) on the
+Euclidean workload.
 
 Writes ``benchmarks/results/bench_kernels.json`` + ``.md``.
 
@@ -44,11 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from _results import environment, write_results  # noqa: E402
 
 from repro import LCCSLSH  # noqa: E402
-from repro.kernels import (  # noqa: E402
-    KNOWN_BACKENDS,
-    available_backends,
-    unavailable_reason,
-)
+from repro import kernels  # noqa: E402
 
 STAGES = ("hash", "search", "merge", "verify")
 
@@ -70,7 +64,7 @@ def _build_index(workload: str, n: int, dim: int, m: int, seed: int):
     return index, queries, time.perf_counter() - t0
 
 
-def _time_backend(index, queries, k: int, repeats: int):
+def _time_path(index, queries, k: int, repeats: int):
     """Best-of-``repeats`` batch time + per-stage breakdown + results."""
     index.batch_query(queries[:20], k=k)  # warm-up (allocations, .so load)
     best = float("inf")
@@ -94,39 +88,36 @@ def bench_workload(
 ) -> dict:
     index, queries, build_s = _build_index(workload, n, dim, m, seed)
     nq = len(queries)
+    engine = index.csa._engine
     rows = []
-    ref_ids = ref_dists = None
-    ref_qps = None
-    backends = list(available_backends())
-    variants = [(b, "float64") for b in backends]
+    variants = [("scalar", "float64"), ("cext", "float64")]
     if workload == "euclidean":
-        # Opt-in reduced-precision screen, compiled backends only (the
-        # numpy reference has no float32 path to accelerate).
-        variants += [(b, "float32") for b in backends if b != "numpy"]
-    for backend, vdtype in variants:
-        index.set_kernel_backend(backend)
+        variants.append(("cext", "float32"))  # the engine's opt-in screen
+    for path, vdtype in variants:
+        index.csa._engine = engine if path == "cext" else None
         index.verify_dtype = vdtype
-        best, stages, ids, dists = _time_backend(index, queries, k, repeats)
-        if backend == "numpy":
+        best, stages, ids, dists = _time_path(index, queries, k, repeats)
+        if path == "scalar":
             ref_ids, ref_dists, ref_qps = ids, dists, nq / best
         else:
             assert np.array_equal(ids, ref_ids), (
-                f"{backend}/{vdtype} ids diverge from numpy on {workload}"
+                f"{path}/{vdtype} ids diverge from the scalar path on {workload}"
             )
             assert np.array_equal(dists, ref_dists), (
-                f"{backend}/{vdtype} dists diverge from numpy on {workload}"
+                f"{path}/{vdtype} dists diverge from the scalar path on {workload}"
             )
         rows.append(
             {
-                "backend": backend,
+                "backend": path,
                 "verify_dtype": vdtype,
                 "batch_seconds": best,
                 "qps": nq / best,
-                "speedup_vs_numpy": (nq / best) / ref_qps,
+                "speedup_vs_scalar": (nq / best) / ref_qps,
                 "stages_s": stages,
                 "byte_identical": True,
             }
         )
+    index.csa._engine = engine
     index.verify_dtype = "float64"
     return {
         "workload": {
@@ -145,7 +136,7 @@ def bench_workload(
 
 def _md_table(section: dict) -> str:
     lines = [
-        "| backend | verify | batch(s) | QPS | vs numpy | "
+        "| path | verify | batch(s) | QPS | vs scalar | "
         "hash(ms) | search(ms) | merge(ms) | verify(ms) |",
         "|---|---|---|---|---|---|---|---|---|",
     ]
@@ -158,7 +149,7 @@ def _md_table(section: dict) -> str:
                 vd=r["verify_dtype"],
                 bs=r["batch_seconds"],
                 qps=r["qps"],
-                sp=r["speedup_vs_numpy"],
+                sp=r["speedup_vs_scalar"],
                 h=st["hash"] * 1e3,
                 s=st["search"] * 1e3,
                 m=st["merge"] * 1e3,
@@ -179,14 +170,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     env = environment()
-    unavailable = {
-        b: unavailable_reason(b)
-        for b in KNOWN_BACKENDS
-        if b not in available_backends()
-    }
-    print(f"available backends: {list(available_backends())}")
-    for b, reason in unavailable.items():
-        print(f"  {b}: unavailable ({reason})")
+    if kernels.engine() is None:
+        print("the cext engine cannot be built here; nothing to compare")
+        return 1
 
     sections = {}
     for workload in ("euclidean", "hamming"):
@@ -199,26 +185,19 @@ def main(argv=None) -> int:
             print(
                 f"  {r['backend']:>6}/{r['verify_dtype']}: "
                 f"{r['batch_seconds']:.4f}s  {r['qps']:.0f} QPS  "
-                f"{r['speedup_vs_numpy']:.2f}x vs numpy"
+                f"{r['speedup_vs_scalar']:.2f}x vs scalar"
             )
 
-    payload = {
-        "environment": env,
-        "unavailable_backends": unavailable,
-        "workloads": sections,
-    }
+    payload = {"environment": env, "workloads": sections}
 
-    md = ["# Compiled kernel backends — batched query throughput", ""]
+    md = ["# The cext engine against the scalar oracle — batched throughput", ""]
     md.append(
         f"Environment: {env['cpu_model'] or 'unknown CPU'}, "
         f"{env['cpu_count']} core(s), Python {env['python']}, "
         f"numpy {env['numpy']}."
     )
-    if unavailable:
-        notes = "; ".join(f"`{b}`: {r}" for b, r in unavailable.items())
-        md.append(f"\nUnavailable backends on this host: {notes}.")
     md.append(
-        "\nEvery row is byte-identical to the numpy reference (asserted "
+        "\nEvery engine row is byte-identical to the scalar path (asserted "
         "in-bench before timing is reported); `verify=float32` is the "
         "opt-in reduced-precision screen with exact float64 re-rank."
     )
@@ -229,23 +208,15 @@ def main(argv=None) -> int:
             f"Q={w['queries']}, k={w['k']})\n"
         )
         md.append(_md_table(section))
-        compiled = [
+        best = next(
             r for r in section["backends"]
-            if r["backend"] != "numpy" and r["verify_dtype"] == "float64"
-        ]
-        if compiled:
-            best = max(compiled, key=lambda r: r["qps"])
-            md.append(
-                f"\nHeadline: `{best['backend']}` reaches "
-                f"**{best['qps']:.0f} QPS** "
-                f"({best['speedup_vs_numpy']:.2f}x the numpy reference) "
-                f"on a single core."
-            )
-    md.append(
-        "\nAcceptance context: target >= 10x vs numpy at n=100k/m=64; "
-        ">= 5x is acceptable on a throttled single-core host (see the "
-        "environment line for what this machine is)."
-    )
+            if r["backend"] == "cext" and r["verify_dtype"] == "float64"
+        )
+        md.append(
+            f"\nHeadline: the engine reaches **{best['qps']:.0f} QPS** "
+            f"({best['speedup_vs_scalar']:.2f}x the scalar path) on a "
+            f"single core."
+        )
     json_path, md_path = write_results("kernels", payload, "\n".join(md))
     print(f"\nwrote {json_path}\nwrote {md_path}")
 

@@ -31,17 +31,16 @@ Subcommands:
   ASCII trees.
 * ``theory`` — collision probabilities and Theorem 5.1's lambda for a
   parameter setting.
-* ``compare``/``build``/``query``/``serve``/``profile`` accept
-  ``--backend {numpy,cext}`` to select the compiled kernel
-  backend for CSA search/merge/verify (defaults to the
-  ``REPRO_BACKEND`` environment variable, then numpy; an unavailable
-  backend silently falls back to numpy).
+* Queries run on the compiled kernel engine (:mod:`repro.kernels`);
+  where it cannot be built every command still answers, identically,
+  on the scalar path after one warning.  ``serve --backend cext``
+  insists on the engine: it exits with the compile error instead.
 
 Examples::
 
     python -m repro.cli datasets --n 2000
     python -m repro.cli compare --dataset sift --n 3000 --metric euclidean
-    python -m repro.cli compare --dataset sift --n 3000 --batch --backend cext
+    python -m repro.cli compare --dataset sift --n 3000 --batch
     python -m repro.cli build --dataset sift --n 20000 --method lccs \\
         --out sift.bundle
     python -m repro.cli query sift.bundle --queries 100 --k 10 --batch --mmap
@@ -476,6 +475,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     to read its own writes: trivially true in one process, a bounded
     wait for the log on a ``--workers N`` replica.
     """
+    from repro import kernels
     from repro.serve import BundleError
     from repro.serve.durability import RecoveryError
     from repro.serve.server import ServerConfig, run_server
@@ -496,6 +496,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return usage("--workers requires --tcp")
     if args.workers < 1:
         return usage("--workers must be >= 1")
+    try:
+        kernels.check_backend(args.backend)
+    except RuntimeError as exc:
+        return usage(str(exc))
     config = ServerConfig(
         bundle=args.bundle,
         host=host,
@@ -855,15 +859,6 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--backend", choices=("numpy", "cext"), default=None,
-        help="kernel backend for CSA search/merge/verify (default: the "
-        "REPRO_BACKEND env var, then numpy; an unavailable backend "
-        "silently falls back to numpy)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="LCCS-LSH reproduction CLI"
@@ -894,7 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(reports throughput as QPS)",
     )
     p.add_argument("--seed", type=int, default=42)
-    _add_backend_arg(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("build", help="fit an index and save a bundle")
@@ -928,7 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
         "write path)",
     )
     p.add_argument("--seed", type=int, default=42)
-    _add_backend_arg(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser(
@@ -956,7 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reading it into RAM",
     )
     p.add_argument("--seed", type=int, default=None)
-    _add_backend_arg(p)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser(
@@ -1062,7 +1054,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: <wal-dir>/obs, else a temp dir; single-process "
         "mode needs no spool)",
     )
-    _add_backend_arg(p)
+    p.add_argument(
+        "--backend", choices=("cext",), default=None,
+        help="insist on the compiled kernel engine: exit with the compile "
+        "error where it cannot be built (default: run on the scalar path "
+        "after a warning)",
+    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1133,7 +1130,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per-stage instrumentation (reports the kernel backend and QPS)",
     )
     p.add_argument("--seed", type=int, default=42)
-    _add_backend_arg(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("theory", help="collision/lambda calculations")
@@ -1148,10 +1144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None):
-        from repro import kernels
-
-        kernels.set_default_backend(args.backend)
     return args.func(args)
 
 

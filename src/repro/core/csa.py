@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.lccs import compare_rotations, lcp_length
 
 __all__ = ["ShiftBounds", "CircularShiftArray"]
@@ -52,22 +53,16 @@ class ShiftBounds:
 class CircularShiftArray:
     """Index over circular shifts of equal-length integer strings.
 
-    The three batch hot paths (:meth:`_batch_search_arrays`,
-    :meth:`batch_search_all_shifts`, :meth:`_batch_merge_tournament`)
-    dispatch to a pluggable kernel backend (:mod:`repro.kernels`):
-    ``numpy`` is the always-available reference, ``cext`` its
-    byte-identical compiled port; :meth:`batch_k_lccs` runs search and
-    merge as one backend call where the backend has one.  The scalar
-    paths (:meth:`k_lccs` and friends) and the multi-probe heap merge
-    stay pure Python/NumPy: they are the reference backend's faster
-    route for a handful of queries and the oracle the equivalence
-    suites compare every backend against.
+    The batch entry points (:meth:`_batch_search_arrays`,
+    :meth:`batch_search_all_shifts`, :meth:`_batch_merge_tournament`,
+    :meth:`_batch_k_lccs_flat`) run on the compiled engine
+    (:func:`repro.kernels.engine`).  The scalar paths (:meth:`k_lccs`
+    and friends) and the multi-probe heap merge stay pure Python/NumPy:
+    they are the oracle the engine must match byte for byte, and where
+    the engine cannot be built the batch entry points loop them.
 
     Args:
         strings: ``(n, m)`` integer array; row ``i`` is string ``T_i``.
-        backend: kernel backend name (see :func:`repro.kernels.
-            resolve_backend`); ``None`` applies the CLI/env/default
-            precedence chain.
 
     Attributes:
         n: number of strings.
@@ -79,7 +74,7 @@ class CircularShiftArray:
             ``sorted_idx[s]`` (the paper's ``N``).
     """
 
-    def __init__(self, strings: np.ndarray, backend: Optional[str] = None):
+    def __init__(self, strings: np.ndarray):
         strings = np.ascontiguousarray(strings)
         if strings.ndim != 2:
             raise ValueError(f"strings must be (n, m), got shape {strings.shape}")
@@ -93,43 +88,20 @@ class CircularShiftArray:
         self._doubled = np.concatenate([strings, strings], axis=1)
         self.strings = self._doubled[:, : self.m]
         self.sorted_idx, self.next_link = self._build()
-        from repro import kernels
-
-        self._backend = kernels.resolve_backend(backend)
-
-    # ------------------------------------------------------------------
-    # Kernel backend plumbing
-    # ------------------------------------------------------------------
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the kernel backend answering batch searches/merges."""
-        return self._backend.name
-
-    def set_backend(self, backend: Optional[str]) -> str:
-        """Re-resolve the kernel backend; returns the resolved name.
-
-        Cheap (no rebuild), so benchmarks can flip one built index
-        between backends.
-        """
-        from repro import kernels
-
-        self._backend = kernels.resolve_backend(backend)
-        return self._backend.name
+        #: the compiled engine, or None: the batch entry points loop the
+        #: scalar path
+        self._engine = kernels.engine()
 
     def __getstate__(self) -> dict:
-        """Pickle the backend by *name*: compiled backends hold
-        unpicklable handles (ctypes libraries, jitted functions)."""
+        """The engine holds a ctypes library: it is re-attached, not pickled."""
         state = self.__dict__.copy()
-        state["_backend"] = self._backend.name
+        state.pop("_engine", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        from repro import kernels
-
-        name = state.pop("_backend", None)
+        state.pop("_backend", None)  # a backend name earlier builds pickled
         self.__dict__.update(state)
-        self._backend = kernels.resolve_backend(kernels.persisted_backend(name))
+        self._engine = kernels.engine()
 
     # ------------------------------------------------------------------
     # Construction (paper Algorithm 1, via rank doubling)
@@ -263,13 +235,12 @@ class CircularShiftArray:
         pos_lower, pos_upper, len_lower, len_upper = self._batch_search_arrays(
             shifts, q_rots, lo=lo, hi=hi
         )
-        return [
-            ShiftBounds(
-                int(pos_lower[b]), int(pos_upper[b]),
-                int(len_lower[b]), int(len_upper[b]),
-            )
-            for b in range(len(pos_lower))
-        ]
+        return self._bounds_list((pos_lower, pos_upper, len_lower, len_upper))
+
+    @staticmethod
+    def _bounds_list(arrays) -> List[ShiftBounds]:
+        """``ShiftBounds`` per element of four equal-length bound arrays."""
+        return [ShiftBounds(*b) for b in zip(*(a.tolist() for a in arrays))]
 
     def _batch_search_arrays(
         self,
@@ -282,8 +253,7 @@ class CircularShiftArray:
 
         Returns ``(pos_lower, pos_upper, len_lower, len_upper)`` as four
         int64 arrays of length ``B`` — the allocation-free form the
-        batched query engine consumes.  Dispatches to the resolved
-        kernel backend (``numpy``/``cext``, byte-identical).
+        batched query engine consumes.
         """
         shifts = np.asarray(shifts, dtype=np.int64)
         q_rots = np.ascontiguousarray(q_rots)
@@ -292,7 +262,20 @@ class CircularShiftArray:
             raise ValueError(
                 f"q_rots must have shape ({B}, {self.m}), got {q_rots.shape}"
             )
-        return self._backend.search_lanes(self, shifts, q_rots, lo=lo, hi=hi)
+        if self._engine is not None:
+            return self._engine.search_lanes(self, shifts, q_rots, lo=lo, hi=hi)
+        out = np.empty((4, B), dtype=np.int64)
+        for b in range(B):
+            bound = self.binary_search(
+                int(shifts[b]),
+                q_rots[b],
+                lo=0 if lo is None else int(lo[b]),
+                hi=None if hi is None else int(hi[b]),
+            )
+            out[:, b] = (
+                bound.pos_lower, bound.pos_upper, bound.len_lower, bound.len_upper
+            )
+        return out[0], out[1], out[2], out[3]
 
     def search_all_shifts(self, query: np.ndarray) -> List[ShiftBounds]:
         """Phase 1 of Algorithm 2: bounds at every shift.
@@ -332,13 +315,11 @@ class CircularShiftArray:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Phase 1 of Algorithm 2 for a whole query batch at once.
 
-        The per-shift searches of all ``Q`` queries run as one lock-step
-        vectorised bisection (``m`` batched searches of width ``Q``
-        instead of ``Q * m`` sequential ones), while each query still
+        One engine call for the whole batch, in which each query still
         honours Lemma 3.1: its search window on shift ``s`` is narrowed
         through the next links whenever both of its LCP lengths at shift
         ``s-1`` are >= 1.  Per query the results are identical to
-        :meth:`search_all_shifts`.
+        :meth:`search_all_shifts`, which answers without an engine.
 
         Returns ``(pos_lower, pos_upper, len_lower, len_upper)``, each a
         ``(Q, m)`` int64 array.
@@ -348,8 +329,14 @@ class CircularShiftArray:
             raise ValueError(
                 f"queries must be (Q, m={self.m}), got shape {queries.shape}"
             )
-        qds = np.concatenate([queries, queries], axis=1)
-        return self._backend.search_all(self, qds)
+        if self._engine is not None:
+            qds = np.concatenate([queries, queries], axis=1)
+            return self._engine.search_all(self, qds)
+        out = np.empty((4, len(queries), self.m), dtype=np.int64)
+        for qi, query in enumerate(queries):
+            for s, b in enumerate(self.search_all_shifts(query)):
+                out[:, qi, s] = (b.pos_lower, b.pos_upper, b.len_lower, b.len_upper)
+        return out[0], out[1], out[2], out[3]
 
     # ------------------------------------------------------------------
     # k-LCCS search (paper Algorithm 2)
@@ -459,10 +446,10 @@ class CircularShiftArray:
 
         Per query the output is identical to :meth:`merge_candidates`
         (same canonical ``(-lcp, string_id, shift, rank)`` pop order).
-        Without probe entries the merge runs as a fully vectorised walk
-        tournament (:meth:`_batch_merge_tournament`); with multi-probe
-        extra entries it falls back to lock-step per-query heaps with
-        fused LCP gathers (:meth:`_batch_merge_heap`).
+        Without probe entries the merge is the engine's walk tournament
+        (:meth:`_batch_merge_tournament`); with multi-probe extra entries
+        it runs lock-step per-query heaps with fused LCP gathers
+        (:meth:`_batch_merge_heap`).
 
         Args:
             qd_table: ``(R, 2m)`` doubled query strings; row ``qi < Q``
@@ -492,37 +479,37 @@ class CircularShiftArray:
         bounds_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         k: int,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Fully vectorised merge for the no-extras (single-probe) case.
+        """The merge for the no-extras (single-probe) case.
 
         Without probe entries every query's heap holds exactly one entry
         per live walk (2 per shift: the lower walk moving down, the upper
         walk moving up), so the merge is a *tournament*: each round pick
         the walk whose frontier has the lexicographically smallest
         ``(-lcp, string_id, shift, rank)`` key, emit its string if
-        unseen, and advance that walk one rank.  The per-round pick is
-        one ``argmin`` over packed int64 keys across the whole batch and
-        the advanced walks' LCPs are one fused gather — no per-entry
-        Python at all.  Per query the output is identical to
-        :meth:`merge_candidates`.
+        unseen, and advance that walk one rank — one engine call for the
+        whole batch.  Without an engine (or for indexes too large for
+        the packed key) each query runs :meth:`merge_candidates`, whose
+        output the tournament reproduces exactly.
         """
         Q = len(bounds_arrays[0])
-        if Q == 0:
-            return []
         key_shifts = self._key_shifts()
-        if key_shifts is None:  # pragma: no cover
-            return self._batch_merge_heap(
-                qd_table, bounds_arrays, k, [[] for _ in range(Q)]
+        if self._engine is not None and key_shifts is not None and Q:
+            return self._engine.merge_tournament(
+                self, qd_table, bounds_arrays, k, key_shifts
             )
-        return self._backend.merge_tournament(
-            self, qd_table, bounds_arrays, k, key_shifts
-        )
+        return [
+            self.merge_candidates(
+                qd_table[qi], self._bounds_list(a[qi] for a in bounds_arrays), k
+            )
+            for qi in range(Q)
+        ]
 
     def _key_shifts(self) -> Optional[Tuple[int, int, int]]:
         """Bit offsets ``(sh_shift, sh_sid, sh_len)`` of the packed merge key.
 
         ``(m - lcp, sid, shift, rank)`` go into one int64, rank in the low
-        bits, so a round's pick is a single argmin/heap-min.  ``None`` for
-        gigantic indexes whose fields no longer fit 62 bits (the heap
+        bits, so a round's pick is a single heap-min.  ``None`` for
+        gigantic indexes whose fields no longer fit 62 bits (the scalar
         merge serves those).
         """
         bits_pos = max(1, int(self.n - 1).bit_length())
@@ -675,11 +662,9 @@ class CircularShiftArray:
     def batch_k_lccs(
         self, queries: np.ndarray, k: int
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """:meth:`k_lccs` for every row of ``queries``, fully batched.
+        """:meth:`k_lccs` for every row of ``queries``, as one engine call.
 
-        Phase 1 runs as ``m`` lock-step bisections over the whole batch,
-        phase 2 as a lock-step merge with fused LCP computation.  Per
-        query the ``(ids, lengths)`` output is identical to
+        Per query the ``(ids, lengths)`` output is identical to
         :meth:`k_lccs`.
         """
         flat_ids, flat_lens, offsets, _ = self._batch_k_lccs_flat(queries, k)
@@ -698,8 +683,9 @@ class CircularShiftArray:
         ``qi``'s strings and LCCS lengths are
         ``flat_*[offsets[qi]:offsets[qi + 1]]``, and ``search_s`` is the
         wall-clock of phase 1 (the remainder of the call is the merge).
-        A backend with a ``search_merge`` kernel answers in one call, so
-        the four ``(Q, m)`` bound arrays are never materialised.
+        The engine answers in one call, so the four ``(Q, m)`` bound
+        arrays are never materialised; without one each query runs
+        :meth:`search_all_shifts` and :meth:`merge_candidates`.
         """
         if k <= 0:
             raise ValueError("k must be positive")
@@ -708,15 +694,18 @@ class CircularShiftArray:
             raise ValueError(
                 f"queries must be (Q, m={self.m}), got shape {queries.shape}"
             )
-        search_merge = getattr(self._backend, "search_merge", None)
-        key_shifts = self._key_shifts() if search_merge is not None else None
-        if key_shifts is not None and len(queries):
-            return search_merge(self, queries, k, key_shifts)
-        t0 = time.perf_counter()
-        bounds = self.batch_search_all_shifts(queries)
-        search_s = time.perf_counter() - t0
-        qds = np.concatenate([queries, queries], axis=1)
-        merged = self.batch_merge_candidates(qds, bounds, k)
+        key_shifts = self._key_shifts()
+        if self._engine is not None and key_shifts is not None and len(queries):
+            return self._engine.search_merge(self, queries, k, key_shifts)
+        search_s = 0.0
+        merged = []
+        for query in queries:
+            t0 = time.perf_counter()
+            bounds = self.search_all_shifts(query)
+            search_s += time.perf_counter() - t0
+            merged.append(
+                self.merge_candidates(self.query_rotations(query), bounds, k)
+            )
         offsets = np.zeros(len(merged) + 1, dtype=np.int64)
         if not merged:
             empty = np.empty(0, dtype=np.int64)
@@ -770,15 +759,13 @@ class CircularShiftArray:
         cls,
         arrays,
         source: str = "<arrays>",
-        backend: Optional[str] = None,
     ) -> "CircularShiftArray":
         """Rebuild a CSA from :meth:`export_arrays` output without re-sorting.
 
         Arrays are adopted by reference — read-only memory-mapped inputs
         stay memory-mapped, and the CSA never writes to them (queries
-        only bisect).  ``backend`` is the name the writer recorded: one
-        this build does not know means the default, not an error.
-        Raises ``ValueError`` on missing arrays or inconsistent shapes.
+        only bisect).  Raises ``ValueError`` on missing arrays or
+        inconsistent shapes.
         """
         for key in ("doubled", "sorted_idx", "next_link"):
             if key not in arrays:
@@ -803,9 +790,7 @@ class CircularShiftArray:
             raise ValueError(f"{source} has inconsistent array shapes")
         obj.sorted_idx = sorted_idx
         obj.next_link = next_link
-        from repro import kernels
-
-        obj._backend = kernels.resolve_backend(kernels.persisted_backend(backend))
+        obj._engine = kernels.engine()
         return obj
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.base import ANNIndex
 from repro.core.lccs_lsh import LCCSLSH
 from repro.core.segments import (
@@ -173,6 +174,7 @@ class DynamicLCCSLSH(ANNIndex):
         self.memtable_size = None if memtable_size is None else int(memtable_size)
         self.max_segments = int(max_segments)
         self.compaction = str(compaction)
+        kernels.check_backend(lccs_kwargs.pop("backend", None))
         self._lccs_kwargs = dict(lccs_kwargs)
         self._m = int(m)
         #: the current epoch (segments + bookkeeping), swapped atomically
@@ -272,30 +274,12 @@ class DynamicLCCSLSH(ANNIndex):
 
     @property
     def kernel_backend(self) -> str:
-        """Kernel backend of the sealed CSAs (resolved default before fit)."""
+        """``"cext"`` when the engine answers the sealed segments, else
+        ``"scalar"``."""
         state = self._state
         if state.segments:
             return state.segments[0].inner.kernel_backend
-        from repro.kernels import resolve_backend
-
-        return resolve_backend(self._lccs_kwargs.get("backend")).name
-
-    def set_kernel_backend(self, backend: Optional[str]) -> str:
-        """Switch backends on every live segment AND the build recipe.
-
-        Both must change together: the current epoch's CSAs re-resolve
-        immediately, and ``_lccs_kwargs`` carries the choice into every
-        future seal/compaction's fresh inner index.
-        """
-        self._lccs_kwargs["backend"] = backend
-        name: Optional[str] = None
-        for seg in self._state.segments:
-            name = seg.inner.set_kernel_backend(backend)
-        if name is None:
-            from repro.kernels import resolve_backend
-
-            name = resolve_backend(backend).name
-        return name
+        return "scalar" if kernels.engine() is None else "cext"
 
     # ------------------------------------------------------------------
     # Tier construction: seals, compactions, full rebuilds
@@ -825,12 +809,9 @@ class DynamicLCCSLSH(ANNIndex):
         from repro.serve.persistence import import_index, unpack_nested
 
         state = manifest["state"]
-        from repro.kernels import persisted_backend
-
         kwargs = dict(state["lccs_kwargs"])
         kwargs.setdefault("seed", manifest["seed"])
-        if "backend" in kwargs:
-            kwargs["backend"] = persisted_backend(kwargs["backend"])
+        kwargs.pop("backend", None)  # recorded by earlier builds; selects nothing
         memtable_size = state.get("memtable_size")
         index = cls(
             dim=int(manifest["dim"]),

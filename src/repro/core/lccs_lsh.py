@@ -8,6 +8,11 @@ against the raw vectors, returning the closest ``k``.
 The only structural tuning knob is ``m`` (the paper's selling point);
 ``num_candidates`` (the paper's ``lambda``) trades accuracy for query
 time and defaults to a small multiple of ``sqrt(n)``.
+
+Queries run on the compiled engine (:mod:`repro.kernels`), where a lone
+query is a batch of one; the scalar path (``csa.search_all_shifts`` /
+``merge_candidates`` / ``ANNIndex._verify``) is the oracle it matches
+byte for byte, and answers instead wherever the engine cannot be built.
 """
 
 from __future__ import annotations
@@ -18,21 +23,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.base import ANNIndex
 from repro.core.csa import CircularShiftArray
 from repro.hashes import HashFamily, make_family
 from repro.kernels import verify as kernel_verify
 
 __all__ = ["LCCSLSH"]
-
-#: Below this many queries the reference (NumPy) backend answers a batch
-#: by looping the scalar path: its lock-step kernels pay a fixed cost per
-#: call (a batch of one: 21 ms against 11 ms scalar at n=10k, m=64; 15 ms
-#: against 1 ms at n=2k, m=16) and overtake the loop between 12 and 16
-#: queries at both sizes.  Compiled backends have no such cost — there a
-#: lone query *is* a batch of one (~0.1 ms against 2.3 ms scalar on
-#: ``cext`` at n=10k, m=64).
-SCALAR_CROSSOVER = 12
 
 
 class LCCSLSH(ANNIndex):
@@ -50,9 +47,9 @@ class LCCSLSH(ANNIndex):
         w: bucket width when the random projection family is built.
         cp_dim: cross-polytope dimension when that family is built.
         seed: RNG seed.
-        backend: kernel backend name (``"numpy"``/``"cext"``,
-            see :mod:`repro.kernels`); ``None`` applies the CLI/env
-            precedence chain.  Every backend answers byte-identically.
+        backend: ``None`` or ``"cext"``, which insists on the compiled
+            engine (``RuntimeError`` where it cannot be built); selects
+            nothing else — see :func:`repro.kernels.check_backend`.
         verify_dtype: ``"float64"`` (default, exact) or ``"float32"``
             (opt-in: candidates are screened with reduced-precision
             distances and the surviving top-``k`` margin re-ranked with
@@ -88,8 +85,8 @@ class LCCSLSH(ANNIndex):
             raise ValueError(
                 f"verify_dtype must be 'float64' or 'float32', got {verify_dtype!r}"
             )
+        kernels.check_backend(backend)
         self.m = int(m)
-        self.backend = backend
         self.verify_dtype = verify_dtype
         if family is not None:
             if family.dim != dim or family.m != m:
@@ -109,7 +106,7 @@ class LCCSLSH(ANNIndex):
     # ------------------------------------------------------------------
 
     def _fit(self, data: np.ndarray) -> None:
-        self.csa = CircularShiftArray(self.family.hash(data), backend=self.backend)
+        self.csa = CircularShiftArray(self.family.hash(data))
         self.hash_strings = self.csa.strings
         # Verification caches are keyed on the data array; drop stale ones.
         self._kv_packed = None
@@ -117,26 +114,9 @@ class LCCSLSH(ANNIndex):
 
     @property
     def kernel_backend(self) -> str:
-        """Name of the kernel backend currently answering queries."""
-        if self.csa is not None:
-            return self.csa.backend_name
-        from repro.kernels import resolve_backend
-
-        return resolve_backend(self.backend).name
-
-    def set_kernel_backend(self, backend: Optional[str]) -> str:
-        """Switch kernel backends in place; returns the resolved name.
-
-        Cheap (no rebuild), which is how benchmarks compare backends on
-        one index and how operators can force ``"numpy"`` on a machine
-        whose compiled backend misbehaves.
-        """
-        self.backend = backend
-        if self.csa is not None:
-            return self.csa.set_backend(backend)
-        from repro.kernels import resolve_backend
-
-        return resolve_backend(backend).name
+        """``"cext"`` when the engine answers queries, else ``"scalar"``."""
+        engine = kernels.engine() if self.csa is None else self.csa._engine
+        return "scalar" if engine is None else engine.name
 
     def default_candidates(self, k: int) -> int:
         """Default ``lambda``: ``ceil(sqrt(n)) + k - 1``, clamped to n.
@@ -150,9 +130,9 @@ class LCCSLSH(ANNIndex):
     def _query(
         self, q: np.ndarray, k: int, num_candidates: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        if self.csa._backend.compiled:
-            # The engine picks: compiled kernels make a batch of one the
-            # cheap way to answer a lone query.
+        if self.csa._engine is not None:
+            # On the engine a batch of one is the cheap way to answer a
+            # lone query.
             return self._batch_query(q[None, :], k, num_candidates)[0]
         if num_candidates is None:
             num_candidates = self.default_candidates(k)
@@ -177,19 +157,14 @@ class LCCSLSH(ANNIndex):
     def _batch_query(
         self, queries: np.ndarray, k: int, num_candidates: Optional[int] = None
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Vectorised batch path: one fused hash, one batched CSA search.
+        """Batch path: one fused hash, one engine call per stage.
 
         The whole query matrix is hashed with a single family call, the
-        CSA answers every query's k-LCCS search in one backend call, and
+        CSA answers every query's k-LCCS search in one engine call, and
         all candidates are verified through one fused distance kernel.
         Per query the results are identical to the scalar :meth:`_query`
-        — which is what the reference backend loops below
-        :data:`SCALAR_CROSSOVER` queries.
+        (without an engine the CSA and verification loop it).
         """
-        if not self.csa._backend.compiled and len(queries) < SCALAR_CROSSOVER:
-            return super()._batch_query(
-                queries, k, num_candidates=num_candidates
-            )
         if num_candidates is None:
             num_candidates = self.default_candidates(k)
         if num_candidates <= 0:
@@ -206,7 +181,7 @@ class LCCSLSH(ANNIndex):
         firsts = offsets[:-1][offsets[1:] > offsets[:-1]]
         self.last_stats["max_lccs"] = float(flat_lens[firsts].sum())
         out = kernel_verify.verify_flat(
-            self, self.csa._backend, flat_ids, offsets, queries, k
+            self, self.csa._engine, flat_ids, offsets, queries, k
         )
         t4 = time.perf_counter()
         self._record_stages(t1 - t0, search_s, t3 - t1 - search_s, t4 - t3)
@@ -218,8 +193,7 @@ class LCCSLSH(ANNIndex):
         """Accumulate per-stage wall-clock into ``last_stats``.
 
         Keys are ``stage_{hash,search,merge,verify}_s``; the profiler
-        and benchmark reports read them to attribute backend speedups
-        per stage.
+        and benchmark reports read them to attribute time per stage.
         """
         for key, val in (
             ("stage_hash_s", hash_s),
@@ -232,16 +206,16 @@ class LCCSLSH(ANNIndex):
     def _verify_batch(
         self, candidate_ids_per_query, queries: np.ndarray, k: int
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Backend-aware verification (packed popcount / fused gather).
+        """Engine verification (packed popcount / fused gather).
 
         CSA merges emit duplicate-free candidate lists, which is what
         lets :func:`repro.kernels.verify.verify_batch` skip the
         re-unique pass; results stay byte-identical to the base
-        implementation for every backend.
+        implementation, which answers without an engine.
         """
-        backend = self.csa._backend if self.csa is not None else None
+        engine = self.csa._engine if self.csa is not None else None
         return kernel_verify.verify_batch(
-            self, backend, candidate_ids_per_query, queries, k
+            self, engine, candidate_ids_per_query, queries, k
         )
 
     # ------------------------------------------------------------------
@@ -304,7 +278,6 @@ class LCCSLSH(ANNIndex):
         state = {
             "m": self.m,
             "family": family_meta,
-            "backend": self.backend,
             "verify_dtype": self.verify_dtype,
         }
         arrays = {f"family.{key}": val for key, val in family_arrays.items()}
@@ -347,9 +320,7 @@ class LCCSLSH(ANNIndex):
             if key.startswith("csa.")
         }
         if csa_arrays:
-            index.csa = CircularShiftArray.from_arrays(
-                csa_arrays, source="<csa>", backend=index.backend
-            )
+            index.csa = CircularShiftArray.from_arrays(csa_arrays, source="<csa>")
             index.hash_strings = index.csa.strings
         index._kv_packed = None
         index._kv_data32 = None
@@ -358,9 +329,4 @@ class LCCSLSH(ANNIndex):
     @classmethod
     def _extra_init_kwargs(cls, state: dict) -> dict:
         """Constructor kwargs subclasses add on import (hook for MP)."""
-        from repro.kernels import persisted_backend
-
-        return {
-            "backend": persisted_backend(state.get("backend")),
-            "verify_dtype": state.get("verify_dtype", "float64"),
-        }
+        return {"verify_dtype": state.get("verify_dtype", "float64")}

@@ -25,10 +25,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.base import ANNIndex
-from repro.core.lccs_lsh import SCALAR_CROSSOVER, LCCSLSH
+from repro.core.lccs_lsh import LCCSLSH
 from repro.core.perturbation import generate_perturbation_vectors
 
 __all__ = ["MPLCCSLSH"]
+
+#: Below this many queries a batch loops the scalar :meth:`MPLCCSLSH._query`:
+#: the probe merge is Python on every path, so the batched pass pays off
+#: only once its fixed cost is shared (a batch of one: about 11.5 ms
+#: against 9 ms looped).
+MIN_BATCH = 12
 
 
 class MPLCCSLSH(LCCSLSH):
@@ -193,13 +199,12 @@ class MPLCCSLSH(LCCSLSH):
         windowed pass; every (query, probe, affected-shift) search across
         the *whole batch* is flattened into a single lock-step bisection;
         merges run lock-step with fused LCP computation.  Per query the
-        results are identical to :meth:`_query`, which small batches loop
-        on every backend: the probe merge is Python whatever the kernels
-        (one batch of one: about 11.5 ms vs 9 ms scalar on ``cext``).
+        results are identical to :meth:`_query`, which batches under
+        :data:`MIN_BATCH` loop.
         """
         if self.csa is None:
             raise RuntimeError("index must be fitted before querying")
-        if len(queries) < SCALAR_CROSSOVER:
+        if len(queries) < MIN_BATCH:
             return ANNIndex._batch_query(
                 self, queries, k, num_candidates=num_candidates,
                 n_probes=n_probes,

@@ -17,7 +17,7 @@ Two entry points:
 * :func:`profile_batch_query` runs the vectorised batch path once and
   reads the per-stage wall-clock the engine itself records in
   ``last_stats`` (``stage_{hash,search,merge,verify}_s``) — the same
-  numbers ``evaluate(...)`` surfaces, which is what makes kernel-backend
+  numbers ``evaluate(...)`` surfaces, which is what makes engine
   speedups attributable per stage.
 """
 
@@ -152,8 +152,8 @@ def profile_batch_query(
 
     Stage times come straight from the engine's own instrumentation
     (``last_stats['stage_*_s']``, recorded inside ``_batch_query``), so
-    the breakdown reflects exactly what the selected kernel backend
-    executed — no replaying, no double work.  ``total_s`` is the end to
+    the breakdown reflects exactly what the engine (or the scalar
+    fallback) executed — no replaying, no double work.  ``total_s`` is the end to
     end wall-clock of the call (it can exceed the stage sum slightly due
     to result assembly).
     """
@@ -165,7 +165,7 @@ def profile_batch_query(
     total = time.perf_counter() - start
     stats = index.last_stats
     return BatchQueryProfile(
-        backend=getattr(index, "kernel_backend", "numpy"),
+        backend=index.kernel_backend,
         num_queries=len(queries),
         hash_s=float(stats.get("stage_hash_s", 0.0)),
         search_s=float(stats.get("stage_search_s", 0.0)),

@@ -1,19 +1,22 @@
-"""C kernel backend: compiled on first use, loaded through ``ctypes``.
+"""The engine: C kernels compiled on first use, loaded through ``ctypes``.
 
-Same algorithms as :mod:`repro.kernels.reference` expressed as plain
-C99 loops.  The source below is compiled once per machine with the
+The CSA bisection, the 2m-way merge and candidate verification of the
+scalar path (:mod:`repro.core.csa`, ``ANNIndex._verify``) expressed as
+plain C99 loops.  The source below is compiled once per machine with the
 system C compiler (``cc``/``gcc``/``clang``, whichever answers) into a
 shared object cached under ``~/.cache/repro-kernels/`` keyed by a hash
 of the source, so subsequent imports pay only a ``dlopen``.  No build
-step, no new dependency: when no compiler is present the backend
-reports itself unavailable and the registry falls back to NumPy.
+step, no new dependency: when no compiler is present
+:func:`repro.kernels.engine` warns once and indexes answer through the
+scalar path.
 
-Byte-identity notes (why the C loops cannot diverge):
+Byte-identity notes (why the C loops cannot diverge from the scalar
+path):
 
 * the CSA kernels compare and copy **int64 hash characters** only —
   integer comparisons have one answer on every platform;
-* the merge orders walks by the same packed ``(-lcp, sid, shift,
-  rank)`` int64 keys the reference builds, decoded back from the key;
+* the merge pops walks in the scalar heap's canonical ``(-lcp, sid,
+  shift, rank)`` order, packed into one int64 key;
 * verification never re-computes float distances: ``gather_diff`` only
   performs the IEEE-exact elementwise subtraction (the reduction stays
   on the shared NumPy ``einsum``), ``topk_select`` only *compares*
@@ -54,7 +57,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["make_cext_backend", "CExtBackend"]
+__all__ = ["CExtBackend"]
 
 _C_SOURCE = r"""
 #define _POSIX_C_SOURCE 200112L
@@ -449,7 +452,8 @@ def _compile_library() -> str:
                 break
         else:
             raise RuntimeError(
-                f"kernel compilation failed: {proc.stderr.strip()[:500]}"
+                f"kernel compilation failed ({compiler} exited "
+                f"{proc.returncode}): {proc.stderr.strip()[:500]}"
             )
         # Atomic publish: another process racing to the same path sees
         # either nothing or a complete library.
@@ -549,7 +553,6 @@ class CExtBackend:
     """ctypes facade over the compiled kernels."""
 
     name = "cext"
-    compiled = True
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
@@ -743,11 +746,3 @@ class CExtBackend:
             for qi in range(Q)
         ]
 
-
-def make_cext_backend(reasons: Dict[str, str]) -> Optional[CExtBackend]:
-    """Build (compile + dlopen) the backend; None and a reason on failure."""
-    try:
-        return CExtBackend(_load_library())
-    except Exception as exc:  # compiler missing, compile error, bad dlopen
-        reasons["cext"] = f"{type(exc).__name__}: {exc}"
-        return None

@@ -1,15 +1,16 @@
-"""Fused candidate verification for the kernel backends.
+"""Fused candidate verification on the engine.
 
 :func:`verify_batch` replaces :meth:`repro.base.ANNIndex._verify_batch`
 for the LCCS family.  Its contract is strict: per query the returned
 ``(ids, distances)`` are **byte-identical** to the base implementation
-for every backend and every eligible fast path.  Three facts make the
-fast paths safe:
+on every eligible fast path (and without an engine it *is* the base
+implementation).  Three facts make the fast paths safe:
 
 * candidate lists coming out of the CSA merges are duplicate-free (the
   tournament/heap dedupe against a seen-set), so re-running
-  ``np.unique`` only re-sorts — and top-k selection by ascending
-  ``(distance, id)`` is independent of input order for distinct pairs;
+  ``np.unique`` only re-sorts — and the engine's top-k selection by
+  ascending ``(distance, id)`` is independent of input order for
+  distinct pairs;
 * the float64 distance *values* always come from the same elementwise
   operations and reduction as :func:`repro.distances.pairwise_rows`
   (the C ``gather_diff`` only fuses the IEEE-exact gather and
@@ -32,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.base import ANNIndex
 from repro.distances import pairwise_rows
 from repro.distances.metrics import pack_bits
 
@@ -76,30 +78,6 @@ def _get_data32(index) -> np.ndarray:
     return data32
 
 
-def _select(
-    backend,
-    flat_ids: np.ndarray,
-    flat_dists: np.ndarray,
-    offsets: np.ndarray,
-    k: int,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per-segment top-k by ascending ``(distance, id)``.
-
-    Matches ``np.lexsort((ids, dists))[:k]`` — ids are unique per
-    segment, so every (distance, id) pair is distinct and the result
-    does not depend on input order.
-    """
-    if backend is not None and getattr(backend, "topk_select", None) is not None:
-        return backend.topk_select(flat_ids, flat_dists, offsets, k)
-    out: List[Tuple[np.ndarray, np.ndarray]] = []
-    for i in range(len(offsets) - 1):
-        u = flat_ids[offsets[i] : offsets[i + 1]]
-        d = flat_dists[offsets[i] : offsets[i + 1]]
-        order = np.lexsort((u, d))[: min(k, len(u))]
-        out.append((u[order], d[order]))
-    return out
-
-
 def _owner_of(offsets: np.ndarray) -> np.ndarray:
     """Owning query of every flat candidate row."""
     return np.repeat(
@@ -117,11 +95,9 @@ def _flatten(ids_per_query: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarra
     return flat_ids.astype(np.int64, copy=False), offsets
 
 
-def _can_gather(backend, data: np.ndarray, metric: str) -> bool:
+def _can_gather(data: np.ndarray, metric: str) -> bool:
     return (
-        backend is not None
-        and getattr(backend, "gather_diff", None) is not None
-        and metric in _GATHER_METRICS
+        metric in _GATHER_METRICS
         and data.dtype == np.float64
         and data.flags["C_CONTIGUOUS"]
     )
@@ -129,7 +105,7 @@ def _can_gather(backend, data: np.ndarray, metric: str) -> bool:
 
 def _verify_float32(
     index,
-    backend,
+    engine,
     queries: np.ndarray,
     flat_ids: np.ndarray,
     offsets: np.ndarray,
@@ -148,21 +124,19 @@ def _verify_float32(
     else:
         d32 = np.sum(np.abs(diff32), axis=1)
     margin = k + max(16, 2 * k)
-    short = _select(backend, flat_ids, d32.astype(np.float64), offsets, margin)
+    short = engine.topk_select(flat_ids, d32.astype(np.float64), offsets, margin)
     sl_ids, sl_offsets = _flatten([ids for ids, _ in short])
     q64 = np.ascontiguousarray(queries, dtype=np.float64)
-    if _can_gather(backend, data, metric):
-        d64 = _reduce_diff(
-            backend.gather_diff(data, sl_ids, sl_offsets, q64), metric
-        )
+    if _can_gather(data, metric):
+        d64 = _reduce_diff(engine.gather_diff(data, sl_ids, sl_offsets, q64), metric)
     else:
         d64 = pairwise_rows(data[sl_ids], q64[_owner_of(sl_offsets)], metric)
-    return _select(backend, sl_ids, d64, sl_offsets, k)
+    return engine.topk_select(sl_ids, d64, sl_offsets, k)
 
 
 def verify_batch(
     index,
-    backend,
+    engine,
     candidate_ids_per_query: Sequence[np.ndarray],
     queries: np.ndarray,
     k: int,
@@ -175,12 +149,12 @@ def verify_batch(
     flat_ids, offsets = _flatten(
         [np.asarray(c, dtype=np.int64) for c in candidate_ids_per_query]
     )
-    return verify_flat(index, backend, flat_ids, offsets, queries, k)
+    return verify_flat(index, engine, flat_ids, offsets, queries, k)
 
 
 def verify_flat(
     index,
-    backend,
+    engine,
     flat_ids: np.ndarray,
     offsets: np.ndarray,
     queries: np.ndarray,
@@ -192,9 +166,13 @@ def verify_flat(
     ``flat_ids[offsets[qi]:offsets[qi + 1]]`` (int64, contiguous — what
     ``CircularShiftArray._batch_k_lccs_flat`` returns); ``index``
     supplies data, metric, the ``last_stats`` accumulator and the
-    ``verify_dtype`` switch; ``backend`` supplies the optional compiled
-    hooks.
+    ``verify_dtype`` switch; ``engine`` is the compiled backend, or
+    ``None`` to rank through :meth:`repro.base.ANNIndex._verify_batch`.
     """
+    if engine is None:
+        bounds = offsets.tolist()
+        per_query = [flat_ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return ANNIndex._verify_batch(index, per_query, queries, k)
     data = index._data
     metric = index.metric
     Q = len(offsets) - 1
@@ -205,36 +183,27 @@ def verify_flat(
         empty = (np.empty(0, dtype=np.int64), np.empty(0))
         return [empty for _ in range(Q)]
     queries = np.asarray(queries)
-    compiled = backend is not None and getattr(backend, "compiled", False)
-    sel_backend = backend if compiled else None
 
     if (
         getattr(index, "verify_dtype", "float64") == "float32"
         and metric in _GATHER_METRICS
         and data.dtype == np.float64
     ):
-        return _verify_float32(index, sel_backend, queries, flat_ids, offsets, k)
+        return _verify_float32(index, engine, queries, flat_ids, offsets, k)
 
-    if (
-        metric == "hamming"
-        and compiled
-        and getattr(backend, "hamming_packed", None) is not None
-    ):
+    dists = None
+    if metric == "hamming":
         packed = _get_packed_data(index)
         if packed is not None and _is_binary(queries):
             q_packed = pack_bits(queries)
-            dists = backend.hamming_packed(
+            dists = engine.hamming_packed(
                 packed[flat_ids], q_packed[_owner_of(offsets)]
             )
-            return _select(sel_backend, flat_ids, dists, offsets, k)
-
-    if _can_gather(sel_backend, data, metric):
+    elif _can_gather(data, metric):
         q64 = np.ascontiguousarray(queries, dtype=np.float64)
-        diff = backend.gather_diff(data, flat_ids, offsets, q64)
-        dists = _reduce_diff(diff, metric)
-        return _select(sel_backend, flat_ids, dists, offsets, k)
-
-    # Reference path: exactly what ANNIndex._verify_batch computes.
-    rep_queries = np.repeat(queries, np.diff(offsets), axis=0)
-    dists = pairwise_rows(data[flat_ids], rep_queries, metric)
-    return _select(sel_backend, flat_ids, dists, offsets, k)
+        dists = _reduce_diff(engine.gather_diff(data, flat_ids, offsets, q64), metric)
+    if dists is None:
+        # the distances ANNIndex._verify_batch computes
+        rep_queries = np.repeat(queries, np.diff(offsets), axis=0)
+        dists = pairwise_rows(data[flat_ids], rep_queries, metric)
+    return engine.topk_select(flat_ids, dists, offsets, k)

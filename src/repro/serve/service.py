@@ -18,9 +18,8 @@ locks:
   never waits), and requests arriving while a batch runs queue up and
   form the next one — compatible requests (same ``k`` and query kwargs),
   up to ``max_batch_size``.  Batch size therefore follows the load.
-  Every micro-batch goes through ``batch_query``; whether a batch of one
-  is worth vectorising is the engine's call (it can see its kernel
-  backend), not the service's.  Per request the answer is
+  Every micro-batch goes through ``batch_query``; how a batch of one is
+  answered is the index's call, not the service's.  Per request the answer is
   *byte-identical* to what a direct ``batch_query`` (and therefore a
   direct ``query``) would return — the contract
   ``tests/test_service_equivalence.py`` pins down.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -16,20 +18,45 @@ def average_recall(index, queries, gt, k=10, **query_kwargs):
     return total / len(queries)
 
 
-def oracle_query(index, q, k, **kwargs):
-    """What the scalar reference engine answers, whatever backend is set.
+def _csas(index):
+    """Every CSA ``index`` answers through (segments, wrappers included)."""
+    if getattr(index, "csa", None) is not None:
+        return [index.csa]
+    segments = getattr(getattr(index, "_state", None), "segments", None)
+    if segments is not None:
+        return [csa for seg in segments for csa in _csas(seg.inner)]
+    inner = getattr(index, "inner", None)
+    return [] if inner is None else _csas(inner)
 
-    On a compiled backend ``index.query`` is the batch engine at B=1, so
-    comparing ``batch_query`` with ``query`` would compare the engine
-    with itself.  The oracle is the paper's algorithm spelled out with
-    the pure-Python pieces only: for a plain :class:`~repro.LCCSLSH`,
-    ``csa.k_lccs`` (scalar bisections, heap merge) followed by
-    ``ANNIndex._verify``; for the indexes built on top of it
-    (multi-probe, dynamic), their own scalar ``query`` with the kernels
-    switched to the NumPy reference, under which every LCCS segment runs
-    exactly that path (the batch-equivalence suite pins
-    ``LCCSLSH.query`` on ``numpy`` to the spelled-out oracle).  Indexes
-    without kernel backends answer for themselves.
+
+@contextmanager
+def engine_detached(index):
+    """Run ``index`` on the scalar path: the code the no-compiler
+    fallback runs, with the engine re-attached on exit."""
+    csas = _csas(index)
+    saved = [csa._engine for csa in csas]
+    for csa in csas:
+        csa._engine = None
+    try:
+        yield index
+    finally:
+        for csa, engine in zip(csas, saved):
+            csa._engine = engine
+
+
+def oracle_query(index, q, k, **kwargs):
+    """What the scalar path answers, whether or not the engine is attached.
+
+    On the engine ``index.query`` is a batch of one, so comparing
+    ``batch_query`` with ``query`` would compare the engine with itself.
+    The oracle is the paper's algorithm spelled out with the pure-Python
+    pieces only: for a plain :class:`~repro.LCCSLSH`, ``csa.k_lccs``
+    (scalar bisections, heap merge) followed by ``ANNIndex._verify``;
+    for the indexes built on top of it (multi-probe, dynamic), their own
+    ``query`` under :func:`engine_detached`, where every LCCS segment
+    runs exactly that path (the batch-equivalence suite pins detached
+    ``LCCSLSH.query`` to the spelled-out oracle).  Indexes without a CSA
+    answer for themselves.
     """
     from repro import LCCSLSH
     from repro.base import ANNIndex
@@ -43,15 +70,8 @@ def oracle_query(index, q, k, **kwargs):
         budget = min(index.n, num_candidates + k - 1)
         cand_ids, _ = index.csa.k_lccs(index.family.hash(q), budget)
         return ANNIndex._verify(index, cand_ids, q, k)
-    set_backend = getattr(index, "set_kernel_backend", None)
-    if set_backend is None:
+    with engine_detached(index):
         return index.query(q, k=k, **kwargs)
-    before = index.kernel_backend
-    set_backend("numpy")
-    try:
-        return index.query(q, k=k, **kwargs)
-    finally:
-        set_backend(before)
 
 
 def assert_matches_oracle(got, want, what=""):

@@ -8,23 +8,25 @@ contract down across metrics and the edge cases that stress the merge
 (k > n, duplicate rows, m not a power of two, all-identical strings).
 
 "Single-query results" means the scalar oracle of ``tests/helpers.py``,
-not ``index.query``: which engine ``query`` and small batches run is the
-index's own choice (by kernel backend and batch size), so both are
-checked against the oracle, across the batch sizes where that choice
-flips.
+not ``index.query``: on the engine ``query`` is itself a batch of one
+(and the multi-probe index loops small batches), so both are checked
+against the oracle, with the engine attached and detached, across the
+batch sizes where the multi-probe choice flips.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_matches_oracle, oracle_query
-from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH, kernels
+from helpers import assert_matches_oracle, engine_detached, oracle_query
+from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH
 from repro.core import CircularShiftArray
-from repro.core.lccs_lsh import SCALAR_CROSSOVER
+from repro.core.mp_lccs_lsh import MIN_BATCH
 
 
 def assert_csa_batch_matches(strings: np.ndarray, queries: np.ndarray, k: int):
@@ -230,10 +232,9 @@ def test_dynamic_batch_matches_single_before_fitting_inner(rng):
 
 
 # ----------------------------------------------------------------------
-# Batch sizes around the engine's own crossover, on every backend
+# Batch sizes around the multi-probe crossover, engine on and off
 # ----------------------------------------------------------------------
 
-BACKENDS = [b for b in ("numpy", "cext") if b in kernels.available_backends()]
 GRID_QUERIES = 33
 GRID_K = 6
 
@@ -278,29 +279,28 @@ def grid_case(request):
     return index, queries, [oracle_query(index, q, GRID_K) for q in queries]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("path", ["cext", "numpy"])
 @pytest.mark.parametrize(
-    "batch", [1, 2, 3, SCALAR_CROSSOVER, SCALAR_CROSSOVER + 1, GRID_QUERIES]
+    "batch", [1, 2, 3, MIN_BATCH, MIN_BATCH + 1, GRID_QUERIES]
 )
-def test_every_batch_size_matches_the_oracle(grid_case, batch, backend):
-    """B in {1, 2, 3, 12, 13, 33} x {numpy, cext}: below the crossover the
-    reference backend (and the multi-probe index everywhere) loops the
-    scalar path, at and above it the lock-step kernels run, and compiled
-    backends batch from B=1 — every combination answers like the oracle,
-    as does ``query`` itself."""
+def test_every_batch_size_matches_the_oracle(grid_case, batch, path):
+    """B in {1, 2, 3, 12, 13, 33}, answered by the engine (``cext``) or
+    by the scalar NumPy path with the engine detached (``numpy``, what a
+    host without a C compiler runs): the engine batches from B=1, the
+    multi-probe index loops below its crossover, and every combination
+    answers like the oracle, as does ``query`` itself."""
     index, queries, want = grid_case
-    assert index.set_kernel_backend(backend) == backend
-    ids, dists = index.batch_query(queries[:batch], k=GRID_K)
+    with engine_detached(index) if path == "numpy" else nullcontext():
+        ids, dists = index.batch_query(queries[:batch], k=GRID_K)
+        last = batch - 1
+        got_last = index.query(queries[last], k=GRID_K)
     for qi in range(batch):
         found = ids[qi] >= 0
         assert_matches_oracle(
             (ids[qi][found], dists[qi][found]), want[qi],
-            f"{backend} B={batch} row {qi}",
+            f"{path} B={batch} row {qi}",
         )
-    last = batch - 1
-    assert_matches_oracle(
-        index.query(queries[last], k=GRID_K), want[last], f"{backend} query"
-    )
+    assert_matches_oracle(got_last, want[last], f"{path} query")
 
 
 def test_default_batch_hook_loops_single_path(rng):

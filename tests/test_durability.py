@@ -470,6 +470,19 @@ def test_recover_refuses_a_bad_recipe_with_recovery_error(
         recover(wal_dir)
 
 
+@pytest.mark.parametrize("name", ["numba", "numpy"])
+def test_recover_replays_a_recipe_naming_a_retired_backend(tmp_path, name):
+    """Earlier builds recorded their kernel backend in the recipe; a
+    name this build no longer has still replays the log, on the engine."""
+    recipe = SPEC.to_manifest()
+    recipe["kwargs"]["backend"] = name
+    wal_dir = _wal_with_recipe(tmp_path, {"spec": recipe})
+    result = recover(wal_dir)
+    ops = make_ops(n_updates=5)
+    assert result.applied_seq == len(ops)
+    assert_identical_answers(result.index, apply_all(SPEC.build(), ops), queries_for())
+
+
 def test_recover_refuses_a_sharded_recipe(tmp_path):
     """A recipe for the removed sharded wrapper names the class."""
     recipe = {

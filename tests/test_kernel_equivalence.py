@@ -1,27 +1,31 @@
-"""Kernel backends are invisible: every backend is byte-identical.
+"""The engine is invisible: it answers exactly like the scalar oracle.
 
-The compiled kernel backend (``cext``) is a pure performance
-refactor of the CSA bisection, the tournament merge, and candidate
-verification.  For every index in the LCCS family — static, multi-probe,
-dynamic (including after inserts/deletes/rebuilds) — switching
-the backend must change *nothing* observable: same ids, same distances,
-same tie-breaks, byte for byte, on both ``query`` and ``batch_query``.
+The compiled engine (``cext``) is a pure performance refactor of the
+CSA bisection, the tournament merge, and candidate verification.  For
+every index in the LCCS family — static, multi-probe, dynamic
+(including after inserts/deletes/rebuilds) — it must change *nothing*
+observable against the scalar path of ``tests/helpers.py::oracle_query``:
+same ids, same distances, same tie-breaks, byte for byte, on both
+``query`` and ``batch_query``.
 
 Also pinned here:
 
-* registry semantics — explicit-kwarg > ``set_default_backend`` >
-  ``REPRO_BACKEND`` env > numpy; unknown env values are ignored,
-  unknown explicit names raise, unavailable backends fall back silently;
+* the no-compiler fallback — one ``RuntimeWarning`` naming the compile
+  error, ``kernel_backend == "scalar"``, oracle answers on every index
+  class, and ``backend="cext"`` refusing with the compile error;
+* ``backend=`` accepts only ``None``/``"cext"`` from callers, while
+  names recorded by earlier builds load on the engine;
 * ``pack_bits``/``hamming_packed`` equal the unpacked Hamming distance;
 * the opt-in ``verify_dtype="float32"`` screen re-ranks exactly;
 * the per-stage timing hooks are populated by the batch path.
 
-The whole file runs against whichever compiled backends this machine
-has (CI lanes exercise cext).  With no compiled backend available the
-equivalence tests self-skip and only the registry tests run.
+The engine tests self-skip where it cannot be built (CI runs this file
+once with the compiler disabled); the fallback tests run everywhere.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -32,10 +36,10 @@ from helpers import assert_matches_oracle, oracle_query
 from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH, kernels
 from repro.distances import hamming_packed, pack_bits, pairwise_rows
 
-COMPILED = [b for b in kernels.available_backends() if b != "numpy"]
+COMPILED = [] if kernels.engine() is None else ["cext"]
 
 needs_compiled = pytest.mark.skipif(
-    not COMPILED, reason="no compiled kernel backend available"
+    not COMPILED, reason="the cext engine cannot be built here"
 )
 
 
@@ -50,86 +54,139 @@ def _workload(seed: int, n: int, dim: int, nq: int, binary: bool = False):
     return data, queries
 
 
-def assert_backends_identical(index, queries: np.ndarray, k: int):
-    """Every backend, numpy included, matches the scalar oracle on the
-    batch and single paths (on a compiled backend ``query`` is the batch
-    engine at B=1, so numpy's ``query`` alone would not pin it)."""
+def assert_engine_matches_oracle(index, queries: np.ndarray, k: int):
+    """The engine matches the scalar oracle at B=1 (``query`` and a
+    batch of one) and at B = the whole query set."""
     oracle = [oracle_query(index, q, k) for q in queries]
-    ref_batch = None
-    for backend in ["numpy"] + COMPILED:
-        assert index.set_kernel_backend(backend) == backend
-        bi, bd = index.batch_query(queries, k=k)
-        if ref_batch is None:
-            ref_batch = (bi, bd)
-        assert np.array_equal(bi, ref_batch[0]), f"{backend}: batch ids"
-        assert np.array_equal(bd, ref_batch[1]), f"{backend}: batch dists"
-        for qi, q in enumerate(queries):
-            found = bi[qi] >= 0
-            assert_matches_oracle(
-                (bi[qi][found], bd[qi][found]), oracle[qi],
-                f"{backend}: batch row {qi}",
-            )
-            assert_matches_oracle(
-                index.query(q, k=k), oracle[qi], f"{backend}: single {qi}"
-            )
-    index.set_kernel_backend("numpy")
+    bi, bd = index.batch_query(queries, k=k)
+    for qi, q in enumerate(queries):
+        found = bi[qi] >= 0
+        assert_matches_oracle(
+            (bi[qi][found], bd[qi][found]), oracle[qi], f"batch row {qi}"
+        )
+        one_ids, one_dists = index.batch_query(q[None, :], k=k)
+        found = one_ids[0] >= 0
+        assert_matches_oracle(
+            (one_ids[0][found], one_dists[0][found]), oracle[qi], f"B=1 {qi}"
+        )
+        assert_matches_oracle(index.query(q, k=k), oracle[qi], f"single {qi}")
 
 
 # ----------------------------------------------------------------------
-# Registry semantics
+# backend= and the no-compiler fallback
 # ----------------------------------------------------------------------
 
 
 def test_unknown_explicit_backend_raises():
-    with pytest.raises(ValueError, match="unknown"):
-        kernels.resolve_backend("fortran")
-    with pytest.raises(ValueError, match="unknown"):
-        kernels.set_default_backend("fortran")
-    with pytest.raises(ValueError, match="unknown"):
-        LCCSLSH(dim=4, m=4, backend="fortran").fit(
-            np.random.default_rng(0).normal(size=(10, 4))
-        )
+    for name in ("fortran", "scalar"):
+        with pytest.raises(ValueError, match="unknown"):
+            LCCSLSH(dim=4, m=4, backend=name)
+        with pytest.raises(ValueError, match="unknown"):
+            DynamicLCCSLSH(dim=4, m=4, backend=name)
+        with pytest.raises(ValueError, match="unknown"):
+            kernels.check_backend(name)
 
 
-def test_unknown_env_backend_ignored(monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "fortran")
-    assert kernels.resolve_backend().name == "numpy"
+SIMULATED = "kernel compilation failed: simulated for the fallback tests"
 
 
-def test_env_selects_backend(monkeypatch):
-    for backend in COMPILED:
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, backend)
-        assert kernels.resolve_backend().name == backend
+def _break_engine(monkeypatch):
+    """From here on the process has not built its engine yet and cannot:
+    the compile step fails as it does without a C compiler."""
+    from repro.kernels import cext
+
+    def fail():
+        raise RuntimeError(SIMULATED)
+
+    monkeypatch.setattr(cext, "_compile_library", fail)
+    monkeypatch.setattr(kernels, "_loaded", False)
+    monkeypatch.setattr(kernels, "_engine", None)
+    monkeypatch.setattr(kernels, "_error", None)
 
 
-def test_unavailable_backend_falls_back_silently(monkeypatch):
-    """A known backend this host cannot build (here: forced, so the test
-    means something where a C compiler exists) resolves to numpy."""
-    monkeypatch.setitem(kernels._instances, "cext", None)
-    monkeypatch.setitem(kernels._unavailable, "cext", "no C compiler")
-    assert kernels.available_backends() == ["numpy"]
-    assert kernels.resolve_backend("cext").name == "numpy"
-    assert kernels.unavailable_reason("cext") == "no C compiler"
-    index = LCCSLSH(dim=4, m=4, w=4.0, seed=1, backend="cext")
-    assert index.kernel_backend == "numpy"
+@pytest.fixture
+def no_engine(monkeypatch):
+    _break_engine(monkeypatch)
 
 
-@needs_compiled
-def test_precedence_kwarg_beats_default_beats_env(monkeypatch):
-    backend = COMPILED[0]
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, backend)
-    try:
-        assert kernels.set_default_backend("numpy") == "numpy"
-        assert kernels.resolve_backend().name == "numpy"  # default > env
-        assert kernels.resolve_backend(backend).name == backend  # kwarg wins
-    finally:
-        kernels.set_default_backend(None)
-    assert kernels.resolve_backend().name == backend  # env again
+def test_fallback_warns_once_with_the_compile_error(no_engine):
+    with pytest.warns(RuntimeWarning) as caught:
+        assert kernels.engine() is None
+    assert len(caught) == 1
+    assert SIMULATED in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.engine() is None  # decided once: no second warning
+        LCCSLSH(dim=4, m=4, seed=0).fit(np.eye(4))
 
 
-def test_numpy_always_available():
-    assert "numpy" in kernels.available_backends()
-    assert kernels.get_backend("numpy").compiled is False
+def test_fallback_reports_scalar(no_engine):
+    from repro.serve.service import ANNService
+
+    data, queries = _workload(6, n=60, dim=8, nq=4)
+    with pytest.warns(RuntimeWarning):
+        index = LCCSLSH(dim=8, m=8, w=4.0, seed=6).fit(data)
+    assert index.kernel_backend == "scalar"
+    assert DynamicLCCSLSH(dim=8, m=8, seed=6).kernel_backend == "scalar"
+    with ANNService(index) as service:
+        service.query(queries[0], k=3)
+        assert service.stats()["kernel_backend"] == "scalar"
+
+
+def test_fallback_refuses_explicit_cext(no_engine):
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(RuntimeError, match=SIMULATED):
+            LCCSLSH(dim=4, m=4, backend="cext")
+    with pytest.raises(RuntimeError, match=SIMULATED):
+        DynamicLCCSLSH(dim=4, m=4, backend="cext")
+
+
+def _fallback_lccs(rng):
+    return LCCSLSH(dim=12, m=16, seed=5).fit(rng.normal(size=(300, 12)))
+
+
+def _fallback_mp(rng):
+    return MPLCCSLSH(dim=12, m=8, n_probes=5, seed=3).fit(
+        rng.normal(size=(200, 12))
+    )
+
+
+def _fallback_dynamic_aged(rng):
+    index = DynamicLCCSLSH(
+        dim=12, m=16, seed=8, memtable_size=16, max_segments=8
+    ).fit(rng.normal(size=(200, 12)))
+    for row in rng.normal(size=(120, 12)):
+        index.insert(row)
+    for handle in (3, 57, 203, 270, 300, 316):
+        index.delete(handle)
+    assert index.segment_count > 1 and index.buffer_size > 0
+    return index
+
+
+@pytest.mark.parametrize(
+    "build", [_fallback_lccs, _fallback_mp, _fallback_dynamic_aged],
+    ids=["lccs", "mp", "dynamic-aged"],
+)
+def test_fallback_answers_like_the_oracle(monkeypatch, build):
+    """Built where the engine cannot be, every index class answers
+    ``query`` and ``batch_query`` (B in {1, 13}) exactly like the oracle
+    taken on the same index built while the engine was there."""
+    queries = np.random.default_rng(99).normal(size=(13, 12))
+    reference = build(np.random.default_rng(2024))
+    want = [oracle_query(reference, q, 6) for q in queries]
+    _break_engine(monkeypatch)
+    with pytest.warns(RuntimeWarning):
+        index = build(np.random.default_rng(2024))
+    assert index.kernel_backend == "scalar"
+    for batch in (1, 13):
+        ids, dists = index.batch_query(queries[:batch], k=6)
+        for qi in range(batch):
+            found = ids[qi] >= 0
+            assert_matches_oracle(
+                (ids[qi][found], dists[qi][found]), want[qi], f"B={batch} {qi}"
+            )
+    for qi, q in enumerate(queries):
+        assert_matches_oracle(index.query(q, k=6), want[qi], f"query {qi}")
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +205,7 @@ def test_numpy_always_available():
 def test_lccs_euclidean_identity(seed, n, m, k):
     data, queries = _workload(seed, n, dim=8, nq=6)
     index = LCCSLSH(dim=8, m=m, w=4.0, seed=seed % 1000).fit(data)
-    assert_backends_identical(index, queries, k)
+    assert_engine_matches_oracle(index, queries, k)
 
 
 @needs_compiled
@@ -162,7 +219,7 @@ def test_lccs_hamming_identity(seed, n, k):
     """Binary data exercises the packed-popcount verification path."""
     data, queries = _workload(seed, n, dim=16, nq=6, binary=True)
     index = LCCSLSH(dim=16, m=8, metric="hamming", seed=seed % 1000).fit(data)
-    assert_backends_identical(index, queries, k)
+    assert_engine_matches_oracle(index, queries, k)
 
 
 @needs_compiled
@@ -177,7 +234,7 @@ def test_mp_lccs_identity(seed, n, n_probes):
     index = MPLCCSLSH(
         dim=8, m=8, w=4.0, seed=seed % 1000, n_probes=n_probes
     ).fit(data)
-    assert_backends_identical(index, queries, k=8)
+    assert_engine_matches_oracle(index, queries, k=8)
 
 
 @needs_compiled
@@ -190,19 +247,19 @@ def test_dynamic_identity_through_mutations(seed):
     index = DynamicLCCSLSH(
         dim=8, m=8, w=4.0, seed=seed % 1000, rebuild_threshold=0.5
     ).fit(data)
-    assert_backends_identical(index, queries, k=10)
+    assert_engine_matches_oracle(index, queries, k=10)
     # Buffered inserts + tombstoned deletes (below the rebuild threshold).
     for vec in rng.normal(size=(8, 8)):
         index.insert(vec)
     index.delete(2)
     index.delete(41)
     assert index.buffer_size > 0
-    assert_backends_identical(index, queries, k=10)
+    assert_engine_matches_oracle(index, queries, k=10)
     # Push past the threshold so the CSA is rebuilt with the buffer.
     for vec in rng.normal(size=(25, 8)):
         index.insert(vec)
     assert index.rebuilds >= 2  # fit + at least one buffer-triggered
-    assert_backends_identical(index, queries, k=10)
+    assert_engine_matches_oracle(index, queries, k=10)
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +288,7 @@ def test_backend_hamming_packed_kernel(backend):
     rng = np.random.default_rng(5)
     a = rng.integers(0, 2, size=(60, 100)).astype(np.float64)
     b = rng.integers(0, 2, size=(60, 100)).astype(np.float64)
-    kb = kernels.get_backend(backend)
-    got = kb.hamming_packed(pack_bits(a), pack_bits(b))
+    got = kernels.engine().hamming_packed(pack_bits(a), pack_bits(b))
     assert np.array_equal(got, pairwise_rows(a, b, "hamming"))
 
 
@@ -244,14 +300,12 @@ def test_float32_rerank_is_exact(seed, k):
     data, queries = _workload(seed, n=80, dim=12, nq=6)
     ref = LCCSLSH(dim=12, m=8, w=4.0, seed=seed % 1000).fit(data)
     ref_out = ref.batch_query(queries, k=k)
-    for backend in COMPILED:
-        fast = LCCSLSH(
-            dim=12, m=8, w=4.0, seed=seed % 1000,
-            backend=backend, verify_dtype="float32",
-        ).fit(data)
-        bi, bd = fast.batch_query(queries, k=k)
-        assert np.array_equal(bi, ref_out[0]), backend
-        assert np.array_equal(bd, ref_out[1]), backend
+    fast = LCCSLSH(
+        dim=12, m=8, w=4.0, seed=seed % 1000, verify_dtype="float32"
+    ).fit(data)
+    bi, bd = fast.batch_query(queries, k=k)
+    assert np.array_equal(bi, ref_out[0])
+    assert np.array_equal(bd, ref_out[1])
 
 
 def test_verify_dtype_validated():
@@ -311,7 +365,7 @@ def test_service_stats_report_backend():
 
 
 # ----------------------------------------------------------------------
-# Persistence: the backend choice survives a save/load round trip
+# Persistence: a bundle loads back on the engine
 # ----------------------------------------------------------------------
 
 
@@ -332,10 +386,10 @@ def test_backend_survives_bundle_roundtrip(tmp_path, backend):
 
 
 def test_persisted_unknown_backend_loads_on_the_default(tmp_path):
-    """A pickle or bundle written by a build that had a backend this one
-    does not (``numba``, before it was removed) must still load — on the
-    default backend, answering identically — while the same name passed
-    by a caller keeps raising."""
+    """A pickle or bundle written by an earlier build may record a
+    backend name (``"numpy"``, ``"numba"``, ``"cext"`` or null): it must
+    load on the engine and answer identically, while an unknown name
+    passed by a caller still raises."""
     import json
     import pickle
 
@@ -345,52 +399,48 @@ def test_persisted_unknown_backend_loads_on_the_default(tmp_path):
     data, queries = _workload(10, n=60, dim=8, nq=5)
     index = LCCSLSH(dim=8, m=8, w=4.0, seed=9).fit(data)
     want = index.batch_query(queries, k=5)
-    default = kernels.resolve_backend().name
+    default = index.kernel_backend
 
     state = index.csa.__getstate__()
-    state["_backend"] = "numba"  # what a CSA pickled under numba recorded
+    assert "_engine" not in state  # the engine is re-attached, not pickled
+    state["_backend"] = "numba"  # what a CSA pickled by an earlier build held
     csa = CircularShiftArray.__new__(CircularShiftArray)
     csa.__setstate__(pickle.loads(pickle.dumps(state)))
-    assert csa.backend_name == default
-    csa = CircularShiftArray.from_arrays(index.csa.export_arrays(), backend="numba")
-    assert csa.backend_name == default
+    assert csa._engine is kernels.engine()
 
-    for name, make in (
-        ("static", lambda: index),
-        ("dynamic", lambda: DynamicLCCSLSH(dim=8, m=8, w=4.0, seed=9).fit(data)),
-    ):
-        path = tmp_path / f"{name}.bundle"
-        save_index(make(), path)
-        manifest = json.loads((path / "manifest.json").read_text())
-        if name == "static":
-            manifest["state"]["backend"] = "numba"
-        else:
-            manifest["state"]["lccs_kwargs"]["backend"] = "numba"
-            for segment in manifest["state"]["segments"]:
-                segment["state"]["backend"] = "numba"
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        loaded = load_index(path)
-        assert loaded.kernel_backend == default
-        got = loaded.batch_query(queries, k=5)
-        assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
-        loaded.fit(data)  # the recorded name must not poison a later refit
+    for name in ("numpy", "numba", "cext", None):
+        for kind, make in (
+            ("static", lambda: index),
+            ("dynamic", lambda: DynamicLCCSLSH(dim=8, m=8, w=4.0, seed=9).fit(data)),
+        ):
+            path = tmp_path / f"{kind}-{name}.bundle"
+            save_index(make(), path)
+            manifest = json.loads((path / "manifest.json").read_text())
+            if kind == "static":
+                assert "backend" not in manifest["state"]  # no longer written
+                manifest["state"]["backend"] = name
+            else:
+                manifest["state"]["lccs_kwargs"]["backend"] = name
+                for segment in manifest["state"]["segments"]:
+                    segment["state"]["backend"] = name
+            (path / "manifest.json").write_text(json.dumps(manifest))
+            for mmap in (False, True):
+                loaded = load_index(path, mmap=mmap)
+                assert loaded.kernel_backend == default
+                got = loaded.batch_query(queries, k=5)
+                assert np.array_equal(want[0], got[0])
+                assert np.array_equal(want[1], got[1])
+            loaded.fit(data)  # the recorded name must not poison a refit
 
     with pytest.raises(ValueError, match="unknown"):
-        CircularShiftArray(index.hash_strings, backend="numba")
-    with pytest.raises(ValueError, match="unknown"):
-        index.set_kernel_backend("numba")
+        LCCSLSH(dim=8, m=8, backend="fortran")
 
 
 # ----------------------------------------------------------------------
-# The C backend's cached addresses follow the arrays, not the index
+# The engine's cached addresses follow the arrays, not the index
 # ----------------------------------------------------------------------
 
-needs_cext = pytest.mark.skipif(
-    "cext" not in COMPILED, reason="C kernel backend unavailable"
-)
-
-
-@needs_cext
+@needs_compiled
 def test_cext_addresses_follow_replaced_and_copied_arrays():
     """The kernels reach the CSA arrays and the data matrix through
     addresses remembered per array object.  Everything that swaps the
@@ -401,7 +451,7 @@ def test_cext_addresses_follow_replaced_and_copied_arrays():
     import gc
     import pickle
 
-    addresses = kernels.get_backend("cext")._addresses._by_id
+    addresses = kernels.engine()._addresses._by_id
     data, queries = _workload(21, n=90, dim=8, nq=6)
     # fitted on copies throughout: the index is its arrays' only owner
     index = LCCSLSH(dim=8, m=8, w=4.0, seed=21, backend="cext").fit(data.copy())
@@ -429,7 +479,7 @@ def test_cext_addresses_follow_replaced_and_copied_arrays():
     assert len(addresses) == live
 
 
-@needs_cext
+@needs_compiled
 def test_cext_converts_arrays_it_cannot_read_in_place():
     """Strings that are not int64 (the kernels' character type) get one
     converted copy; the answers are the scalar path's."""
@@ -438,7 +488,7 @@ def test_cext_converts_arrays_it_cannot_read_in_place():
     rng = np.random.default_rng(8)
     strings = rng.integers(0, 4, size=(50, 10)).astype(np.int32)
     queries = rng.integers(0, 4, size=(7, 10)).astype(np.int32)
-    csa = CircularShiftArray(strings, backend="cext")
+    csa = CircularShiftArray(strings)
     assert csa._doubled.dtype == np.int32
     for q, (ids, lens) in zip(queries, csa.batch_k_lccs(queries, 9)):
         want_ids, want_lens = csa.k_lccs(q, 9)

@@ -20,7 +20,7 @@ from helpers import assert_matches_oracle, oracle_query
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicLCCSLSH, kernels
+from repro import DynamicLCCSLSH
 from repro.core.segments import (
     CompactionManager,
     Segment,
@@ -197,7 +197,7 @@ def test_tiered_policy_holds_over_random_streams(mode, data):
     """Random insert / delete / flush / compact streams: the 2x size
     invariant and the count bound hold after every op, rebuilt rows stay
     within the logarithmic-method bound, saturated answers equal a twin
-    that fully rebuilt, and every backend still answers as the oracle."""
+    that fully rebuilt, and the engine still answers as the oracle."""
     rng = np.random.default_rng(5)
     base = rng.normal(size=(24, DIM))
     memtable = 4
@@ -239,18 +239,14 @@ def test_tiered_policy_holds_over_random_streams(mode, data):
     reference._rebuild()
     queries = rng.normal(size=(4, DIM))
     _assert_same_answers(tiered, reference, queries)
-    for backend in ("numpy", "cext"):
-        if backend not in kernels.available_backends():
-            continue
-        tiered.set_kernel_backend(backend)
-        want = [oracle_query(tiered, q, 5) for q in queries]
-        ids, dists = tiered.batch_query(queries, k=5)
-        for qi, q in enumerate(queries):
-            assert_matches_oracle(tiered.query(q, k=5), want[qi], backend)
-            found = ids[qi] >= 0
-            assert_matches_oracle(
-                (ids[qi][found], dists[qi][found]), want[qi], f"{backend} batch"
-            )
+    want = [oracle_query(tiered, q, 5) for q in queries]
+    ids, dists = tiered.batch_query(queries, k=5)
+    for qi, q in enumerate(queries):
+        assert_matches_oracle(tiered.query(q, k=5), want[qi], "query")
+        found = ids[qi] >= 0
+        assert_matches_oracle(
+            (ids[qi][found], dists[qi][found]), want[qi], "batch"
+        )
 
 
 def test_write_amplification_on_the_mixed_rw_shape():
