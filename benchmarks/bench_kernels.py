@@ -21,6 +21,12 @@ per stage.  An extra row benches the engine's opt-in
 ``verify_dtype="float32"`` screen (with exact float64 re-rank) on the
 Euclidean workload.
 
+A last table times the CSA build — the engine's ``csa_build`` against
+the rank-doubling ``_build`` it replaces — at n=10k and ``--n``, m=64,
+on random-projection strings (SIFT-like data, w=256: the e2e bundle's
+family) and MinHash strings, asserting the two emit the same bytes
+before either is timed.
+
 Writes ``benchmarks/results/bench_kernels.json`` + ``.md``.
 
 Usage::
@@ -43,8 +49,13 @@ from _results import environment, write_results  # noqa: E402
 
 from repro import LCCSLSH  # noqa: E402
 from repro import kernels  # noqa: E402
+from repro.core import CircularShiftArray  # noqa: E402
+from repro.data.synthetic import sift_like  # noqa: E402
+from repro.hashes.minhash import MinHashFamily  # noqa: E402
+from repro.hashes.random_projection import RandomProjectionFamily  # noqa: E402
 
 STAGES = ("hash", "search", "merge", "verify")
+BUILD_FAMILIES = ("random_projection", "minhash")
 
 
 def _build_index(workload: str, n: int, dim: int, m: int, seed: int):
@@ -134,6 +145,60 @@ def bench_workload(
     }
 
 
+def _family_strings(family: str, n: int, m: int, seed: int) -> np.ndarray:
+    if family == "random_projection":
+        data = sift_like(n, 128, seed=seed)
+        return RandomProjectionFamily(128, m, w=256.0, seed=seed).hash(data)
+    sets = np.random.default_rng(seed).random((n, 128)) < 0.1
+    return MinHashFamily(128, m, seed=seed).hash(sets.astype(np.float64))
+
+
+def _best_of(fn, repeats: int):
+    best, out = float("inf"), None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def bench_csa_build(family: str, n: int, m: int, repeats: int, seed: int) -> dict:
+    """Engine build vs rank doubling on one family's strings; the two
+    outputs are asserted byte-identical before timing is reported."""
+    csa = CircularShiftArray(_family_strings(family, n, m, seed))
+    engine_s, built = _best_of(lambda: csa._engine.csa_build(csa.strings), repeats)
+    numpy_s, fallback = _best_of(csa._build, repeats)
+    for got, want in zip(built, fallback):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+            f"engine CSA build diverges from _build on {family} n={n}"
+        )
+    return {
+        "family": family,
+        "n": n,
+        "m": m,
+        "distinct_chars": int(len(np.unique(csa.strings))),
+        "engine_seconds": engine_s,
+        "numpy_seconds": numpy_s,
+        "speedup": numpy_s / engine_s,
+        "byte_identical": True,
+    }
+
+
+def _md_build_table(rows) -> str:
+    lines = [
+        "| family | n | m | distinct chars | engine (ms) | numpy _build (ms) "
+        "| speedup |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for r in rows:
+        lines.append(
+            f"| {r['family']} | {r['n']} | {r['m']} | {r['distinct_chars']} | "
+            f"{r['engine_seconds'] * 1e3:.1f} | {r['numpy_seconds'] * 1e3:.1f} | "
+            f"{r['speedup']:.1f}x |"
+        )
+    return "\n".join(lines)
+
+
 def _md_table(section: dict) -> str:
     lines = [
         "| path | verify | batch(s) | QPS | vs scalar | "
@@ -188,7 +253,19 @@ def main(argv=None) -> int:
                 f"{r['speedup_vs_scalar']:.2f}x vs scalar"
             )
 
-    payload = {"environment": env, "workloads": sections}
+    build_rows = []
+    print(f"\n== CSA build: m={args.m} ==")
+    for n in sorted({10_000, args.n}):
+        for family in BUILD_FAMILIES:
+            row = bench_csa_build(family, n, args.m, args.repeats, args.seed)
+            build_rows.append(row)
+            print(
+                f"  {family:>17} n={n}: engine {row['engine_seconds'] * 1e3:.1f} ms"
+                f"  numpy {row['numpy_seconds'] * 1e3:.1f} ms"
+                f"  {row['speedup']:.1f}x"
+            )
+
+    payload = {"environment": env, "workloads": sections, "csa_build": build_rows}
 
     md = ["# The cext engine against the scalar oracle — batched throughput", ""]
     md.append(
@@ -217,6 +294,17 @@ def main(argv=None) -> int:
             f"({best['speedup_vs_scalar']:.2f}x the scalar path) on a "
             f"single core."
         )
+    md.append(
+        f"\n## CSA build (m={args.m}): engine `csa_build` vs rank-doubling "
+        "`_build`\n"
+    )
+    md.append(
+        "Both outputs are asserted byte-identical before either is timed; "
+        "best of "
+        f"{args.repeats}. Random projection: SIFT-like data, d=128, w=256 "
+        "(the e2e bundle's family). MinHash: d=128 sets of density 0.1.\n"
+    )
+    md.append(_md_build_table(build_rows))
     json_path, md_path = write_results("kernels", payload, "\n".join(md))
     print(f"\nwrote {json_path}\nwrote {md_path}")
 

@@ -12,11 +12,16 @@ previous shift matched at least one character on both bounds
 (Lemma 3.1 / Corollary 3.2).  A 2m-way merge by a max-heap on LCP length
 then emits strings in exactly non-increasing order of LCCS length.
 
-Construction uses rank doubling over all ``n*m`` rotations (the
-numpy-friendly equivalent of Algorithm 1's ``m`` comparison sorts): after
-``ceil(log2 m)`` rounds of sorting (rank, rank-at-offset) pairs every
-rotation has a dense rank, and ``I_s`` is an argsort of the rank column
-``s``.
+Construction (Algorithm 1) runs on the compiled engine
+(:meth:`repro.kernels.cext.CExtBackend.csa_build`): rotation ``s``
+orders as the pair (character ``s``, rotation ``s+1``), so ``I_s`` is
+``I_{s+1}`` stably sorted by one character column — ``2m - 1`` counting
+sorts in all.  Without the engine it falls back to rank doubling over
+all ``n*m`` rotations: rounds of sorting (rank, rank-at-offset) pairs,
+stopping once a round splits no class (at most ``ceil(log2 m)``), give
+every rotation a dense rank, and ``I_s`` is an argsort of the rank
+column ``s``.  Both emit the same bytes: ``I_s`` orders ids by their
+``s``-rotation and equal rotations by ascending id, which determines it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from repro import kernels
 from repro.core.lccs import compare_rotations, lcp_length
 
 __all__ = ["ShiftBounds", "CircularShiftArray"]
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -53,16 +60,18 @@ class ShiftBounds:
 class CircularShiftArray:
     """Index over circular shifts of equal-length integer strings.
 
-    The batch entry points (:meth:`_batch_search_arrays`,
+    The build and the batch entry points (:meth:`_batch_search_arrays`,
     :meth:`batch_search_all_shifts`, :meth:`_batch_merge_tournament`,
     :meth:`_batch_k_lccs_flat`) run on the compiled engine
-    (:func:`repro.kernels.engine`).  The scalar paths (:meth:`k_lccs`
-    and friends) and the multi-probe heap merge stay pure Python/NumPy:
-    they are the oracle the engine must match byte for byte, and where
-    the engine cannot be built the batch entry points loop them.
+    (:func:`repro.kernels.engine`).  The scalar paths (:meth:`_build`,
+    :meth:`k_lccs` and friends) and the multi-probe heap merge stay pure
+    Python/NumPy: they are the oracle the engine must match byte for
+    byte, and where the engine cannot be built they run instead.
 
     Args:
         strings: ``(n, m)`` integer array; row ``i`` is string ``T_i``.
+            Kept as int64, the engine's character type; a value that
+            does not fit is a ``ValueError``.
 
     Attributes:
         n: number of strings.
@@ -82,15 +91,24 @@ class CircularShiftArray:
             raise ValueError("strings must be non-empty in both dimensions")
         if not np.issubdtype(strings.dtype, np.integer):
             raise TypeError("CSA requires integer hash strings")
+        # One character type for the build, the engine and the scalar
+        # path: a uint64 value >= 2**63 would wrap in the engine's int64
+        # copy and compare in another order than the one built here.
+        if not np.can_cast(strings.dtype, np.int64) and strings.max() > _INT64_MAX:
+            raise ValueError("CSA hash strings must fit in int64")
+        strings = strings.astype(np.int64, copy=False)
         self.n, self.m = strings.shape
         # Doubled copies give O(1) zero-copy access to any rotation; the
         # left half *is* ``strings``, so the input is not kept as well.
         self._doubled = np.concatenate([strings, strings], axis=1)
         self.strings = self._doubled[:, : self.m]
-        self.sorted_idx, self.next_link = self._build()
-        #: the compiled engine, or None: the batch entry points loop the
-        #: scalar path
+        #: the compiled engine, or None: the build and the batch entry
+        #: points run the scalar path
         self._engine = kernels.engine()
+        if self._engine is not None and self.n < 2**31:
+            self.sorted_idx, self.next_link = self._engine.csa_build(self.strings)
+        else:
+            self.sorted_idx, self.next_link = self._build()
 
     def __getstate__(self) -> dict:
         """The engine holds a ctypes library: it is re-attached, not pickled."""
@@ -104,17 +122,18 @@ class CircularShiftArray:
         self._engine = kernels.engine()
 
     # ------------------------------------------------------------------
-    # Construction (paper Algorithm 1, via rank doubling)
+    # Construction (paper Algorithm 1; rank doubling is the fallback)
     # ------------------------------------------------------------------
 
     def _build(
         self, packed_keys: Optional[bool] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rank doubling; ``packed_keys`` forces one of the two round sorts
-        (the tests pin them to identical arrays), ``None`` picks."""
+        """Rank doubling, the build without the engine and its oracle;
+        ``packed_keys`` forces one of the two round sorts (the tests pin
+        them to identical arrays), ``None`` picks."""
         n, m = self.n, self.m
         # Dense initial ranks of single characters.
-        _, inv = np.unique(self.strings.ravel(), return_inverse=True)
+        chars, inv = np.unique(self.strings.ravel(), return_inverse=True)
         rank = inv.reshape(n, m).astype(np.int64)
         # Ranks are < n*m, so a round's (first, second) pair packs into
         # one int64 key whenever (n*m + 1)**2 fits: one argsort instead of
@@ -123,6 +142,7 @@ class CircularShiftArray:
         base = n * m + 1
         if packed_keys is None:
             packed_keys = base * base < 2**63
+        classes = len(chars)
         width = 1
         while width < m:
             second = np.roll(rank, -width, axis=1)  # rank of rotation s+width
@@ -143,6 +163,11 @@ class CircularShiftArray:
                     s_sorted[1:] != s_sorted[:-1]
                 )
             dense = np.cumsum(changed)
+            # A round that splits no class leaves every rank as it was,
+            # and so does every later round: the ranks are final.
+            if int(dense[-1]) + 1 == classes:
+                break
+            classes = int(dense[-1]) + 1
             new_rank = np.empty(n * m, dtype=np.int64)
             new_rank[order] = dense
             rank = new_rank.reshape(n, m)
@@ -781,6 +806,8 @@ class CircularShiftArray:
             raise ValueError(f"{source} has inconsistent array shapes")
         if not np.issubdtype(obj.strings.dtype, np.integer):
             raise ValueError(f"{source}: CSA strings must be integer")
+        if not np.can_cast(obj.strings.dtype, np.int64):
+            raise ValueError(f"{source}: CSA strings must fit in int64")
         sorted_idx = np.asarray(arrays["sorted_idx"])
         next_link = np.asarray(arrays["next_link"])
         if (

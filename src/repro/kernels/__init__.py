@@ -6,13 +6,15 @@ merge, and fused candidate verification — run as a small C extension
 compiler (no build step, no new dependency) and loaded through
 ``ctypes``.  It is *the engine*: every batch entry point of
 :class:`~repro.core.csa.CircularShiftArray` and every served query
-goes through it.
+goes through it.  So does every CSA build (fit, seal, compaction,
+recovery replay): :meth:`~repro.kernels.cext.CExtBackend.csa_build`.
 
-The scalar per-query path (``csa.search_all_shifts`` /
-``merge_candidates`` and ``ANNIndex._verify``) is the oracle the engine
-must match byte for byte — same ids, same LCCS lengths, same distances,
-same tie-breaks (``tests/test_kernel_equivalence.py``).  It is also the
-fallback when the engine cannot be built: :func:`engine` then returns
+The scalar path (``csa.search_all_shifts`` / ``merge_candidates``,
+``ANNIndex._verify`` and the rank-doubling ``csa._build``) is the oracle
+the engine must match byte for byte — same ids, same LCCS lengths, same
+distances, same tie-breaks, same CSA arrays
+(``tests/test_kernel_equivalence.py``, ``tests/test_csa.py``).  It is
+also the fallback when the engine cannot be built: :func:`engine` then returns
 ``None`` after one ``RuntimeWarning`` carrying the compile error, and
 indexes answer through the scalar path, slower but identically.
 

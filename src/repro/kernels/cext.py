@@ -1,13 +1,14 @@
 """The engine: C kernels compiled on first use, loaded through ``ctypes``.
 
-The CSA bisection, the 2m-way merge and candidate verification of the
-scalar path (:mod:`repro.core.csa`, ``ANNIndex._verify``) expressed as
-plain C99 loops.  The source below is compiled once per machine with the
-system C compiler (``cc``/``gcc``/``clang``, whichever answers) into a
-shared object cached under ``~/.cache/repro-kernels/`` keyed by a hash
-of the source, so subsequent imports pay only a ``dlopen``.  No build
-step, no new dependency: when no compiler is present
-:func:`repro.kernels.engine` warns once and indexes answer through the
+The CSA build, the CSA bisection, the 2m-way merge and candidate
+verification of the scalar path (:mod:`repro.core.csa`,
+``ANNIndex._verify``) expressed as plain C99 loops.  The source below is
+compiled once per machine with the system C compiler
+(``cc``/``gcc``/``clang``, whichever answers) into a shared object
+cached under ``~/.cache/repro-kernels/`` keyed by a hash of the source,
+so subsequent imports pay only a ``dlopen``.  No build step, no new
+dependency: when no compiler is present :func:`repro.kernels.engine`
+warns once, indexes build by rank doubling and answer through the
 scalar path.
 
 Byte-identity notes (why the C loops cannot diverge from the scalar
@@ -15,6 +16,11 @@ path):
 
 * the CSA kernels compare and copy **int64 hash characters** only —
   integer comparisons have one answer on every platform;
+* the build's output is fully determined by its contract — ``I_s``
+  orders ids by their ``s``-rotation, equal rotations by ascending id —
+  so ``csa_build`` and the rank-doubling ``_build`` emit the same int32
+  bytes; it ranks characters by exact int64 order, never by a range
+  assumption;
 * the merge pops walks in the scalar heap's canonical ``(-lcp, sid,
   shift, rank)`` order, packed into one int64 key;
 * verification never re-computes float distances: ``gather_diff`` only
@@ -38,7 +44,8 @@ C.
 
 Reentrancy: parallel readers behind ``ConcurrentIndex`` run these
 kernels concurrently — ``ctypes`` drops the GIL for the duration of each
-call.  Heaps and bounds are ``malloc``'d per call inside C; the one
+call; a background compaction builds beside a seal.  Heaps, bounds and
+the build's scratch are ``malloc``'d per call inside C; the one
 ``O(n)`` scratch (the merge's seen-epoch table) is thread-local
 (:class:`_SeenScratch`), so a lone query does not pay a ``calloc(n)``.
 """
@@ -328,6 +335,143 @@ int repro_search_merge(const int64_t *doubled, const idx_t *sorted_idx,
     return 0;
 }
 
+/* Dense rank of one column (exact int64 order) into rank[0..n), which
+   may alias lo32; returns the number of distinct values.  The column
+   arrives as order-preserving uint64 codes (the int64 with its sign bit
+   flipped) split into low and high 32-bit halves.  Codes less the
+   column minimum span the column exactly whatever its range: a span
+   below n ranks through a table of the values present, any other
+   column takes an LSD radix sort with byte digits that skips every
+   digit all keys share.  key/key2 are n scratch, hist 8 * 256. */
+static int64_t rank_column(const uint32_t *lo32, const uint32_t *hi32,
+                           int64_t n, idx_t *rank, uint64_t *key,
+                           uint64_t *key2, idx_t *ids, idx_t *ids2,
+                           int64_t *hist) {
+    int64_t i, b, r = 0, digits = 0;
+    uint64_t kmin = UINT64_MAX, kmax = 0, span;
+    for (i = 0; i < n; i++) {
+        uint64_t k = ((uint64_t)hi32[i] << 32) | lo32[i];
+        key[i] = k;
+        if (k < kmin) kmin = k;
+        if (k > kmax) kmax = k;
+    }
+    span = kmax - kmin;
+    if (span < (uint64_t)n) {
+        int64_t *present = (int64_t *)key2;
+        memset(present, 0, (size_t)(span + 1) * sizeof(int64_t));
+        for (i = 0; i < n; i++) present[key[i] - kmin] = 1;
+        for (i = 0; i <= (int64_t)span; i++) {
+            int64_t p = present[i];
+            present[i] = r;
+            r += p;
+        }
+        for (i = 0; i < n; i++) rank[i] = (idx_t)present[key[i] - kmin];
+        return r;
+    }
+    for (; span; span >>= 8) digits++;
+    memset(hist, 0, 8 * 256 * sizeof(int64_t));
+    for (i = 0; i < n; i++) {
+        uint64_t k = key[i] - kmin;
+        key[i] = k;
+        ids[i] = (idx_t)i;
+        for (b = 0; b < digits; b++) hist[b * 256 + ((k >> (8 * b)) & 255)]++;
+    }
+    for (b = 0; b < digits; b++) {
+        int64_t *h = hist + b * 256, sum = 0, d;
+        if (h[(key[0] >> (8 * b)) & 255] == n) continue;
+        for (d = 0; d < 256; d++) { int64_t c = h[d]; h[d] = sum; sum += c; }
+        for (i = 0; i < n; i++) {
+            int64_t p = h[(key[i] >> (8 * b)) & 255]++;
+            key2[p] = key[i];
+            ids2[p] = ids[i];
+        }
+        uint64_t *tk = key; key = key2; key2 = tk;
+        idx_t *ti = ids; ids = ids2; ids2 = ti;
+    }
+    rank[ids[0]] = 0;
+    for (i = 1; i < n; i++) {
+        if (key[i] != key[i - 1]) r++;
+        rank[ids[i]] = (idx_t)r;
+    }
+    return r + 1;
+}
+
+/* dst = src stably sorted by rank[id] in [0, sigma): one counting sort. */
+static void sort_by_rank(const idx_t *src, idx_t *dst, const idx_t *rank,
+                         int64_t n, int64_t sigma, int64_t *cnt) {
+    int64_t i, sum = 0;
+    memset(cnt, 0, (size_t)sigma * sizeof(int64_t));
+    for (i = 0; i < n; i++) cnt[rank[i]]++;
+    for (i = 0; i < sigma; i++) { int64_t c = cnt[i]; cnt[i] = sum; sum += c; }
+    for (i = 0; i < n; i++) dst[cnt[rank[src[i]]]++] = src[i];
+}
+
+/* The CSA build (paper Algorithm 1): sorted_idx[s] orders string ids by
+   their s-rotation, equal rotations by ascending id; next_link[s][j] is
+   the rank in sorted_idx[(s+1) % m] of sorted_idx[s][j].  Row i of the
+   (n, m) strings starts at strings + i * stride.
+   Rotation s is c_s followed by rotation s+1 less its last character,
+   which is c_s again, so rotation s orders as the pair (c_s, rotation
+   s+1): sorted_idx[s] is sorted_idx[s+1] stably sorted by column s.
+   sorted_idx[0] comes from an LSD radix sort over columns m-1 .. 0 that
+   starts from the identity (ties by id); sorted_idx[m-1] .. [1] then
+   follow one counting sort each, 2m - 1 sorts in all.  A column's sort
+   compares its own n values only, so ranks are dense per column (< n).
+   The outputs double as the column-major store: one transposing pass
+   writes each character's code, low half to next_link and high half to
+   sorted_idx; the ranks then replace the low halves and stay until the
+   links overwrite them.  Scratch is O(n + m), all malloc'd here.
+   Returns -1 when it cannot be allocated. */
+int repro_csa_build(const int64_t *strings, int64_t stride, int64_t n,
+                    int64_t m, idx_t *sorted_idx, idx_t *next_link) {
+    int64_t s, i0, i;
+    size_t bytes = (size_t)n * 2 * (sizeof(uint64_t) + sizeof(idx_t))
+                 + (size_t)(8 * 256 + m) * sizeof(int64_t);
+    uint64_t *key = (uint64_t *)malloc(bytes);
+    if (!key) return -1;
+    uint64_t *key2 = key + n;
+    int64_t *hist = (int64_t *)(key2 + n), *sigma = hist + 8 * 256;
+    idx_t *ids = (idx_t *)(sigma + m), *ids2 = ids + n;
+    uint32_t *lo32 = (uint32_t *)next_link, *hi32 = (uint32_t *)sorted_idx;
+    idx_t *rank = next_link;
+    /* transpose in tiles of 64 rows, which stay in cache across columns */
+    for (i0 = 0; i0 < n; i0 += 64) {
+        int64_t i1 = i0 + 64 < n ? i0 + 64 : n;
+        for (s = 0; s < m; s++) {
+            for (i = i0; i < i1; i++) {
+                uint64_t k = (uint64_t)strings[i * stride + s]
+                           ^ ((uint64_t)1 << 63);
+                lo32[s * n + i] = (uint32_t)k;
+                hi32[s * n + i] = (uint32_t)(k >> 32);
+            }
+        }
+    }
+    for (s = 0; s < m; s++)
+        sigma[s] = rank_column(lo32 + s * n, hi32 + s * n, n, rank + s * n,
+                               key, key2, ids, ids2, hist);
+    int64_t *cnt = (int64_t *)key; /* sigma <= n counters */
+    idx_t *a = ids, *b = ids2;
+    for (i = 0; i < n; i++) a[i] = (idx_t)i;
+    for (s = m - 1; s >= 0; s--) {
+        idx_t *dst = s == 0 ? sorted_idx : b;
+        sort_by_rank(a, dst, rank + s * n, n, sigma[s], cnt);
+        b = a;
+        a = dst;
+    }
+    for (s = m - 1; s >= 1; s--)
+        sort_by_rank(sorted_idx + ((s + 1) % m) * n, sorted_idx + s * n,
+                     rank + s * n, n, sigma[s], cnt);
+    idx_t *inv = ids;
+    for (s = 0; s < m; s++) {
+        const idx_t *cur = sorted_idx + s * n;
+        const idx_t *nxt = sorted_idx + ((s + 1) % m) * n;
+        for (i = 0; i < n; i++) inv[nxt[i]] = (idx_t)i;
+        for (i = 0; i < n; i++) next_link[s * n + i] = inv[cur[i]];
+    }
+    free(key);
+    return 0;
+}
+
 /* Kernel 3a: fused gather-and-subtract for float64 verification.
    Query qi owns rows offsets[qi] .. offsets[qi+1]):
    out[r,:] = data[ids[r],:] - queries[qi,:] — elementwise IEEE
@@ -480,6 +624,8 @@ def _load_library() -> ctypes.CDLL:
     lib.repro_search_merge.argtypes = [
         _P, _P, _P, _L, _L, _L, _L, _P, _L, _L, _L, _P, _P, _P, _P, _L, _P,
     ]
+    lib.repro_csa_build.restype = ctypes.c_int
+    lib.repro_csa_build.argtypes = [_P, _L, _L, _L, _P, _P]
     lib.repro_gather_diff.restype = None
     lib.repro_gather_diff.argtypes = [_P, _L, _P, _P, _L, _P, _P]
     lib.repro_hamming_packed.restype = None
@@ -690,6 +836,30 @@ class CExtBackend:
             raise MemoryError("search kernel: cannot allocate scratch")
         total = offsets[Q]
         return out_ids[:total], out_lens[:total], offsets, search_s.value
+
+    # -- CSA build -----------------------------------------------------
+
+    def csa_build(self, strings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sorted_idx, next_link)`` of ``(n, m)`` int64 ``strings``
+        (``n < 2**31``): byte-identical to ``CircularShiftArray._build``.
+
+        A row-strided view — the left half of the CSA's doubled store —
+        is read in place.
+        """
+        n, m = strings.shape
+        if not (0 < n < 2**31 and m > 0):
+            raise ValueError(f"cannot build a CSA of shape {strings.shape}")
+        in_place = strings.dtype == np.int64 and strings.strides[1] == 8
+        if not in_place or strings.strides[0] % 8:
+            strings = np.ascontiguousarray(strings, dtype=np.int64)
+        sorted_idx = np.empty((m, n), dtype=np.int32)
+        next_link = np.empty((m, n), dtype=np.int32)
+        if self._lib.repro_csa_build(
+            strings.ctypes.data, strings.strides[0] // 8, n, m,
+            _addr(sorted_idx), _addr(next_link),
+        ):
+            raise MemoryError("CSA build: cannot allocate scratch")
+        return sorted_idx, next_link
 
     # -- verification kernels ------------------------------------------
 

@@ -1,11 +1,17 @@
 """Tests for the Circular Shift Array (paper §3.2, Algorithms 1-2)."""
 
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core import CircularShiftArray, brute_force_k_lccs, lccs_length, shift
+
+INT64 = np.iinfo(np.int64)
 
 
 def rotations_matrix(strings, s):
@@ -56,6 +62,145 @@ def test_packed_key_build_equals_lexsort_build(data):
     for got, want, built in zip(packed, lexsort, (csa.sorted_idx, csa.next_link)):
         assert got.dtype == want.dtype == built.dtype
         assert got.tobytes() == want.tobytes() == built.tobytes()
+
+
+@pytest.fixture(scope="module")
+def engine():
+    """The compiled engine; its tests skip where it cannot be built."""
+    backend = kernels.engine()
+    if backend is None:
+        pytest.skip("the cext engine cannot be built here")
+    return backend
+
+
+def _assert_same_build(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int32
+        assert g.tobytes() == w.tobytes()
+
+
+def _alphabet_strings(rng, n, m, alphabet):
+    if alphabet == "single":
+        return np.full((n, m), 3, dtype=np.int64)
+    if alphabet == "binary":
+        return rng.integers(0, 2, size=(n, m))
+    if alphabet == "sixteen":
+        return rng.integers(-8, 8, size=(n, m))
+    if alphabet == "wide":  # > 256 values, several radix digits
+        return rng.integers(0, 300, size=(n, m)) * 65537 - 9_000_000
+    strings = rng.integers(INT64.min, INT64.max, size=(n, m), endpoint=True)
+    extremes = np.array([INT64.min, INT64.max, -1, 0])
+    mask = rng.random((n, m)) < 0.3
+    strings[mask] = extremes[rng.integers(0, 4, size=int(mask.sum()))]
+    return strings
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_build_equals_rank_doubling(engine, data):
+    """The engine's CSA build and both rank-doubling sorts emit the same
+    bytes, dtype included: the contract (ids by rotation, equal rotations
+    by ascending id) fixes the output, whatever the alphabet."""
+    n = data.draw(st.integers(1, 200))
+    m = data.draw(st.sampled_from([1, 2, 7, 63, 64, 65, 70]))
+    alphabet = data.draw(
+        st.sampled_from(["single", "binary", "sixteen", "wide", "full"])
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    strings = _alphabet_strings(rng, n, m, alphabet)
+    if data.draw(st.booleans()) and n > 2:  # a block of duplicate rows
+        strings[n // 2:] = strings[data.draw(st.integers(0, n // 2 - 1))]
+    if data.draw(st.booleans()):  # periodic rows: abab..., abcabc...
+        period = min(data.draw(st.integers(1, 3)), m)
+        rows = rng.random(n) < 0.5
+        strings[rows] = np.tile(strings[rows, :period], m)[:, :m]
+    csa = CircularShiftArray(strings)
+    built = engine.csa_build(csa.strings)
+    _assert_same_build(built, (csa.sorted_idx, csa.next_link))
+    _assert_same_build(built, csa._build(packed_keys=True))
+    _assert_same_build(built, csa._build(packed_keys=False))
+
+
+def test_engine_builds_concurrently(engine):
+    """The build holds no global state: 4 threads building 8 CSAs each at
+    once get exactly what the same builds give one at a time."""
+    rng = np.random.default_rng(5)
+    alphabets = ("binary", "sixteen", "wide", "full")
+    inputs = [
+        [
+            _alphabet_strings(rng, 1500 + 37 * j, 64, alphabets[(t + j) % 4])
+            for j in range(8)
+        ]
+        for t in range(4)
+    ]
+    want = [[engine.csa_build(s) for s in row] for row in inputs]
+    got = [[None] * 8 for _ in range(4)]
+    start = threading.Barrier(4, timeout=30)
+
+    def run(t):
+        start.wait()
+        for j, strings in enumerate(inputs[t]):
+            got[t][j] = engine.csa_build(strings)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    for t in range(4):
+        for j in range(8):
+            _assert_same_build(got[t][j], want[t][j])
+
+
+def _sha1(arr):
+    return hashlib.sha1(arr.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("family", ["random_projection", "minhash"])
+def test_engine_build_sha1_at_serving_scale(engine, family):
+    """n=10k, m=64 (the e2e bundle's shape): the engine's arrays hash the
+    same as the rank-doubling build's."""
+    from repro.data.synthetic import sift_like
+    from repro.hashes.minhash import MinHashFamily
+    from repro.hashes.random_projection import RandomProjectionFamily
+
+    if family == "random_projection":
+        strings = RandomProjectionFamily(128, 64, w=256.0, seed=1).hash(
+            sift_like(10_000, 128, seed=1)
+        )
+    else:
+        sets = np.random.default_rng(1).random((10_000, 128)) < 0.1
+        strings = MinHashFamily(128, 64, seed=1).hash(sets.astype(np.float64))
+    csa = CircularShiftArray(strings)
+    fallback = csa._build()
+    assert _sha1(csa.sorted_idx) == _sha1(fallback[0])
+    assert _sha1(csa.next_link) == _sha1(fallback[1])
+    assert csa.sorted_idx.dtype == fallback[0].dtype == np.int32
+
+
+def test_strings_are_kept_as_int64():
+    """uint64 characters >= 2**63 would wrap in the engine's int64 copy
+    and compare in another order than the build's: they are refused, and
+    every other integer input is stored as int64, so the build, the
+    engine and the scalar path see the same characters."""
+    rng = np.random.default_rng(3)
+    values = np.array([0, 1, 2, 2**63 + 5], dtype=np.uint64)
+    with pytest.raises(ValueError):
+        CircularShiftArray(values[rng.integers(0, 4, size=(50, 8))])
+    fits = values[:3][rng.integers(0, 3, size=(50, 8))]
+    csa = CircularShiftArray(fits)
+    assert csa.strings.dtype == np.int64
+    queries = values[:3][rng.integers(0, 3, size=(6, 8))].astype(np.int64)
+    for q, (ids, lens) in zip(queries, csa.batch_k_lccs(queries, 9)):
+        want_ids, want_lens = csa.k_lccs(q, 9)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(lens, want_lens)
+    arrays = csa.export_arrays()
+    with pytest.raises(ValueError):
+        CircularShiftArray.from_arrays(
+            dict(arrays, doubled=arrays["doubled"].astype(np.uint64))
+        )
 
 
 def test_paper_figure2_example():

@@ -481,14 +481,17 @@ def test_cext_addresses_follow_replaced_and_copied_arrays():
 
 @needs_compiled
 def test_cext_converts_arrays_it_cannot_read_in_place():
-    """Strings that are not int64 (the kernels' character type) get one
-    converted copy; the answers are the scalar path's."""
+    """Characters that are not int64 (the kernels' type) — int32 arrays
+    adopted by ``from_arrays``; the constructor itself normalises to
+    int64 — get one converted copy; the answers are the scalar path's."""
     from repro.core import CircularShiftArray
 
     rng = np.random.default_rng(8)
     strings = rng.integers(0, 4, size=(50, 10)).astype(np.int32)
     queries = rng.integers(0, 4, size=(7, 10)).astype(np.int32)
-    csa = CircularShiftArray(strings)
+    arrays = CircularShiftArray(strings).export_arrays()
+    arrays["doubled"] = arrays["doubled"].astype(np.int32)
+    csa = CircularShiftArray.from_arrays(arrays)
     assert csa._doubled.dtype == np.int32
     for q, (ids, lens) in zip(queries, csa.batch_k_lccs(queries, 9)):
         want_ids, want_lens = csa.k_lccs(q, 9)
