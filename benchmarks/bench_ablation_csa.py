@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import LCCSLSH, MPLCCSLSH, NaiveCSA
+from repro import LCCSLSH, NaiveCSA
 from repro.core import CircularShiftArray
 from repro.eval import banner, format_table
 
@@ -70,13 +70,11 @@ def test_ablation_next_links(hash_strings, benchmark, reporter, capsys):
 
 def test_ablation_batched_probe_search(benchmark, reporter, capsys):
     _, data, queries, gt = get_bundle("sift", "euclidean")
-    mp = MPLCCSLSH(
-        dim=data.shape[1], m=32, w=suggest_w(gt), seed=1, n_probes=33
-    ).fit(data)
-    csa = mp.csa
+    index = LCCSLSH(dim=data.shape[1], m=32, w=suggest_w(gt), seed=1).fit(data)
+    csa = index.csa
     rng = np.random.default_rng(0)
     shifts = rng.integers(0, csa.m, size=256)
-    q_strings = [mp.family.hash(q) for q in queries]
+    q_strings = [index.family.hash(q) for q in queries]
     rots = np.stack(
         [
             CircularShiftArray.query_rotations(q_strings[i % len(q_strings)])[

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import MPLCCSLSH
+from repro import LCCSLSH
 from repro.eval import banner, format_curve, grid, pareto_frontier, sweep
 
 from conftest import get_bundle, suggest_w
@@ -26,11 +26,9 @@ def test_fig10_impact_of_probes(metric, benchmark, reporter, capsys):
     name, data, queries, gt = get_bundle("sift", metric)
     dim = data.shape[1]
     if metric == "euclidean":
-        index = MPLCCSLSH(dim=dim, m=M, w=suggest_w(gt), seed=1, n_probes=1)
+        index = LCCSLSH(dim=dim, m=M, w=suggest_w(gt), seed=1)
     else:
-        index = MPLCCSLSH(
-            dim=dim, m=M, metric="angular", cp_dim=16, seed=1, n_probes=1
-        )
+        index = LCCSLSH(dim=dim, m=M, metric="angular", cp_dim=16, seed=1)
     index.fit(data)
     lines = [
         banner(f"Figure 10 [sift-{metric}]: impact of #probes, MP-LCCS-LSH m={M}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LCCSLSH, MPLCCSLSH
+from repro import LCCSLSH
 from repro.baselines import C2LSH, E2LSH, FALCONN, MultiProbeLSH
 from repro.data import compute_ground_truth
 from repro.eval import banner, evaluate, format_table
@@ -28,8 +28,8 @@ def _euclidean_methods(dim, w):
             {"num_candidates": 200},
         ),
         "MP-LCCS-LSH": (
-            MPLCCSLSH(dim=dim, m=32, w=w, seed=1, n_probes=33),
-            {"num_candidates": 200},
+            LCCSLSH(dim=dim, m=32, w=w, seed=1),
+            {"num_candidates": 200, "n_probes": 33},
         ),
         "E2LSH": (E2LSH(dim=dim, K=4, L=32, w=w, seed=1), {}),
         "Multi-Probe LSH": (
@@ -47,10 +47,8 @@ def _angular_methods(dim):
             {"num_candidates": 200},
         ),
         "MP-LCCS-LSH": (
-            MPLCCSLSH(
-                dim=dim, m=32, metric="angular", cp_dim=16, seed=1, n_probes=33
-            ),
-            {"num_candidates": 200},
+            LCCSLSH(dim=dim, m=32, metric="angular", cp_dim=16, seed=1),
+            {"num_candidates": 200, "n_probes": 33},
         ),
         "E2LSH": (
             E2LSH(dim=dim, K=1, L=32, metric="angular", cp_dim=16, seed=1), {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List
 
-from repro import LCCSLSH, MPLCCSLSH
+from repro import LCCSLSH
 from repro.baselines import C2LSH, E2LSH, FALCONN, MultiProbeLSH, QALSH, SRS
 from repro.eval import EvalResult, grid, sweep
 
@@ -33,11 +33,9 @@ def _euclidean_sweeps(dim: int, w: float, seed: int = 1):
             grid(num_candidates=[50, 200, 800]),
         ),
         "MP-LCCS-LSH": (
-            lambda m, n_probes: MPLCCSLSH(
-                dim=dim, m=m, w=w, seed=seed, n_probes=n_probes
-            ),
-            grid(m=[16], n_probes=[17, 65]),
-            grid(num_candidates=[50, 200]),
+            lambda m: LCCSLSH(dim=dim, m=m, w=w, seed=seed),
+            grid(m=[16]),
+            grid(n_probes=[17, 65], num_candidates=[50, 200]),
         ),
         "E2LSH": (
             lambda K, L: E2LSH(dim=dim, K=K, L=L, w=w, seed=seed),
@@ -77,12 +75,11 @@ def _angular_sweeps(dim: int, seed: int = 1, cp_dim: int = 16):
             grid(num_candidates=[50, 200, 800]),
         ),
         "MP-LCCS-LSH": (
-            lambda m, n_probes: MPLCCSLSH(
-                dim=dim, m=m, metric="angular", cp_dim=cp_dim,
-                seed=seed, n_probes=n_probes,
+            lambda m: LCCSLSH(
+                dim=dim, m=m, metric="angular", cp_dim=cp_dim, seed=seed
             ),
-            grid(m=[16], n_probes=[17, 65]),
-            grid(num_candidates=[50, 200]),
+            grid(m=[16]),
+            grid(n_probes=[17, 65], num_candidates=[50, 200]),
         ),
         "E2LSH": (
             lambda K, L: E2LSH(

@@ -11,7 +11,7 @@ Run:  python examples/image_feature_search.py
 
 import numpy as np
 
-from repro import LCCSLSH, MPLCCSLSH
+from repro import LCCSLSH
 from repro.baselines import C2LSH, E2LSH, MultiProbeLSH
 from repro.data import compute_ground_truth, load_dataset
 from repro.eval import evaluate, format_results
@@ -30,8 +30,8 @@ def main():
             {"m": 64},
         ),
         (
-            MPLCCSLSH(dim=ds.dim, m=16, w=w, seed=1, n_probes=65),
-            {"num_candidates": 200},
+            LCCSLSH(dim=ds.dim, m=16, w=w, seed=1),
+            {"num_candidates": 200, "n_probes": 65},
             {"m": 16, "#probes": 65},
         ),
         (E2LSH(dim=ds.dim, K=4, L=32, w=w, seed=1), {}, {"K": 4, "L": 32}),

@@ -10,7 +10,7 @@ Run:  python examples/text_embedding_search.py
 
 import numpy as np
 
-from repro import LCCSLSH, MPLCCSLSH
+from repro import LCCSLSH
 from repro.baselines import FALCONN
 from repro.data import compute_ground_truth, load_dataset
 from repro.distances import normalize_rows
@@ -31,11 +31,8 @@ def main():
             {"m": 64},
         ),
         (
-            MPLCCSLSH(
-                dim=ds.dim, m=32, metric="angular", cp_dim=16, seed=2,
-                n_probes=33,
-            ),
-            {"num_candidates": 200},
+            LCCSLSH(dim=ds.dim, m=32, metric="angular", cp_dim=16, seed=2),
+            {"num_candidates": 200, "n_probes": 33},
             {"m": 32, "#probes": 33},
         ),
         (

@@ -11,7 +11,6 @@ from repro.core import (
     CircularShiftArray,
     DynamicLCCSLSH,
     LCCSLSH,
-    MPLCCSLSH,
     NaiveCSA,
     lccs_length,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "HashFamily",
     "HyperplaneFamily",
     "LCCSLSH",
-    "MPLCCSLSH",
     "MinHashFamily",
     "RandomProjectionFamily",
     "__version__",

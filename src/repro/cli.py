@@ -108,23 +108,17 @@ def _method_spec(name: str, dim: int, metric: str, w: float, seed: int):
     from repro.serve import IndexSpec
 
     angular = metric == "angular"
-    if name == "lccs":
+    if name in ("lccs", "mp-lccs"):
+        # mp-lccs: the same index at m=32, queried with m + 1 probes
+        m = 64 if name == "lccs" else 32
         spec = (
-            IndexSpec("LCCSLSH", dim=dim, m=64, metric="angular", cp_dim=16,
+            IndexSpec("LCCSLSH", dim=dim, m=m, metric="angular", cp_dim=16,
                       seed=seed)
             if angular
-            else IndexSpec("LCCSLSH", dim=dim, m=64, w=w, seed=seed)
+            else IndexSpec("LCCSLSH", dim=dim, m=m, w=w, seed=seed)
         )
-        return spec, {"num_candidates": 200}
-    if name == "mp-lccs":
-        spec = (
-            IndexSpec("MPLCCSLSH", dim=dim, m=32, metric="angular", cp_dim=16,
-                      seed=seed, n_probes=33)
-            if angular
-            else IndexSpec("MPLCCSLSH", dim=dim, m=32, w=w, seed=seed,
-                           n_probes=33)
-        )
-        return spec, {"num_candidates": 200}
+        probes = {} if name == "lccs" else {"n_probes": m + 1}
+        return spec, {"num_candidates": 200, **probes}
     if name == "dynamic":
         spec = (
             IndexSpec("DynamicLCCSLSH", dim=dim, m=64, metric="angular",
@@ -897,7 +891,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=15)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--metric", choices=("euclidean", "angular"), default="euclidean")
-    p.add_argument("--method", default="lccs", choices=_METHOD_CHOICES)
+    p.add_argument(
+        "--method", default="lccs", choices=_METHOD_CHOICES,
+        help="index recipe; mp-lccs is an LCCSLSH at m=32 whose bundle "
+        "records n_probes=33 as a default query argument",
+    )
     p.add_argument("--out", required=True, help="bundle directory to write")
     p.add_argument(
         "--mmap", action="store_true",

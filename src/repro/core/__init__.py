@@ -1,4 +1,5 @@
-"""The paper's contribution: LCCS, the CSA index, LCCS-LSH, MP-LCCS-LSH."""
+"""The paper's contribution: LCCS, the CSA index, LCCS-LSH (MP-LCCS-LSH
+is its ``n_probes`` query argument)."""
 
 from repro.core.cascade import E2LSHCascade, LCCSCascade, radius_ladder
 from repro.core.csa import CircularShiftArray, ShiftBounds
@@ -13,7 +14,6 @@ from repro.core.lccs import (
     shift,
 )
 from repro.core.lccs_lsh import LCCSLSH
-from repro.core.mp_lccs_lsh import MPLCCSLSH
 from repro.core.perturbation import (
     PerturbationVector,
     generate_perturbation_vectors,
@@ -27,7 +27,6 @@ __all__ = [
     "LCCSCascade",
     "NaiveCSA",
     "LCCSLSH",
-    "MPLCCSLSH",
     "PerturbationVector",
     "ShiftBounds",
     "brute_force_k_lccs",

@@ -61,10 +61,10 @@ class CircularShiftArray:
     """Index over circular shifts of equal-length integer strings.
 
     The build and the batch entry points (:meth:`_batch_search_arrays`,
-    :meth:`batch_search_all_shifts`, :meth:`_batch_merge_tournament`,
-    :meth:`_batch_k_lccs_flat`) run on the compiled engine
-    (:func:`repro.kernels.engine`).  The scalar paths (:meth:`_build`,
-    :meth:`k_lccs` and friends) and the multi-probe heap merge stay pure
+    :meth:`batch_search_all_shifts`, :meth:`_batch_k_lccs_flat`) run on
+    the compiled engine (:func:`repro.kernels.engine`).  The scalar
+    paths (:meth:`_build`, :meth:`k_lccs` and friends) and the heap
+    merge with multi-probe entries (:meth:`merge_candidates`) stay pure
     Python/NumPy: they are the oracle the engine must match byte for
     byte, and where the engine cannot be built they run instead.
 
@@ -460,75 +460,6 @@ class CircularShiftArray:
                 )
         return np.array(out_ids, dtype=np.int64), np.array(out_lens, dtype=np.int64)
 
-    def batch_merge_candidates(
-        self,
-        qd_table: np.ndarray,
-        bounds_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        k: int,
-        extra_entries: Optional[List[list]] = None,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Lock-step 2m-way merges for a query batch.
-
-        Per query the output is identical to :meth:`merge_candidates`
-        (same canonical ``(-lcp, string_id, shift, rank)`` pop order).
-        Without probe entries the merge is the engine's walk tournament
-        (:meth:`_batch_merge_tournament`); with multi-probe extra entries
-        it runs lock-step per-query heaps with fused LCP gathers
-        (:meth:`_batch_merge_heap`).
-
-        Args:
-            qd_table: ``(R, 2m)`` doubled query strings; row ``qi < Q``
-                is query ``qi``'s unperturbed string, rows ``>= Q`` may
-                hold perturbed probe strings referenced by
-                ``extra_entries``.
-            bounds_arrays: ``(pos_lower, pos_upper, len_lower, len_upper)``
-                from :meth:`batch_search_all_shifts`.
-            k: results per query.
-            extra_entries: optional per-query frontier entries
-                ``(length, shift, rank, direction, qd_row)`` from
-                perturbed probes (multi-probe scheme); ``qd_row`` indexes
-                into ``qd_table``.
-
-        Returns:
-            One ``(ids, lccs_lengths)`` pair per query.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if extra_entries is None or not any(extra_entries):
-            return self._batch_merge_tournament(qd_table, bounds_arrays, k)
-        return self._batch_merge_heap(qd_table, bounds_arrays, k, extra_entries)
-
-    def _batch_merge_tournament(
-        self,
-        qd_table: np.ndarray,
-        bounds_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        k: int,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """The merge for the no-extras (single-probe) case.
-
-        Without probe entries every query's heap holds exactly one entry
-        per live walk (2 per shift: the lower walk moving down, the upper
-        walk moving up), so the merge is a *tournament*: each round pick
-        the walk whose frontier has the lexicographically smallest
-        ``(-lcp, string_id, shift, rank)`` key, emit its string if
-        unseen, and advance that walk one rank — one engine call for the
-        whole batch.  Without an engine (or for indexes too large for
-        the packed key) each query runs :meth:`merge_candidates`, whose
-        output the tournament reproduces exactly.
-        """
-        Q = len(bounds_arrays[0])
-        key_shifts = self._key_shifts()
-        if self._engine is not None and key_shifts is not None and Q:
-            return self._engine.merge_tournament(
-                self, qd_table, bounds_arrays, k, key_shifts
-            )
-        return [
-            self.merge_candidates(
-                qd_table[qi], self._bounds_list(a[qi] for a in bounds_arrays), k
-            )
-            for qi in range(Q)
-        ]
-
     def _key_shifts(self) -> Optional[Tuple[int, int, int]]:
         """Bit offsets ``(sh_shift, sh_sid, sh_len)`` of the packed merge key.
 
@@ -544,145 +475,6 @@ class CircularShiftArray:
             return None
         sh_sid = bits_pos + bits_shift
         return bits_pos, sh_sid, sh_sid + bits_pos
-
-    def _batch_merge_heap(
-        self,
-        qd_table: np.ndarray,
-        bounds_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        k: int,
-        extra_entries: List[list],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Lock-step heap merge handling multi-probe extra entries.
-
-        Every query keeps its own heap and dedupe sets exactly as in
-        :meth:`merge_candidates` (same canonical tie order, so per query
-        the output is identical), but the per-query work is fused across
-        the batch: frontier initialisation is one vectorised pass, and
-        each round pops once per still-active query, then resolves all
-        neighbour LCPs of the round with single fancy-indexed gathers.
-        """
-        pos_lower, pos_upper, len_lower, len_upper = bounds_arrays
-        Q = len(pos_lower)
-        m, n = self.m, self.n
-        sorted_idx = self.sorted_idx
-        offsets = np.arange(m, dtype=np.int64)
-        # ---- frontier initialisation, vectorised across the batch ----
-        # Interleave (lower, upper) per shift so the flattened order per
-        # query matches frontier_entries exactly: s=0 lower, s=0 upper,
-        # s=1 lower, ...
-        lens2 = np.empty((Q, 2 * m), dtype=np.int64)
-        lens2[:, 0::2] = len_lower
-        lens2[:, 1::2] = len_upper
-        pos2 = np.empty((Q, 2 * m), dtype=np.int64)
-        pos2[:, 0::2] = pos_lower
-        pos2[:, 1::2] = pos_upper
-        valid2 = np.empty((Q, 2 * m), dtype=bool)
-        valid2[:, 0::2] = pos_lower >= 0
-        valid2[:, 1::2] = pos_upper < n
-        shift2 = np.repeat(np.arange(m, dtype=np.int64), 2)
-        dir2 = np.tile(np.array([-1, 1], dtype=np.int64), m)
-        sid2 = sorted_idx[
-            shift2[None, :], np.clip(pos2, 0, n - 1)
-        ].astype(np.int64)
-        flat_valid = valid2.ravel()
-        counts = valid2.sum(axis=1)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        neg_flat = (-lens2).ravel()[flat_valid].tolist()
-        len_flat = lens2.ravel()[flat_valid].tolist()
-        pos_flat = pos2.ravel()[flat_valid].tolist()
-        sid_flat = sid2.ravel()[flat_valid].tolist()
-        shift_flat = np.tile(shift2, Q)[flat_valid].tolist()
-        dir_flat = np.tile(dir2, Q)[flat_valid].tolist()
-        heaps: List[list] = []
-        visiteds: List[set] = []
-        seens: List[set] = [set() for _ in range(Q)]
-        out_ids: List[List[int]] = [[] for _ in range(Q)]
-        out_lens: List[List[int]] = [[] for _ in range(Q)]
-        for qi in range(Q):
-            lo_i, hi_i = starts[qi], starts[qi + 1]
-            sl_shift = shift_flat[lo_i:hi_i]
-            sl_pos = pos_flat[lo_i:hi_i]
-            if extra_entries[qi]:
-                # Multi-probe: fold perturbed-probe entries in and dedupe
-                # on (shift, rank, direction) keeping the longest LCP,
-                # exactly as merge_candidates does.
-                entries = list(
-                    zip(
-                        len_flat[lo_i:hi_i], sl_shift, sl_pos,
-                        dir_flat[lo_i:hi_i], [qi] * (hi_i - lo_i),
-                    )
-                )
-                entries.extend(extra_entries[qi])
-                best_entry: dict = {}
-                for length, s, pos, direction, qd_row in entries:
-                    key = (s, pos, direction)
-                    cur = best_entry.get(key)
-                    if cur is None or length > cur[0]:
-                        best_entry[key] = (length, s, pos, direction, qd_row)
-                heap = []
-                visited = set()
-                for length, s, pos, direction, qd_row in best_entry.values():
-                    sid = int(sorted_idx[s][pos])
-                    heap.append((-length, sid, s, pos, direction, qd_row))
-                    visited.add((s, pos))
-            else:
-                c = hi_i - lo_i
-                heap = list(
-                    zip(
-                        neg_flat[lo_i:hi_i], sid_flat[lo_i:hi_i], sl_shift,
-                        sl_pos, dir_flat[lo_i:hi_i], [qi] * c,
-                    )
-                )
-                visited = set(zip(sl_shift, sl_pos))
-            heapq.heapify(heap)
-            heaps.append(heap)
-            visiteds.append(visited)
-        # ---- lock-step merge rounds ----
-        heappop, heappush = heapq.heappop, heapq.heappush
-        active = [qi for qi in range(Q) if heaps[qi]]
-        while active:
-            pops = [heappop(heaps[qi]) for qi in active]
-            pend: list = []
-            for j, qi in enumerate(active):
-                neg_len, sid, s, pos, direction, qd_row = pops[j]
-                seen = seens[qi]
-                if sid not in seen:
-                    seen.add(sid)
-                    out_ids[qi].append(sid)
-                    out_lens[qi].append(-neg_len)
-                npos = pos + direction
-                if 0 <= npos < n and (s, npos) not in visiteds[qi]:
-                    visiteds[qi].add((s, npos))
-                    pend.append((qi, s, npos, direction, qd_row))
-            if pend:
-                p_shift = np.array([p[1] for p in pend], dtype=np.int64)
-                p_pos = np.array([p[2] for p in pend], dtype=np.int64)
-                p_row = np.array([p[4] for p in pend], dtype=np.int64)
-                p_sids = sorted_idx[p_shift, p_pos].astype(np.int64)
-                windows = p_shift[:, None] + offsets
-                rows = self._doubled[p_sids[:, None], windows]
-                neq = rows != qd_table[p_row[:, None], windows]
-                has_neq = neq.any(axis=1)
-                first = np.argmax(neq, axis=1)
-                p_lens = np.where(has_neq, first, m).tolist()
-                p_sids = p_sids.tolist()
-                for (qi, s, npos, direction, qd_row), nlen, nid in zip(
-                    pend, p_lens, p_sids
-                ):
-                    heappush(
-                        heaps[qi], (-nlen, nid, s, npos, direction, qd_row)
-                    )
-            active = [
-                qi for qi in active
-                if heaps[qi] and len(out_ids[qi]) < k
-            ]
-        return [
-            (
-                np.array(out_ids[qi], dtype=np.int64),
-                np.array(out_lens[qi], dtype=np.int64),
-            )
-            for qi in range(Q)
-        ]
 
     def batch_k_lccs(
         self, queries: np.ndarray, k: int

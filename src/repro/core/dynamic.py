@@ -57,7 +57,7 @@ import numpy as np
 
 from repro import kernels
 from repro.base import ANNIndex
-from repro.core.lccs_lsh import LCCSLSH
+from repro.core.lccs_lsh import LCCSLSH, check_probes
 from repro.core.segments import (
     CompactionManager,
     Segment,
@@ -133,6 +133,9 @@ class DynamicLCCSLSH(ANNIndex):
             at the end of a later write op (sequenced through the WAL
             when wrapped in a ``DurableIndex``).
         (other arguments forwarded to :class:`LCCSLSH`)
+
+    Queries take :class:`LCCSLSH`'s ``num_candidates`` and ``n_probes``
+    and forward them to every sealed segment.
 
     Point ids are *stable handles*: the id returned by :meth:`insert`
     (and used by :meth:`delete`) always refers to the same vector,
@@ -607,10 +610,26 @@ class DynamicLCCSLSH(ANNIndex):
             except TypeError:  # non-numeric stat: last segment wins
                 self.last_stats[key] = val
 
+    def _check_query_kwargs(
+        self, state: _DynState, num_candidates: Optional[int], n_probes
+    ) -> None:
+        """Refuse what every segment would, even while none exists."""
+        if num_candidates is not None and num_candidates <= 0:
+            raise ValueError("num_candidates must be positive")
+        if check_probes(n_probes) > 1:
+            segments = state.segments
+            inner = segments[0].inner if segments else self._make_inner()
+            inner._probes(n_probes)
+
     def _query(
-        self, q: np.ndarray, k: int, num_candidates: Optional[int] = None
+        self,
+        q: np.ndarray,
+        k: int,
+        num_candidates: Optional[int] = None,
+        n_probes: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         state = self._state  # one snapshot: segments, memtable, dead
+        self._check_query_kwargs(state, num_candidates, n_probes)
         pairs = []
         # Per-segment budget: within its own segment, at most
         # len(dead) tombstoned points plus k-1 live points can rank
@@ -620,7 +639,7 @@ class DynamicLCCSLSH(ANNIndex):
         for seg in state.segments:
             seg.inner.last_stats = {}  # counters are per outer query
             inner_ids, inner_dists = seg.inner._query(
-                q, min(budget, seg.inner.n), num_candidates=num_candidates
+                q, min(budget, seg.inner.n), num_candidates, n_probes
             )
             self._merge_inner_stats(seg.inner)
             # Translate positions to stable handles, drop tombstones.
@@ -644,7 +663,11 @@ class DynamicLCCSLSH(ANNIndex):
         return ids, dists
 
     def _batch_query(
-        self, queries: np.ndarray, k: int, num_candidates: Optional[int] = None
+        self,
+        queries: np.ndarray,
+        k: int,
+        num_candidates: Optional[int] = None,
+        n_probes: int = 1,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Vectorised batch path: batched per-segment search + one
         memtable scan, merged through a single canonical lexsort.
@@ -656,6 +679,7 @@ class DynamicLCCSLSH(ANNIndex):
         :meth:`_query`.
         """
         state = self._state  # one snapshot for the whole batch
+        self._check_query_kwargs(state, num_candidates, n_probes)
         Q = len(queries)
         if Q == 0:
             return []
@@ -665,9 +689,7 @@ class DynamicLCCSLSH(ANNIndex):
             seg.inner.last_stats = {}
             per_seg.append(
                 seg.inner._batch_query(
-                    queries,
-                    min(budget, seg.inner.n),
-                    num_candidates=num_candidates,
+                    queries, min(budget, seg.inner.n), num_candidates, n_probes
                 )
             )
             self._merge_inner_stats(seg.inner)

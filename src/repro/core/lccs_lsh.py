@@ -9,6 +9,14 @@ The only structural tuning knob is ``m`` (the paper's selling point);
 ``num_candidates`` (the paper's ``lambda``) trades accuracy for query
 time and defaults to a small multiple of ``sqrt(n)``.
 
+Multi-probe LCCS-LSH (paper §4.2) is the query-time ``n_probes``
+argument over the same index: above 1, Algorithm 3's perturbation
+vectors (:mod:`repro.core.perturbation`, the paper's ``MAX_GAP = 2``)
+re-search only the shifts whose match window covers a modified
+position, and every probe feeds the one merge shared with the
+unperturbed search, so candidates are verified best-first and never
+twice.
+
 Queries run on the compiled engine (:mod:`repro.kernels`), where a lone
 query is a batch of one; the scalar path (``csa.search_all_shifts`` /
 ``merge_candidates`` / ``ANNIndex._verify``) is the oracle it matches
@@ -17,6 +25,7 @@ byte for byte, and answers instead wherever the engine cannot be built.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from typing import Dict, List, Optional, Tuple
@@ -26,10 +35,34 @@ import numpy as np
 from repro import kernels
 from repro.base import ANNIndex
 from repro.core.csa import CircularShiftArray
+from repro.core.perturbation import generate_perturbation_vectors
 from repro.hashes import HashFamily, make_family
 from repro.kernels import verify as kernel_verify
 
-__all__ = ["LCCSLSH"]
+__all__ = ["LCCSLSH", "affected_shifts", "check_probes"]
+
+
+def check_probes(n_probes) -> int:
+    """The query-time probe count as an int, or ``ValueError``."""
+    if isinstance(n_probes, (bool, np.bool_)) or not isinstance(
+        n_probes, (int, np.integer)
+    ) or n_probes < 1:
+        raise ValueError(f"n_probes must be an integer >= 1, got {n_probes!r}")
+    return int(n_probes)
+
+
+def affected_shifts(positions: Tuple[int, ...], reach: np.ndarray) -> List[int]:
+    """Shifts whose match window covers any modified position.
+
+    ``reach[s] = max(len_l, len_u)`` from the unperturbed search; a
+    probe can only change the outcome at shift ``s`` if some modified
+    position ``p`` satisfies ``(p - s) mod m <= reach[s]``.
+    """
+    shifts = np.arange(len(reach))
+    hit = np.zeros(len(reach), dtype=bool)
+    for p in positions:
+        hit |= (p - shifts) % len(reach) <= reach
+    return np.flatnonzero(hit).tolist()
 
 
 class LCCSLSH(ANNIndex):
@@ -62,6 +95,7 @@ class LCCSLSH(ANNIndex):
         >>> data = rng.normal(size=(1000, 32))
         >>> index = LCCSLSH(dim=32, m=32, metric="euclidean", seed=0).fit(data)
         >>> ids, dists = index.query(data[0], k=5)
+        >>> ids, dists = index.query(data[0], k=5, n_probes=33)  # MP-LCCS-LSH
     """
 
     name = "LCCS-LSH"
@@ -127,19 +161,38 @@ class LCCSLSH(ANNIndex):
         """
         return min(self.n, int(math.ceil(math.sqrt(self.n))) + k - 1)
 
-    def _query(
-        self, q: np.ndarray, k: int, num_candidates: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if self.csa._engine is not None:
-            # On the engine a batch of one is the cheap way to answer a
-            # lone query.
-            return self._batch_query(q[None, :], k, num_candidates)[0]
+    def _budget(self, k: int, num_candidates: Optional[int]) -> int:
+        """The paper's ``(lambda + k - 1)``-LCCS search budget."""
         if num_candidates is None:
             num_candidates = self.default_candidates(k)
         if num_candidates <= 0:
             raise ValueError("num_candidates must be positive")
-        # The paper's (lambda + k - 1)-LCCS search.
-        budget = min(self.n, num_candidates + k - 1)
+        return min(self.n, num_candidates + k - 1)
+
+    def _probes(self, n_probes) -> int:
+        n_probes = check_probes(n_probes)
+        if n_probes > 1 and not self.family.supports_probing:
+            raise ValueError(
+                f"{type(self.family).__name__} does not expose multi-probe "
+                "alternatives; query it with n_probes=1"
+            )
+        return n_probes
+
+    def _query(
+        self,
+        q: np.ndarray,
+        k: int,
+        num_candidates: Optional[int] = None,
+        n_probes: int = 1,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        if self.csa._engine is not None:
+            # On the engine a batch of one is the cheap way to answer a
+            # lone query.
+            return self._batch_query(q[None, :], k, num_candidates, n_probes)[0]
+        budget = self._budget(k, num_candidates)
+        n_probes = self._probes(n_probes)
+        if n_probes > 1:
+            return self._probe_query(q, k, budget, n_probes)
         t0 = time.perf_counter()
         query_string = self.family.hash(q)
         t1 = time.perf_counter()
@@ -155,7 +208,11 @@ class LCCSLSH(ANNIndex):
         return out
 
     def _batch_query(
-        self, queries: np.ndarray, k: int, num_candidates: Optional[int] = None
+        self,
+        queries: np.ndarray,
+        k: int,
+        num_candidates: Optional[int] = None,
+        n_probes: int = 1,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Batch path: one fused hash, one engine call per stage.
 
@@ -165,11 +222,10 @@ class LCCSLSH(ANNIndex):
         Per query the results are identical to the scalar :meth:`_query`
         (without an engine the CSA and verification loop it).
         """
-        if num_candidates is None:
-            num_candidates = self.default_candidates(k)
-        if num_candidates <= 0:
-            raise ValueError("num_candidates must be positive")
-        budget = min(self.n, num_candidates + k - 1)
+        budget = self._budget(k, num_candidates)
+        n_probes = self._probes(n_probes)
+        if n_probes > 1:
+            return self._batch_probe_query(queries, k, budget, n_probes)
         t0 = time.perf_counter()
         query_strings = self.family.hash(queries)
         t1 = time.perf_counter()
@@ -185,6 +241,96 @@ class LCCSLSH(ANNIndex):
         )
         t4 = time.perf_counter()
         self._record_stages(t1 - t0, search_s, t3 - t1 - search_s, t4 - t3)
+        return out
+
+    # ------------------------------------------------------------------
+    # Multi-probe (paper §4.2): n_probes > 1
+    # ------------------------------------------------------------------
+
+    def _probe_candidates(
+        self, probed: list, bounds: list, budget: int, n_probes: int
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Algorithm 3 over a batch: ``(ids, lccs_lengths)`` per query.
+
+        ``probed[qi]`` is the query's ``(codes, alternatives)`` and
+        ``bounds[qi]`` its unperturbed :class:`ShiftBounds` per shift.
+        Each later probe re-searches only the shifts whose match window
+        covers a modified position; every such search across the batch
+        runs as one lock-step bisection, and each query's probes feed
+        the one merge heap of its unperturbed search.
+        """
+        shifts: list = []
+        qds: list = []
+        owner: list = []
+        for qi, ((codes, alternatives), qb) in enumerate(zip(probed, bounds)):
+            reach = np.array([max(b.len_lower, b.len_upper) for b in qb])
+            alt_codes = [a[0] for a in alternatives]
+            deltas = generate_perturbation_vectors(
+                [a[1] for a in alternatives], n_probes
+            )
+            for delta in itertools.islice(deltas, 1, None):  # 0: unperturbed
+                modified = codes.copy()
+                for pos, j in delta:
+                    modified[pos] = alt_codes[pos][j]
+                qd = self.csa.query_rotations(modified)
+                affected = affected_shifts(tuple(p for p, _ in delta), reach)
+                shifts += affected
+                qds += [qd] * len(affected)
+                owner += [qi] * len(affected)
+        extra: List[list] = [[] for _ in probed]
+        if shifts:
+            q_rots = np.stack([qd[s : s + self.m] for s, qd in zip(shifts, qds)])
+            found = self.csa.batch_binary_search(np.array(shifts), q_rots)
+            for qi, s, qd, b in zip(owner, shifts, qds, found):
+                if b.pos_lower >= 0:
+                    extra[qi].append((b.len_lower, s, b.pos_lower, -1, qd))
+                if b.pos_upper < self.n:
+                    extra[qi].append((b.len_upper, s, b.pos_upper, +1, qd))
+        self.last_stats["probes"] = float(n_probes) * len(probed)
+        self.last_stats["probe_searches"] = float(len(shifts))
+        return [
+            self.csa.merge_candidates(
+                self.csa.query_rotations(codes), qb, budget, extra_entries=ex
+            )
+            for (codes, _), qb, ex in zip(probed, bounds, extra)
+        ]
+
+    def _probe_query(
+        self, q: np.ndarray, k: int, budget: int, n_probes: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Scalar multi-probe: the oracle and the no-engine path."""
+        probed = self.family.query_alternatives(q)
+        bounds = self.csa.search_all_shifts(probed[0])
+        ((cand_ids, lccs_lens),) = self._probe_candidates(
+            [probed], [bounds], budget, n_probes
+        )
+        self.last_stats["max_lccs"] = int(lccs_lens[0]) if len(lccs_lens) else 0
+        return self._verify(cand_ids, q, k)
+
+    def _batch_probe_query(
+        self, queries: np.ndarray, k: int, budget: int, n_probes: int
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Batched multi-probe, identical per query to :meth:`_probe_query`:
+        probe 0 of every query is one engine search, and candidates are
+        verified with one fused kernel."""
+        t0 = time.perf_counter()
+        probed = [self.family.query_alternatives(q) for q in queries]
+        codes = np.array([c for c, _ in probed], dtype=np.int64)
+        t1 = time.perf_counter()
+        arrays = self.csa.batch_search_all_shifts(codes.reshape(-1, self.m))
+        bounds = [
+            self.csa._bounds_list(a[qi] for a in arrays)
+            for qi in range(len(queries))
+        ]
+        t2 = time.perf_counter()
+        merged = self._probe_candidates(probed, bounds, budget, n_probes)
+        t3 = time.perf_counter()
+        self.last_stats["max_lccs"] = float(
+            sum(int(lens[0]) if len(lens) else 0 for _, lens in merged)
+        )
+        out = self._verify_batch([ids for ids, _ in merged], queries, k)
+        t4 = time.perf_counter()
+        self._record_stages(t1 - t0, t2 - t1, t3 - t2, t4 - t3)
         return out
 
     def _record_stages(
@@ -309,7 +455,7 @@ class LCCSLSH(ANNIndex):
             m=int(state["m"]),
             family=family,
             seed=manifest["seed"],
-            **cls._extra_init_kwargs(state),
+            verify_dtype=state.get("verify_dtype", "float64"),
         )
         index.metric = manifest["metric"]
         if "data" in arrays:
@@ -325,8 +471,3 @@ class LCCSLSH(ANNIndex):
         index._kv_packed = None
         index._kv_data32 = None
         return index
-
-    @classmethod
-    def _extra_init_kwargs(cls, state: dict) -> dict:
-        """Constructor kwargs subclasses add on import (hook for MP)."""
-        return {"verify_dtype": state.get("verify_dtype", "float64")}

@@ -266,34 +266,6 @@ static int64_t merge_query(const int64_t *doubled, const idx_t *sorted_idx,
     return cnt;
 }
 
-/* Kernel 2: the merge alone, from (Q, m) bounds the caller holds (the
-   multi-probe scheme inspects them between search and merge).  Query qi
-   marks seen strings with epoch_base + qi + 1.  Returns -1 when the
-   heap scratch cannot be allocated. */
-int repro_merge_tournament(const int64_t *doubled, const idx_t *sorted_idx,
-                           int64_t n, int64_t m, int64_t Q, int64_t k,
-                           const int64_t *qd_table, const int64_t *pos_lower,
-                           const int64_t *pos_upper, const int64_t *len_lower,
-                           const int64_t *len_upper, int64_t sh_shift,
-                           int64_t sh_sid, int64_t sh_len, int64_t *out_ids,
-                           int64_t *out_lens, int64_t *out_cnt,
-                           int32_t *seen_epoch, int64_t epoch_base) {
-    int64_t kcap = k < n ? k : n;
-    int64_t qi;
-    uint64_t *hkey = (uint64_t *)malloc((size_t)(2 * m) * 12);
-    if (!hkey) return -1;
-    int32_t *hdir = (int32_t *)(hkey + 2 * m);
-    for (qi = 0; qi < Q; qi++)
-        out_cnt[qi] = merge_query(
-            doubled, sorted_idx, n, m, kcap, qd_table + qi * 2 * m,
-            pos_lower + qi * m, pos_upper + qi * m, len_lower + qi * m,
-            len_upper + qi * m, sh_shift, sh_sid, sh_len,
-            out_ids + qi * kcap, out_lens + qi * kcap, hkey, hdir,
-            seen_epoch, (int32_t)(epoch_base + qi + 1));
-    free(hkey);
-    return 0;
-}
-
 /* Kernels 1b + 2 behind one entry point: k-LCCS search for a batch of
    (undoubled) query strings.  Bounds, the doubled query and the heap
    live in one per-call allocation and never cross the boundary.
@@ -615,11 +587,6 @@ def _load_library() -> ctypes.CDLL:
     lib.repro_search_all.argtypes = [
         _P, _P, _P, _L, _L, _L, _P, _P, _P, _P, _P,
     ]
-    lib.repro_merge_tournament.restype = ctypes.c_int
-    lib.repro_merge_tournament.argtypes = [
-        _P, _P, _L, _L, _L, _L, _P, _P, _P, _P, _P,
-        _L, _L, _L, _P, _P, _P, _P, _L,
-    ]
     lib.repro_search_merge.restype = ctypes.c_int
     lib.repro_search_merge.argtypes = [
         _P, _P, _P, _L, _L, _L, _L, _P, _L, _L, _L, _P, _P, _P, _P, _L, _P,
@@ -765,41 +732,6 @@ class CExtBackend:
             base, base + step, base + 2 * step, base + 3 * step,
         )
         return out[0], out[1], out[2], out[3]
-
-    def merge_tournament(
-        self,
-        csa,
-        qd_table: np.ndarray,
-        bounds_arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        k: int,
-        key_shifts: Tuple[int, int, int],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        doubled, sorted_idx, _ = self._csa_pointers(csa)
-        pos_lower, pos_upper, len_lower, len_upper = (
-            np.ascontiguousarray(a, dtype=np.int64) for a in bounds_arrays
-        )
-        Q = len(pos_lower)
-        n, m = csa.n, csa.m
-        if Q == 0:
-            return []
-        sh_shift, sh_sid, sh_len = key_shifts
-        qd_table = np.ascontiguousarray(qd_table[:Q], dtype=np.int64)
-        kcap = min(k, n)
-        out_ids = np.empty((Q, kcap), dtype=np.int64)
-        out_lens = np.empty((Q, kcap), dtype=np.int64)
-        out_cnt = np.empty(Q, dtype=np.int64)
-        seen, epoch = self._seen.reserve(n, Q)
-        if self._lib.repro_merge_tournament(
-            doubled, sorted_idx, n, m, Q, k, _addr(qd_table),
-            _addr(pos_lower), _addr(pos_upper), _addr(len_lower),
-            _addr(len_upper), sh_shift, sh_sid, sh_len, _addr(out_ids),
-            _addr(out_lens), _addr(out_cnt), seen, epoch,
-        ):
-            raise MemoryError("merge kernel: cannot allocate heap scratch")
-        return [
-            (out_ids[qi, : out_cnt[qi]].copy(), out_lens[qi, : out_cnt[qi]].copy())
-            for qi in range(Q)
-        ]
 
     def search_merge(
         self,

@@ -11,8 +11,7 @@ This package turns the in-process indexes into servable artifacts:
   :class:`~repro.serve.persistence.ArrayStore` abstraction — cold start
   in milliseconds, one page-cache copy of the data shared by every
   local reader, byte-identical query results.  ``LCCSLSH``,
-  ``MPLCCSLSH``, ``DynamicLCCSLSH``, ``LinearScan`` and ``QALSH``
-  serialize natively (no pickle anywhere; arrays are read with
+  ``DynamicLCCSLSH``, ``LinearScan`` and ``QALSH`` serialize natively (no pickle anywhere; arrays are read with
   ``allow_pickle=False``); every other baseline falls back to the
   documented pickle serializer inside the same layout.  Corrupt
   manifests, wrong ``format_version`` and unknown classes raise

@@ -27,8 +27,8 @@ Two serializers share the layout:
   are read with ``allow_pickle=False``), bundles are inspectable with a
   text editor plus ``np.load``, and they stay readable across library
   refactors as long as the hook contract holds.  ``LCCSLSH``,
-  ``MPLCCSLSH``, ``DynamicLCCSLSH``, ``LinearScan``, ``QALSH``,
-  ``SKLSH``, ``LSBForest`` and ``SRS`` ship native implementations.
+  ``DynamicLCCSLSH``, ``LinearScan``, ``QALSH``, ``SKLSH``,
+  ``LSBForest`` and ``SRS`` ship native implementations.
 * ``pickle`` — the documented fallback for the remaining baselines
   (``E2LSH``/``MultiProbeLSH``/``FALCONN``/``StaticConcatIndex``,
   ``C2LSH``, ``LazyLSH``, ``LSHForest``, and the cascades): the whole

@@ -51,18 +51,20 @@ def oracle_query(index, q, k, **kwargs):
     ``batch_query`` with ``query`` would compare the engine with itself.
     The oracle is the paper's algorithm spelled out with the pure-Python
     pieces only: for a plain :class:`~repro.LCCSLSH`, ``csa.k_lccs``
-    (scalar bisections, heap merge) followed by ``ANNIndex._verify``;
-    for the indexes built on top of it (multi-probe, dynamic), their own
-    ``query`` under :func:`engine_detached`, where every LCCS segment
-    runs exactly that path (the batch-equivalence suite pins detached
-    ``LCCSLSH.query`` to the spelled-out oracle).  Indexes without a CSA
-    answer for themselves.
+    (scalar bisections, heap merge) followed by ``ANNIndex._verify``,
+    or with ``n_probes > 1`` the scalar probe ``_query`` under
+    :func:`engine_detached`; for the dynamic index built on top of it,
+    its own ``query`` under :func:`engine_detached`, where every LCCS
+    segment runs exactly those paths (the batch-equivalence suite pins
+    detached ``LCCSLSH.query`` to the spelled-out oracle).  Indexes
+    without a CSA answer for themselves.
     """
     from repro import LCCSLSH
     from repro.base import ANNIndex
 
     q = np.asarray(q)
-    if type(index) is LCCSLSH:
+    if type(index) is LCCSLSH and kwargs.get("n_probes", 1) == 1:
+        kwargs.pop("n_probes", None)
         num_candidates = kwargs.pop("num_candidates", None)
         assert not kwargs, f"oracle does not know {sorted(kwargs)}"
         if num_candidates is None:

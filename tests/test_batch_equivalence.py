@@ -8,10 +8,9 @@ contract down across metrics and the edge cases that stress the merge
 (k > n, duplicate rows, m not a power of two, all-identical strings).
 
 "Single-query results" means the scalar oracle of ``tests/helpers.py``,
-not ``index.query``: on the engine ``query`` is itself a batch of one
-(and the multi-probe index loops small batches), so both are checked
-against the oracle, with the engine attached and detached, across the
-batch sizes where the multi-probe choice flips.
+not ``index.query``: on the engine ``query`` is itself a batch of one,
+so both are checked against the oracle, with the engine attached and
+detached, at single-probe and multi-probe (``n_probes``) queries.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_matches_oracle, engine_detached, oracle_query
-from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH
+from repro import DynamicLCCSLSH, LCCSLSH
 from repro.core import CircularShiftArray
-from repro.core.mp_lccs_lsh import MIN_BATCH
 
 
 def assert_csa_batch_matches(strings: np.ndarray, queries: np.ndarray, k: int):
@@ -182,18 +180,29 @@ def test_lccs_lsh_batch_explicit_num_candidates(rng):
     assert_index_batch_matches(index, queries, k=4, num_candidates=40)
 
 
-def test_mp_lccs_lsh_batch_matches_single(rng):
+def test_multiprobe_batch_matches_single(rng):
     data = rng.normal(size=(400, 12))
     queries = rng.normal(size=(15, 12))
-    index = MPLCCSLSH(dim=12, m=16, n_probes=10, seed=3).fit(data)
-    assert_index_batch_matches(index, queries, k=6)
+    index = LCCSLSH(dim=12, m=16, seed=3).fit(data)
+    assert_index_batch_matches(index, queries, k=6, n_probes=10)
 
 
-def test_mp_lccs_lsh_batch_explicit_probes(rng):
+def test_multiprobe_batch_explicit_probes(rng):
     data = rng.normal(size=(250, 10))
     queries = rng.normal(size=(8, 10))
-    index = MPLCCSLSH(dim=10, m=12, n_probes=4, seed=17).fit(data)
-    assert_index_batch_matches(index, queries, k=5, n_probes=12)
+    index = LCCSLSH(dim=10, m=12, seed=17).fit(data)
+    assert_index_batch_matches(index, queries, k=5, num_candidates=30, n_probes=12)
+
+
+def test_dynamic_multiprobe_batch_matches_single(rng):
+    data = rng.normal(size=(300, 12))
+    index = DynamicLCCSLSH(dim=12, m=16, seed=8).fit(data)
+    for row in rng.normal(size=(20, 12)):
+        index.insert(row)
+    index.delete(5)
+    index.delete(305)
+    queries = rng.normal(size=(12, 12))
+    assert_index_batch_matches(index, queries, k=7, n_probes=9)
 
 
 def test_dynamic_batch_matches_single_with_buffer(rng):
@@ -232,7 +241,7 @@ def test_dynamic_batch_matches_single_before_fitting_inner(rng):
 
 
 # ----------------------------------------------------------------------
-# Batch sizes around the multi-probe crossover, engine on and off
+# Batch sizes 1..33, single- and multi-probe, engine on and off
 # ----------------------------------------------------------------------
 
 GRID_QUERIES = 33
@@ -244,9 +253,7 @@ def _grid_lccs(rng):
 
 
 def _grid_mp(rng):
-    return MPLCCSLSH(dim=12, m=8, n_probes=5, seed=3).fit(
-        rng.normal(size=(200, 12))
-    )
+    return LCCSLSH(dim=12, m=8, seed=3).fit(rng.normal(size=(200, 12)))
 
 
 def _grid_dynamic_aged(rng):
@@ -267,33 +274,39 @@ def _grid_dynamic_aged(rng):
     return index
 
 
-@pytest.fixture(scope="module", params=["lccs", "mp", "dynamic-aged"])
+#: index kind -> (builder, query kwargs)
+GRID_CASES = {
+    "lccs": (_grid_lccs, {}),
+    "mp": (_grid_mp, {"n_probes": 5}),
+    "dynamic-aged": (_grid_dynamic_aged, {}),
+    "dynamic-aged-mp": (_grid_dynamic_aged, {"n_probes": 5}),
+}
+
+
+@pytest.fixture(scope="module", params=list(GRID_CASES))
 def grid_case(request):
-    """(index, queries, oracle answers), built once per index kind."""
+    """(index, query kwargs, queries, oracle answers), built once per case."""
     rng = np.random.default_rng(2024)
-    build = {
-        "lccs": _grid_lccs, "mp": _grid_mp, "dynamic-aged": _grid_dynamic_aged,
-    }[request.param]
+    build, kwargs = GRID_CASES[request.param]
     index = build(rng)
     queries = rng.normal(size=(GRID_QUERIES, 12))
-    return index, queries, [oracle_query(index, q, GRID_K) for q in queries]
+    want = [oracle_query(index, q, GRID_K, **kwargs) for q in queries]
+    return index, kwargs, queries, want
 
 
 @pytest.mark.parametrize("path", ["cext", "numpy"])
-@pytest.mark.parametrize(
-    "batch", [1, 2, 3, MIN_BATCH, MIN_BATCH + 1, GRID_QUERIES]
-)
+@pytest.mark.parametrize("batch", [1, 2, 3, 12, 13, GRID_QUERIES])
 def test_every_batch_size_matches_the_oracle(grid_case, batch, path):
     """B in {1, 2, 3, 12, 13, 33}, answered by the engine (``cext``) or
     by the scalar NumPy path with the engine detached (``numpy``, what a
-    host without a C compiler runs): the engine batches from B=1, the
-    multi-probe index loops below its crossover, and every combination
-    answers like the oracle, as does ``query`` itself."""
-    index, queries, want = grid_case
+    host without a C compiler runs): the engine batches from B=1 at
+    every probe count, and every combination answers like the oracle,
+    as does ``query`` itself."""
+    index, kwargs, queries, want = grid_case
     with engine_detached(index) if path == "numpy" else nullcontext():
-        ids, dists = index.batch_query(queries[:batch], k=GRID_K)
+        ids, dists = index.batch_query(queries[:batch], k=GRID_K, **kwargs)
         last = batch - 1
-        got_last = index.query(queries[last], k=GRID_K)
+        got_last = index.query(queries[last], k=GRID_K, **kwargs)
     for qi in range(batch):
         found = ids[qi] >= 0
         assert_matches_oracle(

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicLCCSLSH, IndexSpec
+from repro import DynamicLCCSLSH, IndexSpec, LCCSLSH
 from repro.serve import (
     DurableIndex,
     RecoveryError,
@@ -495,6 +495,16 @@ def test_recover_refuses_a_sharded_recipe(tmp_path):
     # The log itself is intact: a recipe given explicitly replays it.
     result = recover(wal_dir, spec=SPEC)
     assert result.applied_seq == len(make_ops(n_updates=5))
+
+
+def test_recover_refuses_a_multiprobe_subclass_recipe(tmp_path):
+    """A recipe for the multi-probe subclass (now ``LCCSLSH``'s
+    ``n_probes`` query argument) names the class."""
+    removed = "MP" + LCCSLSH.__name__
+    recipe = {"class": removed, "kwargs": {"dim": 8, "m": 16, "n_probes": 17}}
+    wal_dir = _wal_with_recipe(tmp_path, {"spec": recipe})
+    with pytest.raises(RecoveryError, match=rf"durable\.json.*'{removed}'"):
+        recover(wal_dir)
 
 
 # ----------------------------------------------------------------------

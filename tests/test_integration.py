@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import LCCSLSH, MPLCCSLSH
+from repro import LCCSLSH
 from repro.baselines import E2LSH, FALCONN, LinearScan, MultiProbeLSH
 from repro.data import compute_ground_truth, load_dataset
 from repro.eval import evaluate, pareto_frontier, sweep, grid
@@ -58,15 +58,14 @@ def test_angular_pipeline_all_methods(deep_small):
     ds, gt = deep_small
     methods = {
         "lccs": LCCSLSH(dim=ds.dim, m=32, metric="angular", cp_dim=16, seed=3),
-        "mp": MPLCCSLSH(
-            dim=ds.dim, m=32, metric="angular", cp_dim=16, seed=3, n_probes=33
-        ),
+        "mp": LCCSLSH(dim=ds.dim, m=32, metric="angular", cp_dim=16, seed=3),
         "falconn": FALCONN(dim=ds.dim, K=1, L=8, n_probes=24, cp_dim=16, seed=3),
         "e2lsh-cp": E2LSH(dim=ds.dim, K=1, L=8, metric="angular", cp_dim=16, seed=3),
     }
     recalls = {}
     for name, idx in methods.items():
-        kw = {"num_candidates": 150} if "lccs" in ("lccs",) and name in ("lccs", "mp") else {}
+        kw = {"lccs": {"num_candidates": 150},
+              "mp": {"num_candidates": 150, "n_probes": 33}}.get(name, {})
         res = evaluate(idx, ds.data, ds.queries, gt, k=10, query_kwargs=kw)
         recalls[name] = res.recall
     assert recalls["lccs"] >= 0.75
@@ -94,11 +93,11 @@ def test_multiprobe_saves_memory_for_same_recall(sift_small):
     single-probe index while holding a smaller one (smaller m)."""
     ds, gt = sift_small
     big = LCCSLSH(dim=ds.dim, m=64, w=130.0, seed=5).fit(ds.data)
-    small_mp = MPLCCSLSH(
-        dim=ds.dim, m=16, w=130.0, seed=5, n_probes=65
-    ).fit(ds.data)
+    small_mp = LCCSLSH(dim=ds.dim, m=16, w=130.0, seed=5).fit(ds.data)
     rec_big = average_recall(big, ds.queries, gt, k=10, num_candidates=100)
-    rec_small = average_recall(small_mp, ds.queries, gt, k=10, num_candidates=100)
+    rec_small = average_recall(
+        small_mp, ds.queries, gt, k=10, num_candidates=100, n_probes=65
+    )
     assert small_mp.index_size_bytes() < big.index_size_bytes()
     assert rec_small >= rec_big - 0.12
 
@@ -107,16 +106,16 @@ def test_mixed_serialization(tmp_path, sift_small):
     """Every index type survives a save/load round trip."""
     ds, gt = sift_small
     indexes = [
-        LCCSLSH(dim=ds.dim, m=16, w=130.0, seed=6),
-        MPLCCSLSH(dim=ds.dim, m=16, w=130.0, seed=6, n_probes=17),
-        E2LSH(dim=ds.dim, K=4, L=8, w=130.0, seed=6),
-        MultiProbeLSH(dim=ds.dim, K=4, L=4, w=130.0, n_probes=16, seed=6),
+        (LCCSLSH(dim=ds.dim, m=16, w=130.0, seed=6), {}),
+        (LCCSLSH(dim=ds.dim, m=16, w=130.0, seed=6), {"n_probes": 17}),
+        (E2LSH(dim=ds.dim, K=4, L=8, w=130.0, seed=6), {}),
+        (MultiProbeLSH(dim=ds.dim, K=4, L=4, w=130.0, n_probes=16, seed=6), {}),
     ]
     q = ds.queries[0]
-    for idx in indexes:
+    for i, (idx, kw) in enumerate(indexes):
         idx.fit(ds.data)
-        want = idx.query(q, k=5)[0].tolist()
-        path = tmp_path / f"{idx.name.replace(' ', '_')}.pkl"
+        want = idx.query(q, k=5, **kw)[0].tolist()
+        path = tmp_path / f"{i}_{idx.name.replace(' ', '_')}.pkl"
         idx.save(str(path))
         loaded = type(idx).load(str(path))
-        assert loaded.query(q, k=5)[0].tolist() == want
+        assert loaded.query(q, k=5, **kw)[0].tolist() == want

@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_matches_oracle, oracle_query
-from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH, kernels
+from repro import DynamicLCCSLSH, LCCSLSH, kernels
 from repro.distances import hamming_packed, pack_bits, pairwise_rows
 
 COMPILED = [] if kernels.engine() is None else ["cext"]
@@ -54,22 +54,24 @@ def _workload(seed: int, n: int, dim: int, nq: int, binary: bool = False):
     return data, queries
 
 
-def assert_engine_matches_oracle(index, queries: np.ndarray, k: int):
+def assert_engine_matches_oracle(index, queries: np.ndarray, k: int, **kwargs):
     """The engine matches the scalar oracle at B=1 (``query`` and a
     batch of one) and at B = the whole query set."""
-    oracle = [oracle_query(index, q, k) for q in queries]
-    bi, bd = index.batch_query(queries, k=k)
+    oracle = [oracle_query(index, q, k, **kwargs) for q in queries]
+    bi, bd = index.batch_query(queries, k=k, **kwargs)
     for qi, q in enumerate(queries):
         found = bi[qi] >= 0
         assert_matches_oracle(
             (bi[qi][found], bd[qi][found]), oracle[qi], f"batch row {qi}"
         )
-        one_ids, one_dists = index.batch_query(q[None, :], k=k)
+        one_ids, one_dists = index.batch_query(q[None, :], k=k, **kwargs)
         found = one_ids[0] >= 0
         assert_matches_oracle(
             (one_ids[0][found], one_dists[0][found]), oracle[qi], f"B=1 {qi}"
         )
-        assert_matches_oracle(index.query(q, k=k), oracle[qi], f"single {qi}")
+        assert_matches_oracle(
+            index.query(q, k=k, **kwargs), oracle[qi], f"single {qi}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +148,7 @@ def _fallback_lccs(rng):
 
 
 def _fallback_mp(rng):
-    return MPLCCSLSH(dim=12, m=8, n_probes=5, seed=3).fit(
-        rng.normal(size=(200, 12))
-    )
+    return LCCSLSH(dim=12, m=8, seed=3).fit(rng.normal(size=(200, 12)))
 
 
 def _fallback_dynamic_aged(rng):
@@ -164,29 +164,33 @@ def _fallback_dynamic_aged(rng):
 
 
 @pytest.mark.parametrize(
-    "build", [_fallback_lccs, _fallback_mp, _fallback_dynamic_aged],
+    "build, kwargs",
+    [(_fallback_lccs, {}), (_fallback_mp, {"n_probes": 5}),
+     (_fallback_dynamic_aged, {})],
     ids=["lccs", "mp", "dynamic-aged"],
 )
-def test_fallback_answers_like_the_oracle(monkeypatch, build):
+def test_fallback_answers_like_the_oracle(monkeypatch, build, kwargs):
     """Built where the engine cannot be, every index class answers
     ``query`` and ``batch_query`` (B in {1, 13}) exactly like the oracle
     taken on the same index built while the engine was there."""
     queries = np.random.default_rng(99).normal(size=(13, 12))
     reference = build(np.random.default_rng(2024))
-    want = [oracle_query(reference, q, 6) for q in queries]
+    want = [oracle_query(reference, q, 6, **kwargs) for q in queries]
     _break_engine(monkeypatch)
     with pytest.warns(RuntimeWarning):
         index = build(np.random.default_rng(2024))
     assert index.kernel_backend == "scalar"
     for batch in (1, 13):
-        ids, dists = index.batch_query(queries[:batch], k=6)
+        ids, dists = index.batch_query(queries[:batch], k=6, **kwargs)
         for qi in range(batch):
             found = ids[qi] >= 0
             assert_matches_oracle(
                 (ids[qi][found], dists[qi][found]), want[qi], f"B={batch} {qi}"
             )
     for qi, q in enumerate(queries):
-        assert_matches_oracle(index.query(q, k=6), want[qi], f"query {qi}")
+        assert_matches_oracle(
+            index.query(q, k=6, **kwargs), want[qi], f"query {qi}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +235,8 @@ def test_lccs_hamming_identity(seed, n, k):
 )
 def test_mp_lccs_identity(seed, n, n_probes):
     data, queries = _workload(seed, n, dim=8, nq=5)
-    index = MPLCCSLSH(
-        dim=8, m=8, w=4.0, seed=seed % 1000, n_probes=n_probes
-    ).fit(data)
-    assert_engine_matches_oracle(index, queries, k=8)
+    index = LCCSLSH(dim=8, m=8, w=4.0, seed=seed % 1000).fit(data)
+    assert_engine_matches_oracle(index, queries, k=8, n_probes=n_probes)
 
 
 @needs_compiled

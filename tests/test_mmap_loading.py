@@ -4,8 +4,8 @@ The storage-engine contract this file pins down:
 
 * ``load_index(path, mmap=True)`` reconstructs an index whose
   ``query``/``batch_query`` results are **byte-identical** to both the
-  original index and an eager load — for LCCS, MP-LCCS, Dynamic and
-  QALSH indexes, including after ``insert``/``delete``-then-rebuild on
+  original index and an eager load — for LCCS (single- and
+  multi-probe queries), Dynamic and QALSH indexes, including after ``insert``/``delete``-then-rebuild on
   the loaded copies (copy-on-write promotion).
 * mmap-loaded arrays are read-only; the index never writes into them.
 """
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH
+from repro import DynamicLCCSLSH, LCCSLSH
 from repro.baselines import QALSH
 from repro.serve import IndexSpec, load_index, read_manifest, save_index
 
@@ -28,10 +28,13 @@ SEED = 7
 
 BUILDERS = {
     "LCCSLSH": lambda: LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED),
-    "MPLCCSLSH": lambda: MPLCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED, n_probes=9),
+    "LCCSLSH-probed": lambda: LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED),
     "DynamicLCCSLSH": lambda: DynamicLCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED),
     "QALSH": lambda: QALSH(dim=DIM, m=8, l=2, w=1.0, beta=0.1, seed=SEED),
 }
+
+#: query kwargs per builder (default: none)
+QUERY_KWARGS = {"LCCSLSH-probed": {"n_probes": 9}}
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +68,9 @@ def test_mmap_load_byte_identical(name, tmp_path, workload):
     save_index(index, path)
     eager = load_index(path)
     mapped = load_index(path, mmap=True)
-    assert_same_answers(index, eager, queries)
-    assert_same_answers(index, mapped, queries)
+    kwargs = QUERY_KWARGS.get(name, {})
+    assert_same_answers(index, eager, queries, **kwargs)
+    assert_same_answers(index, mapped, queries, **kwargs)
 
 
 def test_mmap_arrays_are_readonly(tmp_path, workload):

