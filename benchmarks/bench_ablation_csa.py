@@ -77,9 +77,7 @@ def test_ablation_batched_probe_search(benchmark, reporter, capsys):
     q_strings = [index.family.hash(q) for q in queries]
     rots = np.stack(
         [
-            CircularShiftArray.query_rotations(q_strings[i % len(q_strings)])[
-                s : s + csa.m
-            ]
+            csa.query_rotations(q_strings[i % len(q_strings)])[s : s + csa.m]
             for i, s in enumerate(shifts)
         ]
     )

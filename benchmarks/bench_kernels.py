@@ -21,11 +21,14 @@ per stage.  An extra row benches the engine's opt-in
 ``verify_dtype="float32"`` screen (with exact float64 re-rank) on the
 Euclidean workload.
 
-A last table times the CSA build — the engine's ``csa_build`` against
-the rank-doubling ``_build`` it replaces — at n=10k and ``--n``, m=64,
-on random-projection strings (SIFT-like data, w=256: the e2e bundle's
-family) and MinHash strings, asserting the two emit the same bytes
-before either is timed.
+Two last tables use random-projection strings (SIFT-like data, w=256:
+the e2e bundle's family, 1-byte codes) and MinHash strings (8-byte
+codes) at n=10k and ``--n``, m=64.  One times the engine's search and
+merge (``search_merge``, 1 024 queries, the e2e budget of 109
+candidates) with the CSA's code width ``W`` beside each row; the other
+times the CSA build — the engine's ``csa_build`` against the
+rank-doubling ``_build`` it replaces — asserting the two emit the same
+bytes before either is timed.
 
 Writes ``benchmarks/results/bench_kernels.json`` + ``.md``.
 
@@ -136,6 +139,7 @@ def bench_workload(
             "n": n,
             "dim": dim,
             "m": m,
+            "width": index.csa.width,
             "queries": nq,
             "k": k,
             "metric": index.metric,
@@ -145,12 +149,60 @@ def bench_workload(
     }
 
 
-def _family_strings(family: str, n: int, m: int, seed: int) -> np.ndarray:
+def _family_strings(
+    family: str, n: int, m: int, seed: int, data_seed: int = None
+) -> np.ndarray:
+    """``n`` hash strings of ``family`` (drawn with ``seed``) over data
+    drawn with ``data_seed`` (default: ``seed``)."""
+    data_seed = seed if data_seed is None else data_seed
     if family == "random_projection":
-        data = sift_like(n, 128, seed=seed)
+        data = sift_like(n, 128, seed=data_seed)
         return RandomProjectionFamily(128, m, w=256.0, seed=seed).hash(data)
-    sets = np.random.default_rng(seed).random((n, 128)) < 0.1
+    sets = np.random.default_rng(data_seed).random((n, 128)) < 0.1
     return MinHashFamily(128, m, seed=seed).hash(sets.astype(np.float64))
+
+
+def bench_search_merge(
+    family: str, n: int, m: int, repeats: int, seed: int
+) -> dict:
+    """The engine's search + merge over 1 024 queries, per query."""
+    csa = CircularShiftArray(_family_strings(family, n, m, seed))
+    queries = _family_strings(family, 1024, m, seed, data_seed=seed + 1)
+    budget = int(np.ceil(np.sqrt(n))) + 9  # the e2e k=10 default lambda
+    csa._batch_k_lccs_flat(queries[:64], budget)  # warm-up
+    best = search = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _, _, _, search_s = csa._batch_k_lccs_flat(queries, budget)
+        elapsed = time.perf_counter() - t0
+        if elapsed < best:
+            best, search = elapsed, search_s
+    per_query = 1e6 / len(queries)
+    return {
+        "family": family,
+        "n": n,
+        "m": m,
+        "width": csa.width,
+        "budget": budget,
+        "search_us": search * per_query,
+        "merge_us": (best - search) * per_query,
+        "total_us": best * per_query,
+    }
+
+
+def _md_search_table(rows) -> str:
+    lines = [
+        "| family | n | m | W (bytes) | search (us/q) | merge (us/q) "
+        "| search+merge (us/q) |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for r in rows:
+        lines.append(
+            f"| {r['family']} | {r['n']} | {r['m']} | {r['width']} | "
+            f"{r['search_us']:.1f} | {r['merge_us']:.1f} | "
+            f"{r['total_us']:.1f} |"
+        )
+    return "\n".join(lines)
 
 
 def _best_of(fn, repeats: int):
@@ -165,8 +217,9 @@ def _best_of(fn, repeats: int):
 def bench_csa_build(family: str, n: int, m: int, repeats: int, seed: int) -> dict:
     """Engine build vs rank doubling on one family's strings; the two
     outputs are asserted byte-identical before timing is reported."""
-    csa = CircularShiftArray(_family_strings(family, n, m, seed))
-    engine_s, built = _best_of(lambda: csa._engine.csa_build(csa.strings), repeats)
+    strings = _family_strings(family, n, m, seed)
+    csa = CircularShiftArray(strings)
+    engine_s, built = _best_of(lambda: csa._engine.csa_build(strings), repeats)
     numpy_s, fallback = _best_of(csa._build, repeats)
     for got, want in zip(built, fallback):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
@@ -176,7 +229,7 @@ def bench_csa_build(family: str, n: int, m: int, repeats: int, seed: int) -> dic
         "family": family,
         "n": n,
         "m": m,
-        "distinct_chars": int(len(np.unique(csa.strings))),
+        "distinct_chars": int(len(np.unique(strings))),
         "engine_seconds": engine_s,
         "numpy_seconds": numpy_s,
         "speedup": numpy_s / engine_s,
@@ -202,15 +255,16 @@ def _md_build_table(rows) -> str:
 def _md_table(section: dict) -> str:
     lines = [
         "| path | verify | batch(s) | QPS | vs scalar | "
-        "hash(ms) | search(ms) | merge(ms) | verify(ms) |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "hash(ms) | W | search(ms) | merge(ms) | verify(ms) |",
+        "|---|---|---|---|---|---|---|---|---|---|",
     ]
     for r in section["backends"]:
         st = r["stages_s"]
         lines.append(
             "| {backend} | {vd} | {bs:.4f} | {qps:.0f} | {sp:.2f}x | "
-            "{h:.1f} | {s:.1f} | {m:.1f} | {v:.1f} |".format(
+            "{h:.1f} | {w} | {s:.1f} | {m:.1f} | {v:.1f} |".format(
                 backend=r["backend"],
+                w=section["workload"]["width"],
                 vd=r["verify_dtype"],
                 bs=r["batch_seconds"],
                 qps=r["qps"],
@@ -253,6 +307,18 @@ def main(argv=None) -> int:
                 f"{r['speedup_vs_scalar']:.2f}x vs scalar"
             )
 
+    search_rows = []
+    print(f"\n== engine search + merge: m={args.m} ==")
+    for n in sorted({10_000, args.n}):
+        for family in BUILD_FAMILIES:
+            row = bench_search_merge(family, n, args.m, args.repeats, args.seed)
+            search_rows.append(row)
+            print(
+                f"  {family:>17} n={n} W={row['width']}: "
+                f"search {row['search_us']:.1f} us/q  "
+                f"merge {row['merge_us']:.1f} us/q"
+            )
+
     build_rows = []
     print(f"\n== CSA build: m={args.m} ==")
     for n in sorted({10_000, args.n}):
@@ -265,7 +331,12 @@ def main(argv=None) -> int:
                 f"  {row['speedup']:.1f}x"
             )
 
-    payload = {"environment": env, "workloads": sections, "csa_build": build_rows}
+    payload = {
+        "environment": env,
+        "workloads": sections,
+        "search_merge": search_rows,
+        "csa_build": build_rows,
+    }
 
     md = ["# The cext engine against the scalar oracle — batched throughput", ""]
     md.append(
@@ -294,6 +365,17 @@ def main(argv=None) -> int:
             f"({best['speedup_vs_scalar']:.2f}x the scalar path) on a "
             f"single core."
         )
+    md.append(
+        f"\n## Engine search + merge (m={args.m}) by code width\n"
+    )
+    md.append(
+        "`search_merge` over 1 024 queries, budget ceil(sqrt(n)) + 9 (the "
+        f"e2e default at k=10), best of {args.repeats}; `W` is the bytes "
+        "per stored character the CSA chose from the data. Random "
+        "projection: SIFT-like data, d=128, w=256. MinHash: d=128 sets of "
+        "density 0.1.\n"
+    )
+    md.append(_md_search_table(search_rows))
     md.append(
         f"\n## CSA build (m={args.m}): engine `csa_build` vs rank-doubling "
         "`_build`\n"

@@ -22,6 +22,19 @@ stopping once a round splits no class (at most ``ceil(log2 m)``), give
 every rotation a dense rank, and ``I_s`` is an argsort of the rank
 column ``s``.  Both emit the same bytes: ``I_s`` orders ids by their
 ``s``-rotation and equal rotations by ascending id, which determines it.
+
+Characters are LSH bucket ids from a small alphabet, so the CSA stores
+them as unsigned *codes* of the narrowest width ``W`` in {1, 2, 4, 8}
+bytes that holds the fitted range: ``code = v - offset`` with
+``offset = min - 1`` (``W < 8``), so stored codes lie in
+``[1, 2**(8W) - 2]``; ``W = 8`` takes ``offset = -2**63``, the sign flip
+of the int64.  A query character outside the fitted range clamps to
+``0`` or ``2**(8W) - 1``: it equals no stored code and sorts below or
+above all of them, so every comparison and every LCP — and with them
+every answer — is the int64 strings' own.  :meth:`CircularShiftArray.encode`
+is the one encoder; raw hash strings are encoded where they enter (the
+``query_rotations`` and the search entry points), and everything below
+them sees codes.
 """
 
 from __future__ import annotations
@@ -38,7 +51,34 @@ from repro.core.lccs import compare_rotations, lcp_length
 
 __all__ = ["ShiftBounds", "CircularShiftArray"]
 
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_CODE_DTYPES = {w: np.dtype(f"u{w}") for w in (1, 2, 4, 8)}
+
+
+def code_layout(lo: int, hi: int) -> Tuple[int, int]:
+    """``(width, offset)`` of the narrowest codes for values in ``[lo, hi]``.
+
+    ``W < 8`` keeps codes ``0`` and ``2**(8W) - 1`` free for query
+    characters below and above the range, so it needs ``hi - lo + 1``
+    codes in ``[1, 2**(8W) - 2]``.
+    """
+    for width in (1, 2, 4):
+        if lo > _INT64_MIN and hi - lo <= 2 ** (8 * width) - 3:
+            return width, lo - 1
+    return 8, _INT64_MIN
+
+
+def encode_codes(values, offset: int, width: int) -> np.ndarray:
+    """``clip(v - offset, 0, 2**(8 * width) - 1)`` as ``uint{8 width}``,
+    exact for every int64 ``v``."""
+    v = np.asarray(values).astype(np.int64, copy=False)
+    codes = v.astype(np.uint64)
+    codes -= np.uint64(offset % 2**64)  # wraps to the exact v - offset > 0
+    codes[v <= offset] = 0
+    if width < 8:
+        np.minimum(codes, np.uint64(2 ** (8 * width) - 1), out=codes)
+    return codes.astype(_CODE_DTYPES[width], copy=False)
 
 
 @dataclass(frozen=True)
@@ -70,12 +110,15 @@ class CircularShiftArray:
 
     Args:
         strings: ``(n, m)`` integer array; row ``i`` is string ``T_i``.
-            Kept as int64, the engine's character type; a value that
-            does not fit is a ``ValueError``.
+            Every value must fit in int64 (``ValueError`` otherwise);
+            they are stored as codes (module docstring).
 
     Attributes:
         n: number of strings.
         m: string length.
+        width: bytes per stored character (1, 2, 4 or 8), chosen from
+            the fitted range.
+        offset: int64 value that code 0 stands for.
         sorted_idx: ``(m, n)`` — ``sorted_idx[s]`` is the paper's ``I_{s+1}``
             (string ids ordered by their ``s``-rotation).
         next_link: ``(m, n)`` — ``next_link[s][j]`` is the rank in
@@ -91,22 +134,23 @@ class CircularShiftArray:
             raise ValueError("strings must be non-empty in both dimensions")
         if not np.issubdtype(strings.dtype, np.integer):
             raise TypeError("CSA requires integer hash strings")
-        # One character type for the build, the engine and the scalar
-        # path: a uint64 value >= 2**63 would wrap in the engine's int64
-        # copy and compare in another order than the one built here.
+        # Hash characters are int64 values everywhere (queries too): a
+        # uint64 value >= 2**63 would wrap and order differently.
         if not np.can_cast(strings.dtype, np.int64) and strings.max() > _INT64_MAX:
             raise ValueError("CSA hash strings must fit in int64")
         strings = strings.astype(np.int64, copy=False)
         self.n, self.m = strings.shape
-        # Doubled copies give O(1) zero-copy access to any rotation; the
-        # left half *is* ``strings``, so the input is not kept as well.
-        self._doubled = np.concatenate([strings, strings], axis=1)
-        self.strings = self._doubled[:, : self.m]
+        self.width, self.offset = code_layout(
+            int(strings.min()), int(strings.max())
+        )
+        codes = self.encode(strings)
+        # Doubled codes give O(1) zero-copy access to any rotation.
+        self._doubled = np.concatenate([codes, codes], axis=1)
         #: the compiled engine, or None: the build and the batch entry
         #: points run the scalar path
         self._engine = kernels.engine()
         if self._engine is not None and self.n < 2**31:
-            self.sorted_idx, self.next_link = self._engine.csa_build(self.strings)
+            self.sorted_idx, self.next_link = self._engine.csa_build(strings)
         else:
             self.sorted_idx, self.next_link = self._build()
 
@@ -118,8 +162,32 @@ class CircularShiftArray:
 
     def __setstate__(self, state: dict) -> None:
         state.pop("_backend", None)  # a backend name earlier builds pickled
+        state.pop("strings", None)  # the int64 view the format-v2 layout kept
         self.__dict__.update(state)
+        if "width" not in state:  # pickled with int64 characters
+            doubled = self._doubled
+            self.width, self.offset = code_layout(
+                int(doubled.min()), int(doubled.max())
+            )
+            self._doubled = self.encode(doubled)
         self._engine = kernels.engine()
+
+    # ------------------------------------------------------------------
+    # Codes (module docstring)
+    # ------------------------------------------------------------------
+
+    def encode(self, values) -> np.ndarray:
+        """Codes of int64 hash characters ``values``, any shape: the one
+        encoder (the engine's C encoder is pinned to it)."""
+        return encode_codes(values, self.offset, self.width)
+
+    @property
+    def strings(self) -> np.ndarray:
+        """The ``(n, m)`` int64 hash strings, decoded from the codes (a
+        fresh array: nothing on the query path reads it)."""
+        out = self._doubled[:, : self.m].astype(np.uint64)
+        out += np.uint64(self.offset % 2**64)
+        return out.view(np.int64)
 
     # ------------------------------------------------------------------
     # Construction (paper Algorithm 1; rank doubling is the fallback)
@@ -132,8 +200,9 @@ class CircularShiftArray:
         ``packed_keys`` forces one of the two round sorts (the tests pin
         them to identical arrays), ``None`` picks."""
         n, m = self.n, self.m
-        # Dense initial ranks of single characters.
-        chars, inv = np.unique(self.strings.ravel(), return_inverse=True)
+        # Dense initial ranks of single characters (codes order as values).
+        codes = self._doubled[:, :m]
+        chars, inv = np.unique(codes.ravel(), return_inverse=True)
         rank = inv.reshape(n, m).astype(np.int64)
         # Ranks are < n*m, so a round's (first, second) pair packs into
         # one int64 key whenever (n*m + 1)**2 fits: one argsort instead of
@@ -189,14 +258,19 @@ class CircularShiftArray:
     # ------------------------------------------------------------------
 
     def rotation(self, string_id: int, s: int) -> np.ndarray:
-        """Zero-copy view of ``shift(T_{string_id}, s)``."""
+        """Zero-copy view of the codes of ``shift(T_{string_id}, s)``."""
         return self._doubled[string_id, s : s + self.m]
 
-    @staticmethod
-    def query_rotations(query: np.ndarray) -> np.ndarray:
-        """Doubled query so ``doubled[s:s+m]`` is ``shift(Q, s)``."""
+    def query_rotations(self, query: np.ndarray) -> np.ndarray:
+        """Doubled query codes, so ``doubled[s:s+m]`` is ``shift(Q, s)``:
+        where a raw length-``m`` hash string enters the CSA."""
         query = np.asarray(query)
-        return np.concatenate([query, query])
+        if query.shape != (self.m,):
+            raise ValueError(
+                f"query must have length m={self.m}, got shape {query.shape}"
+            )
+        codes = self.encode(query)
+        return np.concatenate([codes, codes])
 
     # ------------------------------------------------------------------
     # Binary search (full and windowed)
@@ -211,7 +285,8 @@ class CircularShiftArray:
     ) -> ShiftBounds:
         """Locate the query rotation within ``sorted_idx[s][lo:hi]``.
 
-        Returns the paper's ``(pos_l, pos_u, len_l, len_u)``.  ``lo``/``hi``
+        ``q_rot`` is a slice of :meth:`query_rotations` (codes).  Returns
+        the paper's ``(pos_l, pos_u, len_l, len_u)``.  ``lo``/``hi``
         implement ``BinarySearchBetween`` (Corollary 3.2); callers must
         guarantee the true bounds fall inside the window.
         """
@@ -247,7 +322,8 @@ class CircularShiftArray:
         """Many independent binary searches, advanced in lock-step.
 
         ``shifts[b]`` selects the sorted index and ``q_rots[b]`` is the
-        (already rotated) query for search ``b``.  All searches bisect
+        (already rotated) query codes for search ``b``, sliced from
+        :meth:`query_rotations`.  All searches bisect
         simultaneously so every step is one vectorised comparison over a
         ``(B, m)`` block — the work-horse of the multi-probe scheme,
         where hundreds of (probe, shift) searches are issued per query.
@@ -287,6 +363,11 @@ class CircularShiftArray:
             raise ValueError(
                 f"q_rots must have shape ({B}, {self.m}), got {q_rots.shape}"
             )
+        if q_rots.dtype != self._doubled.dtype:
+            raise TypeError(
+                f"q_rots must be {self._doubled.dtype} codes "
+                f"(see query_rotations), got {q_rots.dtype}"
+            )
         if self._engine is not None:
             return self._engine.search_lanes(self, shifts, q_rots, lo=lo, hi=hi)
         out = np.empty((4, B), dtype=np.int64)
@@ -309,12 +390,10 @@ class CircularShiftArray:
         shift ``s`` is narrowed through the next links whenever both LCP
         lengths at shift ``s-1`` are >= 1 (Lemma 3.1).
         """
-        query = np.asarray(query)
-        if query.shape != (self.m,):
-            raise ValueError(
-                f"query must have length m={self.m}, got shape {query.shape}"
-            )
-        qd = self.query_rotations(query)
+        return self._search_shifts(self.query_rotations(query))
+
+    def _search_shifts(self, qd: np.ndarray) -> List[ShiftBounds]:
+        """:meth:`search_all_shifts` of doubled query codes ``qd``."""
         bounds: List[ShiftBounds] = []
         prev: Optional[ShiftBounds] = None
         for s in range(self.m):
@@ -355,8 +434,10 @@ class CircularShiftArray:
                 f"queries must be (Q, m={self.m}), got shape {queries.shape}"
             )
         if self._engine is not None:
-            qds = np.concatenate([queries, queries], axis=1)
-            return self._engine.search_all(self, qds)
+            codes = self.encode(queries)
+            return self._engine.search_all(
+                self, np.concatenate([codes, codes], axis=1)
+            )
         out = np.empty((4, len(queries), self.m), dtype=np.int64)
         for qi, query in enumerate(queries):
             for s, b in enumerate(self.search_all_shifts(query)):
@@ -378,14 +459,14 @@ class CircularShiftArray:
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        bounds = self.search_all_shifts(np.asarray(query))
-        qd = self.query_rotations(np.asarray(query))
-        return self.merge_candidates(qd, bounds, k)
+        qd = self.query_rotations(query)
+        return self.merge_candidates(qd, self._search_shifts(qd), k)
 
     def frontier_entries(
         self, qd: np.ndarray, bounds: Sequence[ShiftBounds]
     ) -> List[Tuple[int, int, int, int, np.ndarray]]:
-        """Initial merge entries ``(len, shift, rank, direction, qd)``.
+        """Initial merge entries ``(len, shift, rank, direction, qd)``
+        for doubled query codes ``qd``.
 
         One entry per existing bound per shift; the multi-probe scheme
         collects these across probes before a shared merge.
@@ -413,8 +494,10 @@ class CircularShiftArray:
         state, never on insertion history, so the batched engine can
         reproduce it exactly without replaying this loop.
 
-        ``extra_entries``/``seen`` let the multi-probe scheme contribute
-        frontier entries from perturbed queries and share the dedupe set.
+        ``qd`` and the ``qd`` of every ``extra_entries`` item are doubled
+        query codes (:meth:`query_rotations`); ``extra_entries``/``seen``
+        let the multi-probe scheme contribute frontier entries from
+        perturbed queries and share the dedupe set.
         """
         m, n = self.m, self.n
         entries = self.frontier_entries(qd, bounds)
@@ -518,11 +601,10 @@ class CircularShiftArray:
         merged = []
         for query in queries:
             t0 = time.perf_counter()
-            bounds = self.search_all_shifts(query)
+            qd = self.query_rotations(query)
+            bounds = self._search_shifts(qd)
             search_s += time.perf_counter() - t0
-            merged.append(
-                self.merge_candidates(self.query_rotations(query), bounds, k)
-            )
+            merged.append(self.merge_candidates(qd, bounds, k))
         offsets = np.zeros(len(merged) + 1, dtype=np.int64)
         if not merged:
             empty = np.empty(0, dtype=np.int64)
@@ -540,13 +622,11 @@ class CircularShiftArray:
     # ------------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        """Memory footprint of the index structures (paper's index size).
-
-        The buffers :meth:`export_arrays` names, each once: ``strings``
-        is a view of ``_doubled``'s left half, not a second allocation.
-        """
+        """Memory footprint of the index structures (paper's index size):
+        the buffers :meth:`export_arrays` names."""
         return int(
-            self._doubled.nbytes + self.sorted_idx.nbytes + self.next_link.nbytes
+            self._doubled.nbytes + self.sorted_idx.nbytes
+            + self.next_link.nbytes + 8  # the int64 offset
         )
 
     # ------------------------------------------------------------------
@@ -560,13 +640,14 @@ class CircularShiftArray:
     def export_arrays(self) -> dict:
         """The CSA's complete state as named arrays.
 
-        ``doubled`` (the ``(n, 2m)`` doubled strings — its left half *is*
-        ``strings``, so the originals are not stored twice), plus
-        ``sorted_idx`` and ``next_link``.  All three are returned by
-        reference (zero-copy); callers must not mutate them.
+        ``doubled`` (the ``(n, 2m)`` doubled codes, ``uint{8 width}``),
+        ``offset`` (0-d int64) and ``sorted_idx`` / ``next_link``.  The
+        big three are returned by reference (zero-copy); callers must
+        not mutate them.
         """
         return {
             "doubled": self._doubled,
+            "offset": np.array(self.offset, dtype=np.int64),
             "sorted_idx": self.sorted_idx,
             "next_link": self.next_link,
         }
@@ -581,36 +662,73 @@ class CircularShiftArray:
 
         Arrays are adopted by reference — read-only memory-mapped inputs
         stay memory-mapped, and the CSA never writes to them (queries
-        only bisect).  Raises ``ValueError`` on missing arrays or
-        inconsistent shapes.
+        only bisect) — so they must already be what the kernels read in
+        place: C-contiguous native ``uint8/16/32/64`` codes and the
+        build's rank type.  Raises ``ValueError`` on missing arrays,
+        other dtypes or inconsistent shapes.
         """
-        for key in ("doubled", "sorted_idx", "next_link"):
+        for key in ("doubled", "offset", "sorted_idx", "next_link"):
             if key not in arrays:
                 raise ValueError(f"{source} is missing array {key!r}")
         obj = cls.__new__(cls)
         doubled = np.asarray(arrays["doubled"])
         if doubled.ndim != 2 or doubled.shape[1] % 2 != 0:
             raise ValueError(f"{source} has inconsistent array shapes")
-        obj._doubled = doubled
         obj.n, obj.m = doubled.shape[0], doubled.shape[1] // 2
-        obj.strings = doubled[:, : obj.m]  # zero-copy view
         if obj.n == 0 or obj.m == 0:
             raise ValueError(f"{source} has inconsistent array shapes")
-        if not np.issubdtype(obj.strings.dtype, np.integer):
-            raise ValueError(f"{source}: CSA strings must be integer")
-        if not np.can_cast(obj.strings.dtype, np.int64):
-            raise ValueError(f"{source}: CSA strings must fit in int64")
+        width = doubled.dtype.itemsize
+        if _CODE_DTYPES.get(width) != doubled.dtype:
+            raise ValueError(
+                f"{source}: CSA codes must be native uint8/16/32/64, "
+                f"got {doubled.dtype}"
+            )
+        offset = np.asarray(arrays["offset"])
+        if offset.size != 1 or offset.dtype != np.int64:
+            raise ValueError(f"{source}: CSA offset must be one int64")
+        idx_dtype = np.int32 if obj.n < 2**31 else np.int64
         sorted_idx = np.asarray(arrays["sorted_idx"])
         next_link = np.asarray(arrays["next_link"])
-        if (
-            sorted_idx.shape != (obj.m, obj.n)
-            or next_link.shape != (obj.m, obj.n)
+        for name, arr, shape, dtype in (
+            ("doubled", doubled, (obj.n, 2 * obj.m), doubled.dtype),
+            ("sorted_idx", sorted_idx, (obj.m, obj.n), idx_dtype),
+            ("next_link", next_link, (obj.m, obj.n), idx_dtype),
         ):
-            raise ValueError(f"{source} has inconsistent array shapes")
+            if arr.shape != shape:
+                raise ValueError(f"{source} has inconsistent array shapes")
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise ValueError(
+                    f"{source}: CSA {name} must be C-contiguous "
+                    f"{np.dtype(dtype)}, got {arr.dtype}"
+                )
+        obj.width, obj.offset = width, int(offset.reshape(-1)[0])
+        obj._doubled = doubled
         obj.sorted_idx = sorted_idx
         obj.next_link = next_link
         obj._engine = kernels.engine()
         return obj
 
+    @classmethod
+    def from_int64_arrays(
+        cls, arrays, source: str = "<arrays>"
+    ) -> "CircularShiftArray":
+        """:meth:`from_arrays` for the format-v2 layout, whose ``doubled``
+        holds the int64 strings and no offset: they are encoded once,
+        here, into private codes."""
+        if "doubled" not in arrays:
+            raise ValueError(f"{source} is missing array 'doubled'")
+        doubled = np.asarray(arrays["doubled"])
+        if doubled.dtype != np.int64 or doubled.size == 0:
+            raise ValueError(f"{source}: v2 CSA strings must be int64")
+        width, offset = code_layout(int(doubled.min()), int(doubled.max()))
+        return cls.from_arrays(
+            dict(
+                arrays,
+                doubled=encode_codes(doubled, offset, width),
+                offset=np.array(offset, dtype=np.int64),
+            ),
+            source,
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CircularShiftArray(n={self.n}, m={self.m})"
+        return f"CircularShiftArray(n={self.n}, m={self.m}, width={self.width})"

@@ -135,16 +135,20 @@ class LCCSLSH(ANNIndex):
                 metric, dim, m, seed=seed, w=w, cp_dim=cp_dim
             )
         self.csa: Optional[CircularShiftArray] = None
-        self.hash_strings: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
 
     def _fit(self, data: np.ndarray) -> None:
         self.csa = CircularShiftArray(self.family.hash(data))
-        self.hash_strings = self.csa.strings
         # Verification caches are keyed on the data array; drop stale ones.
         self._kv_packed = None
         self._kv_data32 = None
+
+    @property
+    def hash_strings(self) -> Optional[np.ndarray]:
+        """The ``(n, m)`` int64 hash strings, decoded from the CSA's codes
+        on each access (``None`` before fit)."""
+        return None if self.csa is None else self.csa.strings
 
     @property
     def kernel_backend(self) -> str:
@@ -415,8 +419,8 @@ class LCCSLSH(ANNIndex):
     # prefix), so loading reconstructs the index without re-sorting —
     # with ``load_index(path, mmap=True)`` the whole index is servable
     # in milliseconds from read-only memory maps.  The hash strings are
-    # not stored separately: they are exactly the left half of the
-    # CSA's ``doubled`` array.
+    # not stored separately: they decode from the CSA's codes.  Format v2
+    # stored them as int64, which the CSA encodes once at load.
     # ------------------------------------------------------------------
 
     def _export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -466,8 +470,10 @@ class LCCSLSH(ANNIndex):
             if key.startswith("csa.")
         }
         if csa_arrays:
-            index.csa = CircularShiftArray.from_arrays(csa_arrays, source="<csa>")
-            index.hash_strings = index.csa.strings
+            adopt = CircularShiftArray.from_arrays
+            if manifest.get("format_version") == 2:
+                adopt = CircularShiftArray.from_int64_arrays
+            index.csa = adopt(csa_arrays, source="<csa>")
         index._kv_packed = None
         index._kv_data32 = None
         return index

@@ -29,13 +29,7 @@ class NaiveCSA(CircularShiftArray):
     search over all ``n`` strings.
     """
 
-    def search_all_shifts(self, query: np.ndarray) -> List[ShiftBounds]:
-        query = np.asarray(query)
-        if query.shape != (self.m,):
-            raise ValueError(
-                f"query must have length m={self.m}, got shape {query.shape}"
-            )
-        qd = self.query_rotations(query)
+    def _search_shifts(self, qd: np.ndarray) -> List[ShiftBounds]:
         return [
             self.binary_search(s, qd[s : s + self.m]) for s in range(self.m)
         ]

@@ -14,8 +14,18 @@ scalar path.
 Byte-identity notes (why the C loops cannot diverge from the scalar
 path):
 
-* the CSA kernels compare and copy **int64 hash characters** only —
-  integer comparisons have one answer on every platform;
+* the CSA kernels compare **unsigned character codes** only (see
+  :mod:`repro.core.csa`): ``W``-byte codes order exactly as the int64
+  hash values they encode, and a query character outside the fitted
+  range clamps to a code no stored character has, so every comparison
+  and LCP is the int64 strings' own.  Codes are compared a 64-bit word
+  at a time on little-endian targets — the lowest set bit of the XOR
+  of two words marks the first differing character, which is then
+  compared as one ``uintW`` — and one character at a time elsewhere.
+  One source serves every width: each entry point switches on ``W`` to
+  an always-inline body the compiler specialises, and
+  ``repro_search_merge`` encodes its int64 queries with the same clamp
+  as ``CircularShiftArray.encode`` (pinned by the tests);
 * the build's output is fully determined by its contract — ``I_s``
   orders ids by their ``s``-rotation, equal rotations by ascending id —
   so ``csa_build`` and the rank-doubling ``_build`` emit the same int32
@@ -36,11 +46,11 @@ costs ~2.3 us per array, a third of a lone query).  The addresses of the
 per-index constant arrays are remembered per array *object*
 (:class:`_AddressCache`) and so re-taken whenever one is replaced: fit,
 store growth, seal/compaction and unpickling all invalidate them by
-construction.
-``sorted_idx``/``next_link`` are read as the int32 the CSA build emits:
-no widened copy.  Search and merge share one entry point
-(``repro_search_merge``) so the four ``(Q, m)`` bound arrays never leave
-C.
+construction.  Every constant array is read in place — ``uintW``
+codes, ``sorted_idx``/``next_link`` as the int32 the CSA build emits;
+the cache refuses an array of another type rather than copying it.
+Search and merge share one entry point (``repro_search_merge``) so the
+four ``(Q, m)`` bound arrays never leave C.
 
 Reentrancy: parallel readers behind ``ConcurrentIndex`` run these
 kernels concurrently — ``ctypes`` drops the GIL for the duration of each
@@ -76,6 +86,27 @@ _C_SOURCE = r"""
 /* sorted_idx / next_link element: the CSA build emits int32 (n < 2^31) */
 typedef int32_t idx_t;
 
+#define INLINE static inline __attribute__((always_inline))
+
+/* Compare a word of characters per step where loads are little-endian:
+   the lowest set bit of two words' XOR lies in their first differing
+   byte, hence in their first differing character. */
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define WORD_COMPARE 1
+#else
+#define WORD_COMPARE 0
+#endif
+
+/* Run call(W) with the code width W a compile-time constant, so each
+   always-inline body below is specialised once per width. */
+#define BY_WIDTH(width, call) \
+    switch (width) { \
+    case 1: call(1); break; \
+    case 2: call(2); break; \
+    case 4: call(4); break; \
+    default: call(8); break; \
+    }
+
 static int64_t clip64(int64_t v, int64_t lo, int64_t hi) {
     return v < lo ? lo : (v > hi ? hi : v);
 }
@@ -86,62 +117,128 @@ static double now_s(void) {
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
-/* Lexicographic compare of a stored rotation against a rotated query.
-   Returns -1/0/+1; *lcp gets the first-mismatch index (m when equal). */
-static int cmp_rot(const int64_t *row, const int64_t *q, int64_t m,
-                   int64_t *lcp) {
-    int64_t j;
-    for (j = 0; j < m; j++) {
-        if (row[j] != q[j]) {
-            if (lcp) *lcp = j;
-            return row[j] < q[j] ? -1 : 1;
-        }
+/* Character j of a string of w-byte unsigned codes. */
+INLINE uint64_t char_at(const uint8_t *p, int64_t j, int w) {
+    switch (w) {
+    case 1: return p[j];
+    case 2: { uint16_t c; memcpy(&c, p + 2 * j, 2); return c; }
+    case 4: { uint32_t c; memcpy(&c, p + 4 * j, 4); return c; }
+    default: { uint64_t c; memcpy(&c, p + 8 * j, 8); return c; }
     }
-    if (lcp) *lcp = m;
-    return 0;
 }
 
-static void search_one(const int64_t *doubled, const idx_t *idxs,
-                       int64_t n, int64_t m, int64_t s, const int64_t *q,
+INLINE void put_char(uint8_t *p, int64_t j, uint64_t c, int w) {
+    switch (w) {
+    case 1: p[j] = (uint8_t)c; break;
+    case 2: { uint16_t x = (uint16_t)c; memcpy(p + 2 * j, &x, 2); break; }
+    case 4: { uint32_t x = (uint32_t)c; memcpy(p + 4 * j, &x, 4); break; }
+    default: memcpy(p + 8 * j, &c, 8); break;
+    }
+}
+
+/* The code of hash value v: clip(v - offset, 0, 2^(8w) - 1), exact. */
+INLINE uint64_t encode_char(int64_t v, int64_t offset, int w) {
+    uint64_t top = w == 8 ? UINT64_MAX : (((uint64_t)1 << (8 * w)) - 1);
+    uint64_t d;
+    if (v <= offset) return 0;
+    d = (uint64_t)v - (uint64_t)offset;
+    return d < top ? d : top;
+}
+
+/* Index of the first differing character of two m-character strings
+   (m when equal).  Narrow codes compare a word at a time; a tail shorter
+   than a word re-reads the last whole word, whose leading bytes are
+   already known to be equal.  8-byte codes are a word each already. */
+INLINE int64_t first_diff(const uint8_t *a, const uint8_t *b, int64_t m,
+                          int w) {
+    int64_t j;
+#if WORD_COMPARE
+    if (w < 8 && m * w >= 8) {
+        int64_t last = m * w - 8, i;
+        for (i = 0;; i += 8) {
+            uint64_t x, y;
+            if (i > last) i = last;
+            memcpy(&x, a + i, 8);
+            memcpy(&y, b + i, 8);
+            if (x != y) return (i + (__builtin_ctzll(x ^ y) >> 3)) / w;
+            if (i == last) return m;
+        }
+    }
+#endif
+    for (j = 0; j < m; j++)
+        if (char_at(a, j, w) != char_at(b, j, w)) return j;
+    return m;
+}
+
+/* Lexicographic compare of a stored rotation against a rotated query.
+   Returns -1/0/+1; *lcp gets the first-mismatch index (m when equal). */
+INLINE int cmp_rot(const uint8_t *row, const uint8_t *q, int64_t m, int w,
+                   int64_t *lcp) {
+    int64_t j = first_diff(row, q, m, w);
+    if (lcp) *lcp = j;
+    if (j == m) return 0;
+    return char_at(row, j, w) < char_at(q, j, w) ? -1 : 1;
+}
+
+INLINE void search_one(const uint8_t *doubled, const idx_t *idxs, int64_t n,
+                       int64_t m, int w, int64_t s, const uint8_t *q,
                        int64_t lo, int64_t hi, int64_t *pl, int64_t *pu,
                        int64_t *ll, int64_t *lu) {
-    int64_t two_m = 2 * m;
+    int64_t row_bytes = 2 * m * w;
+    const uint8_t *rot = doubled + s * w;
     while (lo < hi) {
         int64_t mid = (lo + hi) >> 1;
-        const int64_t *row = doubled + (int64_t)idxs[mid] * two_m + s;
-        if (cmp_rot(row, q, m, 0) <= 0) lo = mid + 1; else hi = mid;
+        if (cmp_rot(rot + (int64_t)idxs[mid] * row_bytes, q, m, w, 0) <= 0)
+            lo = mid + 1;
+        else
+            hi = mid;
     }
     *pu = lo;
     *pl = lo - 1;
     *ll = 0;
     *lu = 0;
     if (*pl >= 0)
-        cmp_rot(doubled + (int64_t)idxs[*pl] * two_m + s, q, m, ll);
+        cmp_rot(rot + (int64_t)idxs[*pl] * row_bytes, q, m, w, ll);
     if (*pu < n)
-        cmp_rot(doubled + (int64_t)idxs[*pu] * two_m + s, q, m, lu);
+        cmp_rot(rot + (int64_t)idxs[*pu] * row_bytes, q, m, w, lu);
 }
 
-/* Kernel 1a: independent windowed bisections (the multi-probe lanes). */
-void repro_search_lanes(const int64_t *doubled, const idx_t *sorted_idx,
-                        int64_t n, int64_t m, int64_t B,
-                        const int64_t *shifts, const int64_t *q_rots,
-                        const int64_t *lo_in, const int64_t *hi_in,
-                        int64_t *pos_lower, int64_t *pos_upper,
-                        int64_t *len_lower, int64_t *len_upper) {
+/* Kernel 1a: independent windowed bisections (the multi-probe lanes);
+   q_rots is (B, m) query codes. */
+INLINE void search_lanes_w(const uint8_t *doubled, const idx_t *sorted_idx,
+                           int64_t n, int64_t m, int w, int64_t B,
+                           const int64_t *shifts, const uint8_t *q_rots,
+                           const int64_t *lo_in, const int64_t *hi_in,
+                           int64_t *pos_lower, int64_t *pos_upper,
+                           int64_t *len_lower, int64_t *len_upper) {
     int64_t b;
     for (b = 0; b < B; b++) {
         int64_t s = shifts[b];
-        search_one(doubled, sorted_idx + s * n, n, m, s, q_rots + b * m,
+        search_one(doubled, sorted_idx + s * n, n, m, w, s, q_rots + b * m * w,
                    lo_in[b], hi_in[b], pos_lower + b, pos_upper + b,
                    len_lower + b, len_upper + b);
     }
 }
 
+void repro_search_lanes(const uint8_t *doubled, int64_t width,
+                        const idx_t *sorted_idx, int64_t n, int64_t m,
+                        int64_t B, const int64_t *shifts,
+                        const uint8_t *q_rots, const int64_t *lo_in,
+                        const int64_t *hi_in, int64_t *pos_lower,
+                        int64_t *pos_upper, int64_t *len_lower,
+                        int64_t *len_upper) {
+#define CALL(w) search_lanes_w(doubled, sorted_idx, n, m, w, B, shifts, \
+                               q_rots, lo_in, hi_in, pos_lower, pos_upper, \
+                               len_lower, len_upper)
+    BY_WIDTH(width, CALL)
+#undef CALL
+}
+
 /* Phase 1 of Algorithm 2 for one doubled query, with Lemma 3.1
    windowing through the next links. */
-static void search_query(const int64_t *doubled, const idx_t *sorted_idx,
-                         const idx_t *next_link, int64_t n, int64_t m,
-                         const int64_t *qd, int64_t *pl, int64_t *pu,
+INLINE void search_query(const uint8_t *doubled, const idx_t *sorted_idx,
+                         const idx_t *next_link, int64_t n, int64_t m, int w,
+                         const uint8_t *qd, int64_t *pl, int64_t *pu,
                          int64_t *ll, int64_t *lu) {
     int64_t s;
     for (s = 0; s < m; s++) {
@@ -154,22 +251,35 @@ static void search_query(const int64_t *doubled, const idx_t *sorted_idx,
             lo = wlo;
             hi = whi + 1;
         }
-        search_one(doubled, sorted_idx + s * n, n, m, s, qd + s, lo, hi,
-                   pl + s, pu + s, ll + s, lu + s);
+        search_one(doubled, sorted_idx + s * n, n, m, w, s, qd + s * w, lo,
+                   hi, pl + s, pu + s, ll + s, lu + s);
     }
 }
 
-/* Kernel 1b: phase 1 for a whole batch, bounds returned as (Q, m). */
-void repro_search_all(const int64_t *doubled, const idx_t *sorted_idx,
-                      const idx_t *next_link, int64_t n, int64_t m,
-                      int64_t Q, const int64_t *qds, int64_t *pos_lower,
-                      int64_t *pos_upper, int64_t *len_lower,
-                      int64_t *len_upper) {
+/* Kernel 1b: phase 1 for a whole batch of (Q, 2m) doubled query codes,
+   bounds returned as (Q, m). */
+INLINE void search_all_w(const uint8_t *doubled, const idx_t *sorted_idx,
+                         const idx_t *next_link, int64_t n, int64_t m, int w,
+                         int64_t Q, const uint8_t *qds, int64_t *pos_lower,
+                         int64_t *pos_upper, int64_t *len_lower,
+                         int64_t *len_upper) {
     int64_t qi;
     for (qi = 0; qi < Q; qi++)
-        search_query(doubled, sorted_idx, next_link, n, m, qds + qi * 2 * m,
-                     pos_lower + qi * m, pos_upper + qi * m,
-                     len_lower + qi * m, len_upper + qi * m);
+        search_query(doubled, sorted_idx, next_link, n, m, w,
+                     qds + qi * 2 * m * w, pos_lower + qi * m,
+                     pos_upper + qi * m, len_lower + qi * m,
+                     len_upper + qi * m);
+}
+
+void repro_search_all(const uint8_t *doubled, int64_t width,
+                      const idx_t *sorted_idx, const idx_t *next_link,
+                      int64_t n, int64_t m, int64_t Q, const uint8_t *qds,
+                      int64_t *pos_lower, int64_t *pos_upper,
+                      int64_t *len_lower, int64_t *len_upper) {
+#define CALL(w) search_all_w(doubled, sorted_idx, next_link, n, m, w, Q, qds, \
+                             pos_lower, pos_upper, len_lower, len_upper)
+    BY_WIDTH(width, CALL)
+#undef CALL
 }
 
 static void sift_down(uint64_t *hkey, int32_t *hdir, int64_t hs, int64_t i) {
@@ -198,9 +308,9 @@ static void sift_up(uint64_t *hkey, int32_t *hdir, int64_t i) {
    rank) keys.  All fields decode back from the key, so the heap carries
    only (key, direction).  hkey/hdir are scratch of size 2m; a string is
    seen when seen_epoch[sid] == epoch.  Returns the number emitted. */
-static int64_t merge_query(const int64_t *doubled, const idx_t *sorted_idx,
-                           int64_t n, int64_t m, int64_t kcap,
-                           const int64_t *qd, const int64_t *pos_lower,
+INLINE int64_t merge_query(const uint8_t *doubled, const idx_t *sorted_idx,
+                           int64_t n, int64_t m, int w, int64_t kcap,
+                           const uint8_t *qd, const int64_t *pos_lower,
                            const int64_t *pos_upper, const int64_t *len_lower,
                            const int64_t *len_upper, int64_t sh_shift,
                            int64_t sh_sid, int64_t sh_len, int64_t *out_ids,
@@ -209,7 +319,7 @@ static int64_t merge_query(const int64_t *doubled, const idx_t *sorted_idx,
     uint64_t mask_pos = (((uint64_t)1) << sh_shift) - 1;
     uint64_t mask_shift = (((uint64_t)1) << (sh_sid - sh_shift)) - 1;
     uint64_t mask_sid = (((uint64_t)1) << (sh_len - sh_sid)) - 1;
-    int64_t two_m = 2 * m;
+    int64_t row_bytes = 2 * m * w;
     int64_t hs = 0, cnt = 0, s;
     for (s = 0; s < m; s++) {
         int64_t pl = pos_lower[s];
@@ -245,12 +355,8 @@ static int64_t merge_query(const int64_t *doubled, const idx_t *sorted_idx,
         int64_t npos = pos + dir;
         if (npos >= 0 && npos < n) {
             int64_t nsid = sorted_idx[sh * n + npos];
-            const int64_t *row = doubled + nsid * two_m + sh;
-            const int64_t *q = qd + sh;
-            int64_t nlen = m, j;
-            for (j = 0; j < m; j++) {
-                if (row[j] != q[j]) { nlen = j; break; }
-            }
+            int64_t nlen = first_diff(doubled + nsid * row_bytes + sh * w,
+                                      qd + sh * w, m, w);
             hkey[0] = ((uint64_t)(m - nlen) << sh_len)
                     | ((uint64_t)nsid << sh_sid)
                     | ((uint64_t)sh << sh_shift) | (uint64_t)npos;
@@ -267,44 +373,79 @@ static int64_t merge_query(const int64_t *doubled, const idx_t *sorted_idx,
 }
 
 /* Kernels 1b + 2 behind one entry point: k-LCCS search for a batch of
-   (undoubled) query strings.  Bounds, the doubled query and the heap
-   live in one per-call allocation and never cross the boundary.
-   Candidates are written back to back: query qi's ids and LCCS lengths
-   are out_*[offsets[qi] .. offsets[qi+1]).  *search_s accumulates the
-   seconds spent in phase 1, so callers can still attribute the two
-   stages.  Returns -1 when the scratch cannot be allocated. */
-int repro_search_merge(const int64_t *doubled, const idx_t *sorted_idx,
-                       const idx_t *next_link, int64_t n, int64_t m,
-                       int64_t Q, int64_t k, const int64_t *queries,
-                       int64_t sh_shift, int64_t sh_sid, int64_t sh_len,
-                       int64_t *out_ids, int64_t *out_lens, int64_t *offsets,
-                       int32_t *seen_epoch, int64_t epoch_base,
-                       double *search_s) {
+   (undoubled) int64 query strings, encoded here against the CSA's
+   offset.  Bounds, the doubled query codes and the heap live in one
+   per-call allocation and never cross the boundary.  Candidates are
+   written back to back: query qi's ids and LCCS lengths are
+   out_*[offsets[qi] .. offsets[qi+1]).  *search_s accumulates the
+   seconds spent in phase 1 (encoding included), so callers can still
+   attribute the two stages.  Returns -1 when the scratch cannot be
+   allocated. */
+INLINE int search_merge_w(const uint8_t *doubled, const idx_t *sorted_idx,
+                          const idx_t *next_link, int64_t n, int64_t m, int w,
+                          int64_t offset, int64_t Q, int64_t k,
+                          const int64_t *queries, int64_t sh_shift,
+                          int64_t sh_sid, int64_t sh_len, int64_t *out_ids,
+                          int64_t *out_lens, int64_t *offsets,
+                          int32_t *seen_epoch, int64_t epoch_base,
+                          double *search_s) {
     int64_t kcap = k < n ? k : n;
-    int64_t qi;
-    /* 8m int64: qd (2m), four bounds (m each), hkey (2m); then hdir */
-    int64_t *work = (int64_t *)malloc((size_t)m * (8 * 8 + 2 * 4));
+    int64_t qi, j;
+    /* four bounds (m int64 each), hkey (2m), hdir (2m int32), then the
+       doubled query codes (2m w bytes) */
+    int64_t *work = (int64_t *)malloc((size_t)m * (6 * 8 + 2 * 4 + 2 * w));
     double spent = 0.0;
     if (!work) return -1;
-    int64_t *qd = work, *pl = work + 2 * m, *pu = pl + m, *ll = pu + m,
-            *lu = ll + m;
+    int64_t *pl = work, *pu = pl + m, *ll = pu + m, *lu = ll + m;
     uint64_t *hkey = (uint64_t *)(lu + m);
     int32_t *hdir = (int32_t *)(hkey + 2 * m);
+    uint8_t *qd = (uint8_t *)(hdir + 2 * m);
     offsets[0] = 0;
     for (qi = 0; qi < Q; qi++) {
         double t0 = now_s();
-        memcpy(qd, queries + qi * m, (size_t)m * 8);
-        memcpy(qd + m, queries + qi * m, (size_t)m * 8);
-        search_query(doubled, sorted_idx, next_link, n, m, qd, pl, pu, ll, lu);
+        for (j = 0; j < m; j++)
+            put_char(qd, j, encode_char(queries[qi * m + j], offset, w), w);
+        memcpy(qd + m * w, qd, (size_t)(m * w));
+        search_query(doubled, sorted_idx, next_link, n, m, w, qd, pl, pu, ll,
+                     lu);
         spent += now_s() - t0;
         offsets[qi + 1] = offsets[qi] + merge_query(
-            doubled, sorted_idx, n, m, kcap, qd, pl, pu, ll, lu, sh_shift,
+            doubled, sorted_idx, n, m, w, kcap, qd, pl, pu, ll, lu, sh_shift,
             sh_sid, sh_len, out_ids + offsets[qi], out_lens + offsets[qi],
             hkey, hdir, seen_epoch, (int32_t)(epoch_base + qi + 1));
     }
     free(work);
     *search_s = spent;
     return 0;
+}
+
+int repro_search_merge(const uint8_t *doubled, int64_t width, int64_t offset,
+                       const idx_t *sorted_idx, const idx_t *next_link,
+                       int64_t n, int64_t m, int64_t Q, int64_t k,
+                       const int64_t *queries, int64_t sh_shift,
+                       int64_t sh_sid, int64_t sh_len, int64_t *out_ids,
+                       int64_t *out_lens, int64_t *offsets,
+                       int32_t *seen_epoch, int64_t epoch_base,
+                       double *search_s) {
+    int rc = 0;
+#define CALL(w) rc = search_merge_w(doubled, sorted_idx, next_link, n, m, w, \
+                                    offset, Q, k, queries, sh_shift, sh_sid, \
+                                    sh_len, out_ids, out_lens, offsets, \
+                                    seen_epoch, epoch_base, search_s)
+    BY_WIDTH(width, CALL)
+#undef CALL
+    return rc;
+}
+
+/* The codes of count int64 hash values (what repro_search_merge encodes
+   queries with), for the tests that pin it to the NumPy encoder. */
+void repro_encode(const int64_t *values, int64_t count, int64_t offset,
+                  int64_t width, uint8_t *out) {
+    int64_t i;
+#define CALL(w) for (i = 0; i < count; i++) \
+                    put_char(out, i, encode_char(values[i], offset, w), w)
+    BY_WIDTH(width, CALL)
+#undef CALL
 }
 
 /* Dense rank of one column (exact int64 order) into rank[0..n), which
@@ -380,8 +521,8 @@ static void sort_by_rank(const idx_t *src, idx_t *dst, const idx_t *rank,
 
 /* The CSA build (paper Algorithm 1): sorted_idx[s] orders string ids by
    their s-rotation, equal rotations by ascending id; next_link[s][j] is
-   the rank in sorted_idx[(s+1) % m] of sorted_idx[s][j].  Row i of the
-   (n, m) strings starts at strings + i * stride.
+   the rank in sorted_idx[(s+1) % m] of sorted_idx[s][j]; strings is
+   the C-contiguous (n, m) int64 input.
    Rotation s is c_s followed by rotation s+1 less its last character,
    which is c_s again, so rotation s orders as the pair (c_s, rotation
    s+1): sorted_idx[s] is sorted_idx[s+1] stably sorted by column s.
@@ -394,8 +535,8 @@ static void sort_by_rank(const idx_t *src, idx_t *dst, const idx_t *rank,
    sorted_idx; the ranks then replace the low halves and stay until the
    links overwrite them.  Scratch is O(n + m), all malloc'd here.
    Returns -1 when it cannot be allocated. */
-int repro_csa_build(const int64_t *strings, int64_t stride, int64_t n,
-                    int64_t m, idx_t *sorted_idx, idx_t *next_link) {
+int repro_csa_build(const int64_t *strings, int64_t n, int64_t m,
+                    idx_t *sorted_idx, idx_t *next_link) {
     int64_t s, i0, i;
     size_t bytes = (size_t)n * 2 * (sizeof(uint64_t) + sizeof(idx_t))
                  + (size_t)(8 * 256 + m) * sizeof(int64_t);
@@ -411,7 +552,7 @@ int repro_csa_build(const int64_t *strings, int64_t stride, int64_t n,
         int64_t i1 = i0 + 64 < n ? i0 + 64 : n;
         for (s = 0; s < m; s++) {
             for (i = i0; i < i1; i++) {
-                uint64_t k = (uint64_t)strings[i * stride + s]
+                uint64_t k = (uint64_t)strings[i * m + s]
                            ^ ((uint64_t)1 << 63);
                 lo32[s * n + i] = (uint32_t)k;
                 hi32[s * n + i] = (uint32_t)(k >> 32);
@@ -512,6 +653,8 @@ void repro_topk_select(const double *dists, const int64_t *ids,
 
 _P = ctypes.c_void_p
 _L = ctypes.c_int64
+#: the CSA's character codes, by width in bytes
+_CODES = {w: np.dtype(f"u{w}") for w in (1, 2, 4, 8)}
 
 
 def _addr(arr: np.ndarray) -> int:
@@ -581,18 +724,21 @@ def _load_library() -> ctypes.CDLL:
     lib = ctypes.CDLL(_compile_library())
     lib.repro_search_lanes.restype = None
     lib.repro_search_lanes.argtypes = [
-        _P, _P, _L, _L, _L, _P, _P, _P, _P, _P, _P, _P, _P,
+        _P, _L, _P, _L, _L, _L, _P, _P, _P, _P, _P, _P, _P, _P,
     ]
     lib.repro_search_all.restype = None
     lib.repro_search_all.argtypes = [
-        _P, _P, _P, _L, _L, _L, _P, _P, _P, _P, _P,
+        _P, _L, _P, _P, _L, _L, _L, _P, _P, _P, _P, _P,
     ]
     lib.repro_search_merge.restype = ctypes.c_int
     lib.repro_search_merge.argtypes = [
-        _P, _P, _P, _L, _L, _L, _L, _P, _L, _L, _L, _P, _P, _P, _P, _L, _P,
+        _P, _L, _L, _P, _P, _L, _L, _L, _L, _P, _L, _L, _L, _P, _P, _P, _P,
+        _L, _P,
     ]
+    lib.repro_encode.restype = None
+    lib.repro_encode.argtypes = [_P, _L, _L, _L, _P]
     lib.repro_csa_build.restype = ctypes.c_int
-    lib.repro_csa_build.argtypes = [_P, _L, _L, _L, _P, _P]
+    lib.repro_csa_build.argtypes = [_P, _L, _L, _P, _P]
     lib.repro_gather_diff.restype = None
     lib.repro_gather_diff.argtypes = [_P, _L, _P, _P, _L, _P, _P]
     lib.repro_hamming_packed.restype = None
@@ -611,10 +757,11 @@ class _AddressCache:
     instead of once per call.  Entries are keyed on the array's identity
     and hold it only weakly: replace the array (fit, store growth,
     seal/compaction, unpickling, a copied index) and the next call takes
-    the new object's address; drop it and its entry goes with it.  An
-    array that already complies — everything the build emits,
-    memory-mapped bundles included — is pointed at in place; anything
-    else gets one converted copy, which its entry keeps alive.
+    the new object's address; drop it and its entry goes with it.
+    Arrays are always pointed at in place — memory-mapped bundles
+    included; one the kernels cannot read as it is (``CircularShiftArray
+    .from_arrays`` and the verification path admit none) is a
+    ``TypeError``, never a silent private copy.
     """
 
     def __init__(self) -> None:
@@ -625,12 +772,14 @@ class _AddressCache:
         hit = self._by_id.get(key)
         if hit is not None and hit[0]() is arr:
             return hit[1]
-        held = None  # nothing but the weak reference may keep ``arr`` alive
         if arr.dtype != dtype or not arr.flags.c_contiguous:
-            held = np.ascontiguousarray(arr, dtype=dtype)
-        addr = (arr if held is None else held).ctypes.data
+            raise TypeError(
+                f"the kernels read C-contiguous {np.dtype(dtype)} in place, "
+                f"got {'' if arr.flags.c_contiguous else 'strided '}{arr.dtype}"
+            )
+        addr = arr.ctypes.data
         forget = weakref.ref(arr, lambda _ref: self._by_id.pop(key, None))
-        self._by_id[key] = (forget, addr, held)
+        self._by_id[key] = (forget, addr)
         return addr
 
 
@@ -674,12 +823,12 @@ class CExtBackend:
 
     def _csa_pointers(self, csa) -> Tuple[int, int, int]:
         """``(doubled, sorted_idx, next_link)`` as the kernels read them:
-        int64 characters, int32 ranks (what the CSA build emits)."""
+        ``uint{8 width}`` codes, int32 ranks (what the CSA build emits)."""
         if csa.n >= 2**31:
             raise OverflowError("the C kernels index strings with int32 ranks")
         of = self._addresses.of
         return (
-            of(csa._doubled, np.int64),
+            of(csa._doubled, _CODES[csa.width]),
             of(csa.sorted_idx, np.int32),
             of(csa.next_link, np.int32),
         )
@@ -694,11 +843,12 @@ class CExtBackend:
         lo: Optional[np.ndarray] = None,
         hi: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Independent windowed bisections of ``(B, m)`` query codes."""
         doubled, sorted_idx, _ = self._csa_pointers(csa)
         B = len(shifts)
         n = csa.n
         shifts = np.ascontiguousarray(shifts, dtype=np.int64)
-        q_rots = np.ascontiguousarray(q_rots, dtype=np.int64)
+        q_rots = self._codes(csa, q_rots)
         lo = (
             np.zeros(B, dtype=np.int64)
             if lo is None
@@ -712,23 +862,24 @@ class CExtBackend:
         out = np.empty((4, B), dtype=np.int64)
         base, step = _addr(out), 8 * B
         self._lib.repro_search_lanes(
-            doubled, sorted_idx, n, csa.m, B, _addr(shifts), _addr(q_rots),
-            _addr(lo), _addr(hi), base, base + step, base + 2 * step,
-            base + 3 * step,
+            doubled, csa.width, sorted_idx, n, csa.m, B, _addr(shifts),
+            _addr(q_rots), _addr(lo), _addr(hi), base, base + step,
+            base + 2 * step, base + 3 * step,
         )
         return out[0], out[1], out[2], out[3]
 
     def search_all(
         self, csa, qds: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Phase 1 for ``(Q, 2m)`` doubled query codes."""
         doubled, sorted_idx, next_link = self._csa_pointers(csa)
         Q = len(qds)
         n, m = csa.n, csa.m
-        qds = np.ascontiguousarray(qds, dtype=np.int64)
+        qds = self._codes(csa, qds)
         out = np.empty((4, Q, m), dtype=np.int64)
         base, step = _addr(out), 8 * Q * m
         self._lib.repro_search_all(
-            doubled, sorted_idx, next_link, n, m, Q, _addr(qds),
+            doubled, csa.width, sorted_idx, next_link, n, m, Q, _addr(qds),
             base, base + step, base + 2 * step, base + 3 * step,
         )
         return out[0], out[1], out[2], out[3]
@@ -743,6 +894,8 @@ class CExtBackend:
         """Search and merge in one call: ``(flat_ids, flat_lens, offsets,
         search_s)``.
 
+        ``queries`` are raw int64 hash strings: the kernel encodes them
+        against the CSA's offset, so a lone query pays no NumPy pass.
         Query ``qi``'s k-LCCS candidates and their LCCS lengths are
         ``flat_*[offsets[qi]:offsets[qi + 1]]`` — the form verification
         consumes, so nothing is split per query and re-joined.
@@ -761,33 +914,51 @@ class CExtBackend:
         search_s = ctypes.c_double()
         seen, epoch = self._seen.reserve(n, Q)
         if self._lib.repro_search_merge(
-            doubled, sorted_idx, next_link, n, m, Q, k, _addr(queries),
-            sh_shift, sh_sid, sh_len, _addr(out_ids), _addr(out_lens),
-            _addr(offsets), seen, epoch, ctypes.byref(search_s),
+            doubled, csa.width, csa.offset, sorted_idx, next_link, n, m, Q, k,
+            _addr(queries), sh_shift, sh_sid, sh_len, _addr(out_ids),
+            _addr(out_lens), _addr(offsets), seen, epoch,
+            ctypes.byref(search_s),
         ):
             raise MemoryError("search kernel: cannot allocate scratch")
         total = offsets[Q]
         return out_ids[:total], out_lens[:total], offsets, search_s.value
 
+    @staticmethod
+    def _codes(csa, arr: np.ndarray) -> np.ndarray:
+        """``arr`` as C-contiguous codes of ``csa``'s width; a raw int64
+        string would be truncated, not encoded, so it is refused."""
+        arr = np.ascontiguousarray(arr)
+        if arr.dtype != _CODES[csa.width]:
+            raise TypeError(
+                f"expected {_CODES[csa.width]} query codes, got {arr.dtype}"
+            )
+        return arr
+
+    def encode(self, values: np.ndarray, offset: int, width: int) -> np.ndarray:
+        """The C encoder ``search_merge`` applies to its queries, exposed
+        so tests can pin it to ``CircularShiftArray.encode``."""
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        out = np.empty(values.shape, dtype=_CODES[width])
+        self._lib.repro_encode(
+            _addr(values), values.size, offset, width, _addr(out)
+        )
+        return out
+
     # -- CSA build -----------------------------------------------------
 
     def csa_build(self, strings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(sorted_idx, next_link)`` of ``(n, m)`` int64 ``strings``
-        (``n < 2**31``): byte-identical to ``CircularShiftArray._build``.
-
-        A row-strided view — the left half of the CSA's doubled store —
-        is read in place.
-        """
+        (``n < 2**31``): byte-identical to ``CircularShiftArray._build``,
+        which ranks the codes of the same strings (codes order as the
+        values do)."""
         n, m = strings.shape
         if not (0 < n < 2**31 and m > 0):
             raise ValueError(f"cannot build a CSA of shape {strings.shape}")
-        in_place = strings.dtype == np.int64 and strings.strides[1] == 8
-        if not in_place or strings.strides[0] % 8:
-            strings = np.ascontiguousarray(strings, dtype=np.int64)
+        strings = np.ascontiguousarray(strings, dtype=np.int64)
         sorted_idx = np.empty((m, n), dtype=np.int32)
         next_link = np.empty((m, n), dtype=np.int32)
         if self._lib.repro_csa_build(
-            strings.ctypes.data, strings.strides[0] // 8, n, m,
+            strings.ctypes.data, n, m,
             _addr(sorted_idx), _addr(next_link),
         ):
             raise MemoryError("CSA build: cannot allocate scratch")

@@ -6,7 +6,9 @@ This package turns the in-process indexes into servable artifacts:
   A bundle is a directory of ``manifest.json`` (format version, registry
   class name, ``dim``/``metric``/``seed``, build time, work counters,
   JSON-safe native state, per-array file/shape/dtype/offset index) plus
-  one raw ``.npy`` file per array.  ``load_index(path,
+  one raw ``.npy`` file per array.  Format 3 stores each CSA's hash
+  strings as narrow unsigned codes plus an offset; format-2 bundles
+  (int64 strings) still load, encoded once.  ``load_index(path,
   mmap=True)`` opens a bundle as read-only memory maps through the
   :class:`~repro.serve.persistence.ArrayStore` abstraction — cold start
   in milliseconds, one page-cache copy of the data shared by every
@@ -14,7 +16,7 @@ This package turns the in-process indexes into servable artifacts:
   ``DynamicLCCSLSH``, ``LinearScan`` and ``QALSH`` serialize natively (no pickle anywhere; arrays are read with
   ``allow_pickle=False``); every other baseline falls back to the
   documented pickle serializer inside the same layout.  Corrupt
-  manifests, wrong ``format_version`` and unknown classes raise
+  manifests, another ``format_version`` and unknown classes raise
   :class:`~repro.serve.persistence.BundleError`.
 * :mod:`repro.serve.registry` — name -> class registry the manifests
   reference, so loading a bundle never unpickles a class reference,

@@ -12,6 +12,13 @@ A *bundle* is a directory::
         arrays/
             <name>.npy  # one raw npy file per numpy array
 
+The CSA of an LCCS-LSH index is stored as ``csa.doubled`` — the doubled
+hash strings as unsigned codes of the narrowest of 1/2/4/8 bytes that
+holds their range — ``csa.offset`` (the int64 value of code 0),
+``csa.sorted_idx`` and ``csa.next_link`` (int32).  That is format 3;
+format 2 stored ``csa.doubled`` as int64 with no offset, and still
+loads: its strings are encoded once at load, into private memory.
+
 Because every array is a plain contiguous ``.npy`` file, the whole
 bundle can be opened with ``np.load(..., mmap_mode="r")``:
 ``load_index(path, mmap=True)`` returns a servable index in
@@ -51,8 +58,9 @@ index classes must treat loaded state as immutable and copy-on-write
 anything they need to change.
 
 Errors are reported as :class:`BundleError` (corrupt or missing
-manifest, wrong ``format_version``, unknown registry class, missing
-arrays), so callers can distinguish bad bundles from programming errors.
+manifest, a ``format_version`` other than 2 or 3, unknown registry
+class, missing or mis-typed arrays), so callers can distinguish bad
+bundles from programming errors.
 """
 
 from __future__ import annotations
@@ -84,8 +92,13 @@ __all__ = [
     "read_manifest",
 ]
 
-#: the one bundle layout written and read; bump when it changes incompatibly
-FORMAT_VERSION = 2
+#: the bundle layout written; bump when it changes incompatibly.  3:
+#: each CSA stores its hash strings as narrow unsigned codes plus an
+#: offset (``csa.doubled`` uint8/16/32/64, ``csa.offset``)
+FORMAT_VERSION = 3
+#: layouts read: 2 stored the CSA strings as int64, which are encoded
+#: once at load
+READ_VERSIONS = (2, 3)
 MANIFEST_NAME = "manifest.json"
 #: directory of one raw .npy file per array
 ARRAYS_DIR = "arrays"
@@ -104,10 +117,10 @@ def _check_version(manifest, source: str) -> None:
     if not isinstance(manifest, dict):
         raise BundleError(f"{source}: manifest must be a JSON object")
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in READ_VERSIONS:
         raise BundleError(
             f"{source}: unsupported bundle format_version {version!r} "
-            f"(this library reads version {FORMAT_VERSION})"
+            f"(this library reads versions {READ_VERSIONS})"
         )
 
 

@@ -179,28 +179,35 @@ def test_engine_build_sha1_at_serving_scale(engine, family):
     assert csa.sorted_idx.dtype == fallback[0].dtype == np.int32
 
 
-def test_strings_are_kept_as_int64():
-    """uint64 characters >= 2**63 would wrap in the engine's int64 copy
-    and compare in another order than the build's: they are refused, and
-    every other integer input is stored as int64, so the build, the
-    engine and the scalar path see the same characters."""
+def test_strings_are_stored_as_int64_codes():
+    """Characters are int64 values, stored as codes: uint64 characters
+    >= 2**63 would wrap and order differently, so they are refused; every
+    other integer input is stored as the narrowest codes, decodes back to
+    its int64 values, and the build, the engine and the scalar path see
+    the same characters.  ``from_arrays`` adopts codes with their offset
+    only."""
     rng = np.random.default_rng(3)
     values = np.array([0, 1, 2, 2**63 + 5], dtype=np.uint64)
     with pytest.raises(ValueError):
         CircularShiftArray(values[rng.integers(0, 4, size=(50, 8))])
     fits = values[:3][rng.integers(0, 3, size=(50, 8))]
     csa = CircularShiftArray(fits)
+    assert csa.width == 1 and csa._doubled.dtype == np.uint8
     assert csa.strings.dtype == np.int64
+    assert np.array_equal(csa.strings, fits.astype(np.int64))
     queries = values[:3][rng.integers(0, 3, size=(6, 8))].astype(np.int64)
     for q, (ids, lens) in zip(queries, csa.batch_k_lccs(queries, 9)):
         want_ids, want_lens = csa.k_lccs(q, 9)
         assert np.array_equal(ids, want_ids)
         assert np.array_equal(lens, want_lens)
     arrays = csa.export_arrays()
-    with pytest.raises(ValueError):
-        CircularShiftArray.from_arrays(
-            dict(arrays, doubled=arrays["doubled"].astype(np.uint64))
-        )
+    for bad in (
+        dict(arrays, doubled=arrays["doubled"].astype(np.int64)),
+        dict(arrays, doubled=np.concatenate([csa.strings] * 2, axis=1)),
+        {k: v for k, v in arrays.items() if k != "offset"},
+    ):
+        with pytest.raises(ValueError):
+            CircularShiftArray.from_arrays(bad)
 
 
 def test_paper_figure2_example():
@@ -232,9 +239,9 @@ def test_size_bytes_positive(rng):
 
 
 def test_size_bytes_counts_each_exported_buffer_once(rng):
-    """``strings`` is a view of ``doubled``'s left half, not a third copy."""
+    """``strings`` decodes from ``doubled``: it is not stored."""
     csa = CircularShiftArray(rng.integers(0, 5, size=(10, 4)))
-    assert np.shares_memory(csa.strings, csa.export_arrays()["doubled"])
+    assert "strings" not in csa.__dict__
     assert csa.size_bytes() == sum(
         arr.nbytes for arr in csa.export_arrays().values()
     )
@@ -249,10 +256,10 @@ def test_binary_search_bounds_bracket_query(rng):
     csa = CircularShiftArray(strings)
     for _ in range(20):
         q = rng.integers(0, 3, size=7)
-        qd = CircularShiftArray.query_rotations(q)
+        qd = csa.query_rotations(q)
         for s in range(csa.m):
             b = csa.binary_search(s, qd[s : s + csa.m])
-            q_rot = tuple(qd[s : s + csa.m])
+            q_rot = tuple(shift(q, s))
             if b.pos_lower >= 0:
                 low = tuple(shift(strings[csa.sorted_idx[s][b.pos_lower]], s))
                 assert low <= q_rot
@@ -269,7 +276,7 @@ def test_windowed_search_matches_full_search(rng):
     csa = CircularShiftArray(strings)
     for _ in range(25):
         q = rng.integers(0, 3, size=10)
-        qd = CircularShiftArray.query_rotations(q)
+        qd = csa.query_rotations(q)
         chained = csa.search_all_shifts(q)
         for s, b in enumerate(chained):
             full = csa.binary_search(s, qd[s : s + csa.m])
@@ -381,4 +388,5 @@ def test_rotation_view_matches_shift(rng):
     csa = CircularShiftArray(strings)
     for sid in range(7):
         for s in range(6):
-            assert csa.rotation(sid, s).tolist() == shift(strings[sid], s).tolist()
+            rot = csa.rotation(sid, s)
+            assert rot.tolist() == shift(csa.encode(strings[sid]), s).tolist()

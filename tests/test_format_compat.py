@@ -1,0 +1,143 @@
+"""Bundle format v3 (narrow CSA codes) and reading what v2 wrote.
+
+Format v3 stores each CSA's hash strings as unsigned codes of the
+narrowest width that holds them, plus the offset that decodes them.
+Format v2 stored them as int64; this library still reads it, encoding
+the int64 strings once at load.  The fixtures under
+``tests/fixtures/format_v2`` were written by :func:`write_v2_fixtures`
+run on the last v2 release of this library, together with the digests
+of its answers (``expected.json``): a static bundle per code width, a
+pickle-serializer bundle whose pickled CSA holds int64 strings, and a
+durable directory — a v2 snapshot of a dynamic index plus the WAL
+suffix recorded after it.
+"""
+
+import hashlib
+import json
+import os
+import shutil
+
+import numpy as np
+import pytest
+
+from repro import DynamicLCCSLSH, IndexSpec, LCCSLSH
+from repro.core.cascade import LCCSCascade
+from repro.data.synthetic import sparse_sets
+from repro.serve import FORMAT_VERSION, load_index, read_manifest, save_index
+from repro.serve.durability import DurableIndex, SnapshotManager, recover
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "format_v2")
+K = 5
+SPEC = IndexSpec(
+    "DynamicLCCSLSH", dim=8, m=16, w=1.0, seed=7, memtable_size=8
+)
+
+
+def _queries(name):
+    if name == "minhash":
+        return sparse_sets(13, 64, avg_size=8, seed=21).astype(np.float64)
+    return np.random.default_rng(21).normal(size=(13, 8))
+
+
+def _build(name):
+    data = np.random.default_rng(20).normal(size=(150, 8))
+    if name == "lccs":
+        return LCCSLSH(dim=8, m=16, w=1.0, seed=1).fit(data)
+    if name == "cascade":  # no native hooks: the pickle serializer
+        return LCCSCascade(8, 0.5, 4.0, m=16, w=1.0, seed=3).fit(data)
+    data = sparse_sets(120, 64, avg_size=8, seed=20).astype(np.float64)
+    return LCCSLSH(dim=64, m=8, metric="jaccard", seed=2).fit(data)
+
+
+def answer_digest(index, queries):
+    """sha1 over ``batch_query`` at B = 13 and ``query`` per row."""
+    ids, dists = index.batch_query(queries, k=K)
+    h = hashlib.sha1(ids.tobytes() + dists.tobytes())
+    for q in queries:
+        got_ids, got_dists = index.query(q, k=K)
+        h.update(got_ids.tobytes() + got_dists.tobytes())
+    return h.hexdigest()
+
+
+def write_v2_fixtures(root):
+    """Write the fixtures and ``expected.json`` under ``root``."""
+    expected = {}
+    for name in ("lccs", "minhash", "cascade"):
+        index = _build(name)
+        save_index(index, os.path.join(root, f"{name}.bundle"))
+        expected[name] = answer_digest(index, _queries(name))
+    wal_dir = os.path.join(root, "durable")
+    rng = np.random.default_rng(22)
+    durable = DurableIndex(
+        SPEC.build(), wal_dir, fsync="off", spec=SPEC,
+        snapshots=SnapshotManager(wal_dir, keep=1),
+    )
+    durable.fit(rng.normal(size=(60, 8)))
+    for _ in range(20):
+        durable.insert(rng.normal(size=8))
+    durable.checkpoint()
+    for _ in range(12):  # the WAL suffix recovery replays
+        durable.insert(rng.normal(size=8))
+    for handle in (3, 61, 75):
+        durable.delete(handle)
+    expected["durable"] = answer_digest(durable.inner, _queries("durable"))
+    durable.close()
+    with open(os.path.join(root, "expected.json"), "w") as f:
+        json.dump(expected, f, indent=1, sort_keys=True)
+
+
+def _expected():
+    with open(os.path.join(FIXTURES, "expected.json")) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize(
+    "name,width", [("lccs", 1), ("minhash", 8), ("cascade", 1)]
+)
+def test_v2_bundle_answers_like_the_v2_library(name, width, mmap):
+    path = os.path.join(FIXTURES, f"{name}.bundle")
+    assert read_manifest(path)["format_version"] == 2
+    index = load_index(path, mmap=mmap)
+    lccs = getattr(index, "inner", index)
+    assert lccs.csa.width == width
+    assert lccs.csa.export_arrays()["doubled"].dtype == np.dtype(f"u{width}")
+    assert answer_digest(index, _queries(name)) == _expected()[name]
+    assert lccs.hash_strings.dtype == np.int64
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+def test_v2_durable_directory_recovers(tmp_path, mmap):
+    wal_dir = str(tmp_path / "durable")
+    shutil.copytree(os.path.join(FIXTURES, "durable"), wal_dir)
+    result = recover(wal_dir, mmap=mmap)
+    assert result.corrupt == []  # the v2 snapshot was read, not skipped
+    assert result.snapshot_seq > 0 and result.replayed == 15
+    assert isinstance(result.index, DynamicLCCSLSH)
+    digest = answer_digest(result.index, _queries("durable"))
+    assert digest == _expected()["durable"]
+
+
+@pytest.mark.parametrize("name", ["lccs", "minhash"])
+def test_save_writes_v3_codes(tmp_path, name):
+    index = _build(name)
+    path = str(tmp_path / "bundle")
+    save_index(index, path)
+    manifest = read_manifest(path)
+    assert manifest["format_version"] == FORMAT_VERSION == 3
+    codes = manifest["array_index"]["csa.doubled"]
+    assert np.dtype(codes["dtype"]) == np.dtype(f"u{index.csa.width}")
+    assert "csa.offset" in manifest["array_index"]
+    for mmap in (False, True):
+        loaded = load_index(path, mmap=mmap)
+        assert answer_digest(loaded, _queries(name)) == _expected()[name]
+        assert np.array_equal(loaded.hash_strings, index.hash_strings)
+
+
+def test_hash_strings_decode_to_the_hash_values():
+    """``hash_strings`` is the family's int64 output, decoded from codes."""
+    for name in ("lccs", "minhash"):
+        index = _build(name)
+        want = index.family.hash(index._data)
+        assert index.hash_strings.dtype == np.int64
+        assert np.array_equal(index.hash_strings, want)

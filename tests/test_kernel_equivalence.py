@@ -25,6 +25,7 @@ once with the compiler disabled); the fallback tests run everywhere.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -481,21 +482,35 @@ def test_cext_addresses_follow_replaced_and_copied_arrays():
     assert len(addresses) == live
 
 
-@needs_compiled
-def test_cext_converts_arrays_it_cannot_read_in_place():
-    """Characters that are not int64 (the kernels' type) — int32 arrays
-    adopted by ``from_arrays``; the constructor itself normalises to
-    int64 — get one converted copy; the answers are the scalar path's."""
+def test_mistyped_csa_arrays_are_refused_not_copied(tmp_path):
+    """The kernels read every CSA array in place.  Characters that are
+    not codes with their offset — an int32 ``doubled`` adopted by
+    ``from_arrays``, or written into a bundle — are refused
+    (``ValueError``; ``BundleError`` at load) instead of getting a silent
+    private copy; so is an array the engine would have to convert."""
     from repro.core import CircularShiftArray
+    from repro.serve import BundleError, load_index, save_index
 
     rng = np.random.default_rng(8)
-    strings = rng.integers(0, 4, size=(50, 10)).astype(np.int32)
-    queries = rng.integers(0, 4, size=(7, 10)).astype(np.int32)
-    arrays = CircularShiftArray(strings).export_arrays()
-    arrays["doubled"] = arrays["doubled"].astype(np.int32)
-    csa = CircularShiftArray.from_arrays(arrays)
-    assert csa._doubled.dtype == np.int32
-    for q, (ids, lens) in zip(queries, csa.batch_k_lccs(queries, 9)):
-        want_ids, want_lens = csa.k_lccs(q, 9)
-        assert np.array_equal(ids, want_ids)
-        assert np.array_equal(lens, want_lens)
+    csa = CircularShiftArray(rng.integers(0, 4, size=(50, 10)))
+    arrays = csa.export_arrays()
+    with pytest.raises(ValueError, match="codes"):
+        CircularShiftArray.from_arrays(
+            dict(arrays, doubled=arrays["doubled"].astype(np.int32))
+        )
+    with pytest.raises(ValueError, match="C-contiguous"):
+        CircularShiftArray.from_arrays(
+            dict(arrays, sorted_idx=np.asfortranarray(arrays["sorted_idx"]))
+        )
+    data = rng.normal(size=(60, 8))
+    path = str(tmp_path / "bundle")
+    save_index(LCCSLSH(dim=8, m=10, seed=8).fit(data), path)
+    doubled = os.path.join(path, "arrays", "csa.doubled.npy")
+    np.save(doubled, np.load(doubled).astype(np.int32))
+    for mmap in (False, True):
+        with pytest.raises(BundleError, match="codes"):
+            load_index(path, mmap=mmap)
+    if COMPILED:
+        csa._doubled = csa._doubled[:, ::-1]  # strided: not readable
+        with pytest.raises(TypeError, match="C-contiguous"):
+            csa.batch_k_lccs(csa.strings[:3], 5)

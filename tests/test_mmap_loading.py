@@ -84,14 +84,14 @@ def test_mmap_arrays_are_readonly(tmp_path, workload):
     assert not mapped.csa.sorted_idx.flags.writeable
     with pytest.raises(ValueError):
         mapped.csa.sorted_idx[0, 0] = 1
-    # The hash strings are the left half of the mapped doubled array —
-    # one physical copy, not a reconstruction.
-    assert mapped.hash_strings.base is not None
+    # The CSA codes are the mapped array itself; the hash strings decode
+    # from them.
+    assert isinstance(mapped.csa.export_arrays()["doubled"].base, np.memmap)
     assert np.array_equal(mapped.hash_strings, index.hash_strings)
 
 
 def test_mmap_load_skips_csa_rebuild(tmp_path, workload):
-    """A v2 bundle restores the CSA arrays instead of re-sorting."""
+    """A bundle restores the CSA arrays instead of re-sorting."""
     data, _ = workload
     index = LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED).fit(data)
     path = str(tmp_path / "bundle")
@@ -100,7 +100,9 @@ def test_mmap_load_skips_csa_rebuild(tmp_path, workload):
     assert np.array_equal(mapped.csa.sorted_idx, index.csa.sorted_idx)
     assert np.array_equal(mapped.csa.next_link, index.csa.next_link)
     names = set(read_manifest(path)["array_index"])
-    assert {"csa.doubled", "csa.sorted_idx", "csa.next_link"} <= names
+    assert {
+        "csa.doubled", "csa.offset", "csa.sorted_idx", "csa.next_link"
+    } <= names
     assert "hash_strings" not in names  # derived, not duplicated
 
 

@@ -231,7 +231,7 @@ def test_bundle_summary_reads_headers_without_loading(
     assert by_name["store"]["bytes"] == n * DIM * 8
     assert by_name["seg0.inner.data"]["shape"] == (n, DIM)
     assert by_name["seg0.inner.csa.doubled"]["shape"] == (n, 2 * 16)
-    assert by_name["seg0.inner.csa.doubled"]["dtype"] == "int64"
+    assert by_name["seg0.inner.csa.doubled"]["dtype"] == "uint8"
     for name in ("seg0.inner.csa.sorted_idx", "seg0.inner.csa.next_link"):
         assert by_name[name]["shape"] == (16, n)
         assert by_name[name]["dtype"] == "int32"
