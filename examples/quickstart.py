@@ -36,8 +36,9 @@ def main():
         total += recall(ids, gt.indices[i])
     print(f"recall@10 with 200/{ds.n} candidates: {total / ds.n_queries:.2%}")
 
-    # 4. Persist and reload.
-    path = os.path.join(tempfile.gettempdir(), "lccs_index.pkl")
+    # 4. Persist and reload: a bundle is a directory (a JSON manifest
+    #    plus one .npy file per array).
+    path = os.path.join(tempfile.gettempdir(), "lccs_index.bundle")
     index.save(path)
     loaded = LCCSLSH.load(path)
     ids, dists = loaded.query(ds.queries[0], k=3, num_candidates=100)

@@ -145,11 +145,12 @@ class ANNIndex(abc.ABC):
         The bundle is a directory holding ``manifest.json`` plus one raw
         ``.npy`` file per array (see
         :mod:`repro.serve.persistence`), so it can be reopened with
-        ``load(path, mmap=True)`` without reading the payload.  Indexes
-        implementing the :meth:`_export_state` / :meth:`_import_state`
-        hooks are written natively (no pickle anywhere); the rest go
-        through the documented pickle fallback inside the same bundle
-        layout.
+        ``load(path, mmap=True)`` without reading the payload.  Only
+        indexes implementing the :meth:`_export_state` /
+        :meth:`_import_state` hooks — the served ``LCCSLSH``,
+        ``DynamicLCCSLSH`` and ``LinearScan`` — can be saved; any other
+        raises :class:`repro.serve.persistence.BundleError` naming its
+        class, before anything is written.
         """
         from repro.serve.persistence import save_index
 
@@ -197,8 +198,8 @@ class ANNIndex(abc.ABC):
         numpy arrays; common fields (``dim``, ``metric``, ``seed``,
         ``build_time``, ``last_stats``) are recorded by the caller and
         must not be duplicated here.  The default raises
-        ``NotImplementedError``, which makes ``save`` fall back to the
-        documented pickle serializer.
+        ``NotImplementedError``: the index is not served from bundles,
+        and ``save`` refuses it with ``BundleError``.
         """
         raise NotImplementedError
 

@@ -46,5 +46,8 @@ class LinearScan(ANNIndex):
             seed=manifest["seed"],
         )
         if "data" in arrays:
-            index._data = arrays["data"]
+            data = arrays["data"]
+            if data.ndim != 2 or data.shape[1] != index.dim:
+                raise ValueError(f"data of shape {data.shape}, dim={index.dim}")
+            index._data = data
         return index

@@ -15,7 +15,7 @@ paper's 1M scale).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -133,46 +133,3 @@ class QALSH(ANNIndex):
         if self.values is not None:
             extra = self.values.nbytes + self.order.nbytes
         return int(self.proj.nbytes + extra)
-
-    # ------------------------------------------------------------------
-    # Native persistence: scalar knobs plus the drawn projections and
-    # the per-function sorted projection tables.  Query time only reads
-    # these arrays (the frontier pointers are per-query scratch), so a
-    # QALSH loaded from read-only memory maps serves unchanged.
-    # ------------------------------------------------------------------
-
-    def _export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        state = {
-            "m": self.m, "l": self.l, "w": self.w, "c": self.c,
-            "beta": self.beta,
-        }
-        arrays: Dict[str, np.ndarray] = {"proj": self.proj}
-        if self._data is not None:
-            arrays["data"] = self._data
-        if self.values is not None:
-            arrays["values"] = self.values
-            arrays["order"] = self.order
-        return state, arrays
-
-    @classmethod
-    def _import_state(
-        cls, manifest: dict, arrays: Dict[str, np.ndarray]
-    ) -> "QALSH":
-        state = manifest["state"]
-        index = cls(
-            dim=int(manifest["dim"]),
-            m=int(state["m"]),
-            l=int(state["l"]),
-            w=float(state["w"]),
-            c=float(state["c"]),
-            beta=float(state["beta"]),
-            seed=manifest["seed"],
-        )
-        # Drawn parameters are restored verbatim, never re-drawn.
-        index.proj = arrays["proj"]
-        if "data" in arrays:
-            index._data = arrays["data"]
-        if "values" in arrays:
-            index.values = arrays["values"]
-            index.order = arrays["order"]
-        return index

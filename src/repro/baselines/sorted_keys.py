@@ -144,63 +144,6 @@ class _SortedKeyIndex(ANNIndex):
             extra = self.orders.nbytes + self.L * self.n * 16
         return int(self.family.size_bytes() + extra)
 
-    # ------------------------------------------------------------------
-    # Native persistence.  The sorted key lists are *not* serialized
-    # (SK-LSH keys are Python tuples, LSB-Forest keys arbitrary-precision
-    # ints — neither fits an .npz): like the CSA in LCCS-LSH they are a
-    # pure deterministic function of the hash codes, so the loader
-    # restores the family (drawn parameters and all) and re-derives them
-    # by refitting on the stored data.  Queries stay byte-identical.
-    # ------------------------------------------------------------------
-
-    def _native_extra_state(self) -> dict:
-        """Subclass knobs to persist alongside K/L (hook)."""
-        return {}
-
-    @classmethod
-    def _native_init_kwargs(cls, state: dict) -> dict:
-        """Constructor kwargs recovered from :meth:`_native_extra_state`."""
-        return {}
-
-    def _export_state(self) -> Tuple[dict, dict]:
-        family_meta, family_arrays = self.family.export_state()
-        state = {
-            "K": self.K,
-            "L": self.L,
-            "family": family_meta,
-            **self._native_extra_state(),
-        }
-        arrays = {f"family.{key}": val for key, val in family_arrays.items()}
-        if self._data is not None:
-            arrays["data"] = self._data
-        return state, arrays
-
-    @classmethod
-    def _import_state(cls, manifest: dict, arrays: dict) -> "_SortedKeyIndex":
-        from repro.hashes import HashFamily as _HashFamily
-
-        state = manifest["state"]
-        family = _HashFamily.from_state(
-            state["family"],
-            {
-                key[len("family."):]: val
-                for key, val in arrays.items()
-                if key.startswith("family.")
-            },
-        )
-        index = cls(
-            dim=int(manifest["dim"]),
-            K=int(state["K"]),
-            L=int(state["L"]),
-            family=family,
-            seed=manifest["seed"],
-            **cls._native_init_kwargs(state),
-        )
-        index.metric = manifest["metric"]
-        if "data" in arrays:
-            index.fit(np.ascontiguousarray(arrays["data"]))
-        return index
-
 
 class SKLSH(_SortedKeyIndex):
     """SK-LSH: compound keys in lexicographic order, bidirectional scan."""
@@ -249,10 +192,3 @@ class LSBForest(_SortedKeyIndex):
     def _query_key(self, q_block: np.ndarray, t: int):
         shifted = self._shift(q_block[None, :], t)
         return int(zorder_interleave(shifted, self.bits_per_dim)[0])
-
-    def _native_extra_state(self) -> dict:
-        return {"bits_per_dim": self.bits_per_dim}
-
-    @classmethod
-    def _native_init_kwargs(cls, state: dict) -> dict:
-        return {"bits_per_dim": int(state["bits_per_dim"])}

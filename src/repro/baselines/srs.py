@@ -122,45 +122,6 @@ class SRS(ANNIndex):
 
     # ------------------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # Native persistence.  The kd-tree is not serialized: it is a pure
-    # deterministic function of the projected points (median splits,
-    # stable argsort tie-breaks), so the loader stores the projection
-    # matrix plus the raw data and rebuilds the tree by refitting — the
-    # same rebuild-on-load idiom the CSA uses in LCCS-LSH.  Queries stay
-    # byte-identical.
-    # ------------------------------------------------------------------
-
-    def _export_state(self) -> Tuple[dict, dict]:
-        state = {
-            "d_proj": self.d_proj,
-            "c": self.c,
-            "p_tau": self.p_tau,
-            "max_fraction": self.max_fraction,
-        }
-        arrays = {"proj": self.proj}
-        if self._data is not None:
-            arrays["data"] = self._data
-        return state, arrays
-
-    @classmethod
-    def _import_state(cls, manifest: dict, arrays: dict) -> "SRS":
-        state = manifest["state"]
-        index = cls(
-            dim=int(manifest["dim"]),
-            d_proj=int(state["d_proj"]),
-            c=float(state["c"]),
-            p_tau=float(state["p_tau"]),
-            max_fraction=float(state["max_fraction"]),
-            seed=manifest["seed"],
-        )
-        # The drawn projection is restored verbatim, not re-drawn (a
-        # None seed must still round-trip exactly).
-        index.proj = np.ascontiguousarray(arrays["proj"])
-        if "data" in arrays:
-            index.fit(np.ascontiguousarray(arrays["data"]))
-        return index
-
     def index_size_bytes(self) -> int:
         proj_bytes = 0 if self.projected is None else self.projected.nbytes
         # Tree nodes: roughly 2n/leaf_size boxes of 2*d_proj floats.

@@ -5,10 +5,11 @@ Subcommands:
 * ``datasets`` — print the (simulated) paper Table 2 statistics.
 * ``compare`` — evaluate a set of methods on one dataset and print the
   recall / ratio / time / size table.
-* ``build`` — fit an index and save it as a reusable bundle directory.
+* ``build`` — fit a served index (``--method lccs | mp-lccs | dynamic
+  | scan``) and save it as a reusable bundle directory.
 * ``query`` — load a saved bundle and evaluate it on a query workload.
 * ``inspect`` — print a bundle's manifest and array shapes/sizes
-  without loading (or unpickling) any payload.
+  without loading any payload.
 * ``build``/``query``/``serve``/``recover`` accept ``--mmap`` to open
   bundles (and snapshots) as read-only memory maps: cold starts take
   milliseconds and every local process shares one physical copy of
@@ -97,6 +98,8 @@ _METHOD_CHOICES = (
     "lccs", "mp-lccs", "dynamic", "e2lsh", "multiprobe", "falconn", "c2lsh",
     "qalsh", "srs", "scan",
 )
+#: the recipes ``build`` can save: a bundle holds only what is served
+_BUNDLE_METHODS = ("lccs", "mp-lccs", "dynamic", "scan")
 
 
 def _method_spec(name: str, dim: int, metric: str, w: float, seed: int):
@@ -245,13 +248,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         data = normalize_rows(data)
         queries = normalize_rows(queries)
     w = _estimate_w(args, data, queries, args.metric)
-    try:
-        spec, query_kwargs = _method_spec(
-            args.method, ds.dim, args.metric, w, args.seed
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec, query_kwargs = _method_spec(
+        args.method, ds.dim, args.metric, w, args.seed
+    )
     lsm_knobs = {
         "memtable_size": args.memtable_size,
         "max_segments": args.max_segments,
@@ -892,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--metric", choices=("euclidean", "angular"), default="euclidean")
     p.add_argument(
-        "--method", default="lccs", choices=_METHOD_CHOICES,
+        "--method", default="lccs", choices=_BUNDLE_METHODS,
         help="index recipe; mp-lccs is an LCCSLSH at m=32 whose bundle "
         "records n_probes=33 as a default query argument",
     )

@@ -161,15 +161,7 @@ class CircularShiftArray:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        state.pop("_backend", None)  # a backend name earlier builds pickled
-        state.pop("strings", None)  # the int64 view the format-v2 layout kept
         self.__dict__.update(state)
-        if "width" not in state:  # pickled with int64 characters
-            doubled = self._doubled
-            self.width, self.offset = code_layout(
-                int(doubled.min()), int(doubled.max())
-            )
-            self._doubled = self.encode(doubled)
         self._engine = kernels.engine()
 
     # ------------------------------------------------------------------
@@ -664,8 +656,10 @@ class CircularShiftArray:
         stay memory-mapped, and the CSA never writes to them (queries
         only bisect) — so they must already be what the kernels read in
         place: C-contiguous native ``uint8/16/32/64`` codes and the
-        build's rank type.  Raises ``ValueError`` on missing arrays,
-        other dtypes or inconsistent shapes.
+        build's rank type, every rank in ``[0, n)``.  Raises
+        ``ValueError`` on missing arrays, other dtypes, inconsistent
+        shapes or a rank out of range (one pass over the rank arrays,
+        which touches every page of a memory-mapped bundle).
         """
         for key in ("doubled", "offset", "sorted_idx", "next_link"):
             if key not in arrays:
@@ -700,6 +694,11 @@ class CircularShiftArray:
                 raise ValueError(
                     f"{source}: CSA {name} must be C-contiguous "
                     f"{np.dtype(dtype)}, got {arr.dtype}"
+                )
+        for name, arr in (("sorted_idx", sorted_idx), ("next_link", next_link)):
+            if arr.min() < 0 or arr.max() >= obj.n:
+                raise ValueError(
+                    f"{source}: CSA {name} holds a rank outside [0, {obj.n})"
                 )
         obj.width, obj.offset = width, int(offset.reshape(-1)[0])
         obj._doubled = doubled

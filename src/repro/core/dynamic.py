@@ -786,18 +786,15 @@ class DynamicLCCSLSH(ANNIndex):
     # Python tombstone set, and a seal/compaction gathers the live rows
     # into new arrays before building the new CSA — the mapped
     # originals are never written, only dropped once no epoch
-    # references them.
+    # references them.  Loading checks every handle against the store's
+    # row count: queries gather store rows by handle.  LCCS kwargs that
+    # are not JSON-safe (a pre-built HashFamily object) make the state
+    # unsavable, and ``save_index`` refuses it.
     # ------------------------------------------------------------------
 
     def _export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        from repro.serve.persistence import export_index, json_safe, pack_nested
+        from repro.serve.persistence import export_index, pack_nested
 
-        if not json_safe(self._lccs_kwargs):
-            # e.g. a pre-built HashFamily object was passed through; the
-            # pickle fallback handles that faithfully.
-            raise NotImplementedError(
-                "DynamicLCCSLSH with non-JSON-safe LCCS kwargs"
-            )
         epoch = self._state
         state: dict = {
             "m": self._m,
@@ -847,10 +844,27 @@ class DynamicLCCSLSH(ANNIndex):
             compaction=str(state.get("compaction", "inline")),
             **kwargs,
         )
+        rows = 0
         if "store" in arrays:
-            index._store = np.ascontiguousarray(arrays["store"])
-            index._size = len(index._store)
+            store = arrays["store"]
+            if store.ndim != 2 or store.shape[1] != index.dim:
+                raise ValueError(f"store of shape {store.shape}")
+            index._store = np.ascontiguousarray(store)
+            index._size = rows = len(index._store)
             index._data = index._vectors
+
+        def handles_of(name, handles, n=None) -> np.ndarray:
+            handles = np.asarray(handles, dtype=np.int64)
+            n = len(handles) if n is None else n
+            if handles.shape != (n,) or (
+                n and (handles.min() < 0 or handles.max() >= rows)
+            ):
+                raise ValueError(
+                    f"{name}: {handles.shape} handles are not {n} rows "
+                    f"of a {rows}-row store"
+                )
+            return handles
+
         segments: List[Segment] = []
         for i, seg_manifest in enumerate(state.get("segments", [])):
             inner = import_index(
@@ -858,19 +872,15 @@ class DynamicLCCSLSH(ANNIndex):
                 unpack_nested(arrays, f"seg{i}.inner"),
                 source=f"<seg{i}>",
             )
+            if getattr(inner, "csa", None) is None or inner.dim != index.dim:
+                raise ValueError(f"segment {i} is not a fitted LCCS index")
+            name = f"seg{i}.handles"
             segments.append(
-                Segment(
-                    inner,
-                    np.asarray(arrays[f"seg{i}.handles"], dtype=np.int64),
-                )
+                Segment(inner, handles_of(name, arrays[name], inner.n))
             )
-        buffer = [int(h) for h in state["buffer_handles"]]
-        index._state = _DynState(
-            tuple(segments),
-            buffer,
-            set(buffer),
-            set(int(h) for h in state["dead"]),
-        )
+        buffer = handles_of("buffer_handles", state["buffer_handles"]).tolist()
+        dead = handles_of("dead", state["dead"]).tolist()
+        index._state = _DynState(tuple(segments), buffer, set(buffer), set(dead))
         index.rebuilds = int(state["rebuilds"])
         index.seals = int(state.get("seals", 0))
         index.compactions = int(state.get("compactions", 0))
@@ -879,8 +889,7 @@ class DynamicLCCSLSH(ANNIndex):
 
     # The compaction manager owns a lock and (possibly) a thread, and
     # the listener points back into a durability wrapper — neither
-    # belongs in a pickle (the pickle-fallback bundle path serializes
-    # whole indexes when kwargs are not JSON-safe).
+    # belongs in an in-memory pickle or deep copy of the index.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_compactor"] = None

@@ -420,7 +420,10 @@ class LCCSLSH(ANNIndex):
     # with ``load_index(path, mmap=True)`` the whole index is servable
     # in milliseconds from read-only memory maps.  The hash strings are
     # not stored separately: they decode from the CSA's codes.  Format v2
-    # stored them as int64, which the CSA encodes once at load.
+    # stored them as int64, which the CSA encodes once at load.  The
+    # kernels read the CSA and the data in place, so loading checks that
+    # they agree: one data row of ``dim`` values per CSA string, of the
+    # index's length ``m``.
     # ------------------------------------------------------------------
 
     def _export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -462,8 +465,6 @@ class LCCSLSH(ANNIndex):
             verify_dtype=state.get("verify_dtype", "float64"),
         )
         index.metric = manifest["metric"]
-        if "data" in arrays:
-            index._data = arrays["data"]
         csa_arrays = {
             key[len("csa."):]: val
             for key, val in arrays.items()
@@ -474,6 +475,15 @@ class LCCSLSH(ANNIndex):
             if manifest.get("format_version") == 2:
                 adopt = CircularShiftArray.from_int64_arrays
             index.csa = adopt(csa_arrays, source="<csa>")
+            data = arrays.get("data")
+            shape = (index.csa.n, index.dim)
+            if data is None or data.shape != shape or index.csa.m != index.m:
+                raise ValueError(
+                    f"data {None if data is None else data.shape} and CSA "
+                    f"(n={index.csa.n}, m={index.csa.m}) do not fit an "
+                    f"index of dim={index.dim}, m={index.m}"
+                )
+            index._data = data
         index._kv_packed = None
         index._kv_data32 = None
         return index

@@ -96,13 +96,13 @@ class HashFamily(abc.ABC):
         Used by the native index persistence protocol
         (:mod:`repro.serve.persistence`): scalar parameters and the RNG
         state go into the manifest, drawn parameters (projections,
-        offsets, seeds tables) into the ``.npz`` payload.  Families whose
-        state is exactly "ndarray attributes + scalar attributes" — all
-        of the built-in ones — need no per-class code.
+        offsets, seeds tables) into the bundle's ``.npy`` arrays.
+        Families whose state is exactly "ndarray attributes + scalar
+        attributes" — all of the built-in ones — need no per-class code.
 
         Raises ``NotImplementedError`` for families carrying state this
-        generic split cannot represent, which makes the owning index fall
-        back to the pickle serializer.
+        generic split cannot represent; the owning index then cannot be
+        saved as a bundle (``BundleError``).
         """
         meta: dict = {
             "family": type(self).__name__,
@@ -123,7 +123,7 @@ class HashFamily(abc.ABC):
             else:
                 raise NotImplementedError(
                     f"{type(self).__name__}.{key} ({type(val).__name__}) is "
-                    "not expressible in the npz/JSON bundle format"
+                    "not expressible in the JSON/.npy bundle format"
                 )
         return meta, arrays
 
@@ -133,7 +133,9 @@ class HashFamily(abc.ABC):
 
         Dispatches on ``meta['family']`` over the classes exported by
         :mod:`repro.hashes`; construction bypasses ``__init__`` (the
-        drawn parameters are restored verbatim, not re-drawn).
+        drawn parameters are restored verbatim, not re-drawn).  The
+        restored family must hash a ``dim``-vector to ``m`` codes, which
+        index kernels read without bounds (``ValueError`` otherwise).
         """
         import repro.hashes as _hashes
 
@@ -153,6 +155,15 @@ class HashFamily(abc.ABC):
             setattr(fam, key, val)
         for key, val in arrays.items():
             setattr(fam, key, val)
+        try:
+            probe = fam.hash(np.ones(fam.dim)).shape
+        except (ValueError, IndexError, TypeError) as exc:
+            probe = exc
+        if probe != (fam.m,):
+            raise ValueError(
+                f"{name} state does not hash dim={fam.dim} to m={fam.m} "
+                f"codes: {probe}"
+            )
         return fam
 
     @abc.abstractmethod

@@ -12,14 +12,15 @@ This package turns the in-process indexes into servable artifacts:
   mmap=True)`` opens a bundle as read-only memory maps through the
   :class:`~repro.serve.persistence.ArrayStore` abstraction — cold start
   in milliseconds, one page-cache copy of the data shared by every
-  local reader, byte-identical query results.  ``LCCSLSH``,
-  ``DynamicLCCSLSH``, ``LinearScan`` and ``QALSH`` serialize natively (no pickle anywhere; arrays are read with
-  ``allow_pickle=False``); every other baseline falls back to the
-  documented pickle serializer inside the same layout.  Corrupt
-  manifests, another ``format_version`` and unknown classes raise
-  :class:`~repro.serve.persistence.BundleError`.
+  local reader, byte-identical query results.  A bundle holds only
+  what is served — ``LCCSLSH``, ``DynamicLCCSLSH`` or ``LinearScan``,
+  through their native export hooks; saving any other index raises
+  :class:`~repro.serve.persistence.BundleError`, and so does loading a
+  pickle bundle an earlier build wrote, a corrupt manifest, another
+  ``format_version``, an unknown class or arrays that disagree with
+  each other.  Loading never runs code.
 * :mod:`repro.serve.registry` — name -> class registry the manifests
-  reference, so loading a bundle never unpickles a class reference,
+  reference, so loading a bundle never imports a class reference,
   and :class:`~repro.serve.registry.IndexSpec`, the JSON-safe index
   recipe a WAL directory records for full-log replay.
 * :mod:`repro.serve.concurrency` —

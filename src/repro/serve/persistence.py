@@ -26,29 +26,26 @@ milliseconds without reading the payload — the OS page cache holds
 the only physical copy of the data, shared by every local process
 that maps the same bundle.
 
-Two serializers share the layout:
+A bundle holds only what is served: an ``LCCSLSH``, a
+``DynamicLCCSLSH`` or a ``LinearScan``.  Each splits itself into
+JSON-safe metadata and named arrays through the
+:meth:`ANNIndex._export_state` / :meth:`ANNIndex._import_state` hooks,
+recorded as ``"serializer": "native"``.  Arrays are plain numeric
+``.npy`` files (object arrays are refused at save and never read), so
+loading a bundle never runs code; bundles are inspectable with a text
+editor plus ``np.load``.  Saving any other index, or one whose state is
+not JSON-safe, raises :class:`BundleError` naming the class before
+anything is written.  A manifest naming another serializer — the
+object-serialized bundles earlier builds wrote for the baselines — is
+refused before any array is opened, and so is any path that is not a
+bundle directory.
 
-* ``native`` — the index implements the :meth:`ANNIndex._export_state` /
-  :meth:`ANNIndex._import_state` hooks, splitting itself into JSON-safe
-  metadata and named arrays.  Loading never unpickles anything (arrays
-  are read with ``allow_pickle=False``), bundles are inspectable with a
-  text editor plus ``np.load``, and they stay readable across library
-  refactors as long as the hook contract holds.  ``LCCSLSH``,
-  ``DynamicLCCSLSH``, ``LinearScan``, ``QALSH``, ``SKLSH``,
-  ``LSBForest`` and ``SRS`` ship native implementations.
-* ``pickle`` — the documented fallback for the remaining baselines
-  (``E2LSH``/``MultiProbeLSH``/``FALCONN``/``StaticConcatIndex``,
-  ``C2LSH``, ``LazyLSH``, ``LSHForest``, and the cascades): the whole
-  index object is pickled into a single ``uint8`` array stored under
-  the ``__pickle__`` key.  Same on-disk layout, same API, but the usual
-  pickle caveats apply (trusted inputs only, and bundles are tied to
-  the class layout of the writing version).  Indexes opt in simply by
-  *not* overriding the export hooks.  ``mmap=True`` is ineffective for
-  pickle bundles — unpickling materialises a private copy anyway.
-
-That in-bundle payload, named by a manifest that says so, is the only
-thing ever unpickled: a path that is not a bundle directory (a regular
-file, whatever it holds) is refused with :class:`BundleError`.
+Loading checks every array the kernels read in place against the rest
+of the bundle: each file's shape and dtype against the manifest, CSA
+ranks against the row count, the data against the CSA, and a dynamic
+index's handles against its row store.  A bundle that fails a check is
+:class:`BundleError`, eagerly or memory-mapped alike, never an
+out-of-bounds read.
 
 :class:`ArrayStore` is the read-side abstraction bundles load through:
 a mapping from array name to ``np.ndarray`` whose ``mode`` is either
@@ -58,8 +55,9 @@ index classes must treat loaded state as immutable and copy-on-write
 anything they need to change.
 
 Errors are reported as :class:`BundleError` (corrupt or missing
-manifest, a ``format_version`` other than 2 or 3, unknown registry
-class, missing or mis-typed arrays), so callers can distinguish bad
+manifest, a ``format_version`` other than 2 or 3, a serializer other
+than ``native``, unknown or unservable registry class, missing,
+mis-typed or inconsistent arrays), so callers can distinguish bad
 bundles from programming errors.
 """
 
@@ -67,7 +65,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import re
 import shutil
 from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Tuple
@@ -102,8 +99,6 @@ READ_VERSIONS = (2, 3)
 MANIFEST_NAME = "manifest.json"
 #: directory of one raw .npy file per array
 ARRAYS_DIR = "arrays"
-#: array name holding the pickled index when the fallback serializer is used
-PICKLE_KEY = "__pickle__"
 
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -141,41 +136,45 @@ def json_safe(obj) -> bool:
 # ----------------------------------------------------------------------
 
 def export_index(index: "ANNIndex") -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Flatten ``index`` into ``(manifest, arrays)``.
-
-    Tries the native hooks first; on ``NotImplementedError`` falls back
-    to the documented pickle serializer (the whole object as a ``uint8``
-    array under ``__pickle__``).
-    """
+    """Flatten ``index`` into ``(manifest, arrays)`` through its native
+    hooks; :class:`BundleError` naming the class for an index that has
+    none (not served) or whose state is not JSON-safe."""
     from repro import __version__
     from repro.serve.registry import registry_name
 
+    name = type(index).__name__
+    try:
+        state, arrays = index._export_state()
+    except NotImplementedError as exc:
+        raise BundleError(
+            f"{name} cannot be saved as a bundle: bundles hold LCCSLSH, "
+            f"DynamicLCCSLSH and LinearScan with JSON-safe parameters"
+            f"{f' ({exc})' if str(exc) else ''}"
+        ) from None
+    if not json_safe(state):
+        raise BundleError(
+            f"{name} cannot be saved as a bundle: its state is not JSON-safe"
+        )
+    objects = sorted(k for k, v in arrays.items() if np.asarray(v).dtype.hasobject)
+    if objects:
+        raise BundleError(
+            f"{name} cannot be saved as a bundle: object arrays {objects}"
+        )
     manifest: dict = {
         "format_version": FORMAT_VERSION,
         "library_version": __version__,
         "class": registry_name(type(index)),
+        "serializer": "native",
         "dim": index.dim,
         "metric": index.metric,
         "seed": index.seed,
         "fitted": index.is_fitted,
         "build_time": float(index.build_time),
         "last_stats": {k: float(v) for k, v in index.last_stats.items()},
+        "state": state,
+        # Recorded so the loader can detect truncated payloads up front.
+        "array_names": sorted(arrays),
     }
-    try:
-        state, arrays = index._export_state()
-        if not json_safe(state):
-            raise NotImplementedError(
-                f"{type(index).__name__}._export_state returned non-JSON-safe "
-                "metadata"
-            )
-        manifest["serializer"] = "native"
-        manifest["state"] = state
-    except NotImplementedError:
-        manifest["serializer"] = "pickle"
-        payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-        arrays = {PICKLE_KEY: np.frombuffer(payload, dtype=np.uint8)}
-    # Recorded so the loader can detect truncated payloads up front.
-    manifest["array_names"] = sorted(arrays)
     return manifest, arrays
 
 
@@ -187,19 +186,26 @@ def import_index(
     Args:
         manifest: parsed manifest dictionary.
         arrays: named arrays — a plain dict or an :class:`ArrayStore`
-            (mmap stores hand out read-only maps; never unpickled here).
+            (mmap stores hand out read-only maps).
         source: human-readable origin used in error messages.
+
+    A manifest whose serializer is not ``native`` is refused before any
+    array is read.
     """
-    from repro.base import ANNIndex
     from repro.serve.registry import resolve_index_class
 
     _check_version(manifest, source)
     for key in ("class", "serializer", "dim", "metric"):
         if key not in manifest:
             raise BundleError(f"{source}: manifest is missing {key!r}")
+    if manifest["serializer"] != "native":
+        raise BundleError(
+            f"{source}: serializer {manifest['serializer']!r} is not read; "
+            "only native bundles load"
+        )
     try:
         cls = resolve_index_class(manifest["class"])
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise BundleError(f"{source}: {exc.args[0]}") from None
 
     expected = manifest.get("array_names")
@@ -211,32 +217,28 @@ def import_index(
                 f"{' ...' if len(missing) > 5 else ''}"
             )
 
-    serializer = manifest["serializer"]
-    if serializer == "pickle":
-        if PICKLE_KEY not in arrays:
-            raise BundleError(f"{source}: pickle bundle is missing its payload")
-        index = pickle.loads(arrays[PICKLE_KEY].tobytes())
-        if not isinstance(index, ANNIndex):
-            raise BundleError(
-                f"{source}: pickle payload is {type(index).__name__}, "
-                "not an ANNIndex"
-            )
-    elif serializer == "native":
-        try:
-            index = cls._import_state(manifest, dict(arrays))
-        except (KeyError, IndexError, ValueError) as exc:
-            raise BundleError(
-                f"{source}: incomplete native state for {manifest['class']}: "
-                f"{exc!r}"
-            ) from exc
-    else:
-        raise BundleError(f"{source}: unknown serializer {serializer!r}")
+    try:
+        index = cls._import_state(manifest, dict(arrays))
+    except NotImplementedError:
+        raise BundleError(
+            f"{source}: {manifest['class']} is not served from bundles"
+        ) from None
+    except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
+        # a malformed manifest state surfaces as one of these in a hook
+        raise BundleError(
+            f"{source}: incomplete or inconsistent native state for "
+            f"{manifest['class']}: {exc!r}"
+        ) from exc
 
-    if index.dim != manifest["dim"] or index.metric != manifest["metric"]:
+    fitted = manifest.get("fitted", index.is_fitted)
+    if (index.dim, index.metric, index.is_fitted) != (
+        manifest["dim"], manifest["metric"], fitted
+    ):
         raise BundleError(
             f"{source}: reconstructed index (dim={index.dim}, "
-            f"metric={index.metric!r}) contradicts its manifest "
-            f"(dim={manifest['dim']}, metric={manifest['metric']!r})"
+            f"metric={index.metric!r}, fitted={index.is_fitted}) "
+            f"contradicts its manifest (dim={manifest['dim']}, "
+            f"metric={manifest['metric']!r}, fitted={fitted})"
         )
     index.build_time = float(manifest.get("build_time", 0.0))
     index.last_stats = {
@@ -281,32 +283,23 @@ class ArrayStore(Mapping):
     opening an array costs one header read — the payload pages fault in
     lazily and are shared with every other process mapping the bundle.
 
-    Construct via :func:`open_array_store` (from a bundle directory) or
-    :meth:`ArrayStore.eager` (from an in-memory dict).
+    An array opened from a file must have the shape and dtype its
+    manifest entry records (:class:`BundleError` otherwise), so the
+    manifest describes what the loader hands the kernels.
+
+    Construct via :func:`open_array_store`.
     """
 
     def __init__(
-        self,
-        arrays: Optional[Dict[str, np.ndarray]] = None,
-        *,
-        path: Optional[str] = None,
-        files: Optional[Dict[str, str]] = None,
-        mmap: bool = False,
+        self, path: str, files: Dict[str, dict], mmap: bool = False,
         source: str = "<arrays>",
     ):
-        self._cache: Dict[str, np.ndarray] = dict(arrays) if arrays else {}
+        self._cache: Dict[str, np.ndarray] = {}
         self._path = path
-        self._files = dict(files) if files else {}
+        self._files = dict(files)
         self._mmap = bool(mmap)
         self._source = source
-        self._names = tuple(
-            sorted(set(self._cache) | set(self._files))
-        )
-
-    @classmethod
-    def eager(cls, arrays: Dict[str, np.ndarray]) -> "ArrayStore":
-        """Wrap an already-loaded name -> array dict."""
-        return cls(arrays, mmap=False)
+        self._names = tuple(sorted(self._files))
 
     @property
     def mode(self) -> str:
@@ -320,29 +313,40 @@ class ArrayStore(Mapping):
         return iter(self._names)
 
     def __contains__(self, name) -> bool:
-        return name in self._cache or name in self._files
+        return name in self._files
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name in self._cache:
             return self._cache[name]
         try:
-            rel = self._files[name]
+            entry = self._files[name]
         except KeyError:
             raise KeyError(name) from None
+        rel = entry["file"]
         fpath = os.path.join(self._path, rel)
         try:
             if self._mmap:
-                arr = np.load(fpath, mmap_mode="r", allow_pickle=False)
+                arr = np.load(fpath, mmap_mode="r")
             else:
-                arr = np.load(fpath, allow_pickle=False)
+                arr = np.load(fpath)
         except FileNotFoundError:
             raise BundleError(
                 f"{self._source}: missing array file {rel!r} for {name!r}"
             ) from None
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, EOFError) as exc:
             raise BundleError(
                 f"{self._source}: unreadable array {name!r}: {exc}"
             ) from None
+        try:
+            recorded = (list(entry["shape"]), np.dtype(entry["dtype"]))
+        except (KeyError, TypeError, ValueError):
+            recorded = None
+        if recorded != (list(arr.shape), arr.dtype):
+            raise BundleError(
+                f"{self._source}: array {name!r} is {arr.dtype}"
+                f"{list(arr.shape)} but its manifest entry says "
+                f"{entry.get('dtype')!r}{entry.get('shape')!r}"
+            )
         self._cache[name] = arr
         return arr
 
@@ -390,9 +394,9 @@ def open_array_store(
     """Open a bundle directory's arrays as an :class:`ArrayStore`
     (``mmap``: lazy read-only maps instead of in-RAM copies)."""
     files = {
-        name: entry["file"]
+        name: entry
         for name, entry in _array_index(path, manifest).items()
-        if isinstance(entry, dict) and "file" in entry
+        if isinstance(entry, dict) and isinstance(entry.get("file"), str)
     }
     return ArrayStore(path=path, files=files, mmap=mmap, source=path)
 
@@ -414,7 +418,7 @@ def _write_arrays(path: str, arrays: Dict[str, np.ndarray]) -> dict:
         fname = filenames[name]
         fpath = os.path.join(arrays_dir, fname)
         with open(fpath, "wb") as f:
-            np.lib.format.write_array(f, arr, allow_pickle=False)
+            np.lib.format.write_array(f, arr)
         shape, dtype, offset = _npy_header(fpath)
         index[name] = {
             "file": f"{ARRAYS_DIR}/{fname}",
@@ -516,7 +520,7 @@ def _summary_arrays(path: str, manifest: dict) -> list:
 
 
 def bundle_summary(path: str) -> dict:
-    """Describe a bundle without loading (or unpickling) any arrays.
+    """Describe a bundle without loading any arrays.
 
     Everything comes from the manifest's ``array_index`` (zero payload
     I/O beyond one ``stat`` per file), so inspecting a multi-gigabyte
@@ -566,11 +570,14 @@ def load_index(path: str, mmap: bool = False) -> "ANNIndex":
             reading them into RAM.  The index is servable immediately —
             array pages fault in on first touch and live in the OS page
             cache, shared across every process that maps the same
-            bundle.  Ineffective for pickle-serialized bundles.
+            bundle.
 
     Everything goes through the manifest protocol, with
-    :class:`BundleError` on any inconsistency — including a ``path``
-    that is a regular file: nothing outside a bundle is ever unpickled.
+    :class:`BundleError` on any inconsistency — a ``path`` that is a
+    regular file, a serializer other than ``native`` (the
+    object-serialized bundles earlier builds wrote), or arrays that
+    disagree with each other or with the manifest.  Loading never runs
+    code.
 
     Eager and mmap loads reconstruct byte-identical indexes: every
     query answered by an mmap-loaded index returns exactly the ids and

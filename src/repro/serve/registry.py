@@ -1,13 +1,14 @@
-"""Registry of servable index classes.
+"""Registry of index classes, by name.
 
 The persistence layer stores a *registry name* (the class name) in every
-bundle manifest instead of a pickled class reference, so bundles stay
-readable across refactors and loading never imports arbitrary code.  The
-registry is populated lazily from the library's own index modules; any
-external :class:`~repro.base.ANNIndex` subclass can join via
-:func:`register_index` and then round-trips through the same
-``save``/``load`` machinery (with the pickle fallback unless it
-implements the native export hooks).  :class:`IndexSpec` is the
+bundle manifest instead of a class reference, so bundles stay readable
+across refactors and loading never imports arbitrary code.  The registry
+is populated lazily from the library's own index modules, baselines
+included, so :class:`IndexSpec` and the CLI's ``compare`` can name any
+of them; only classes that implement the native export hooks
+(``LCCSLSH``, ``DynamicLCCSLSH``, ``LinearScan``) round-trip through
+``save``/``load``.  Any external :class:`~repro.base.ANNIndex` subclass
+can join via :func:`register_index`.  :class:`IndexSpec` is the
 JSON-safe recipe (registry name + constructor kwargs) that WAL
 directories record in ``durable.json`` to rebuild an index for a
 full-log replay.

@@ -1,0 +1,266 @@
+"""Bundle fuzzer: one change at a time, two allowed outcomes.
+
+A small ``LCCSLSH`` bundle and a small aged ``DynamicLCCSLSH`` bundle
+(several segments, a memtable, tombstones) are written once.  Every
+example copies one of them, changes exactly one thing — a manifest
+``array_index`` shape, dtype or offset, the ``serializer``, the
+``class``, one entry of the dynamic index's segment list, a truncated
+``.npy`` file, or one value written into ``sorted_idx``, ``next_link``
+or ``handles`` — and opens the copy eagerly or memory-mapped.  The only
+allowed outcomes are :class:`BundleError` at load, or ``batch_query`` at
+B = 1 and B = 13 answering with ids in ``[-1, n)``.  Anything else — an
+other exception, an id outside the index, a dead process — fails.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pickle
+import shutil
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import DynamicLCCSLSH, LCCSLSH
+from repro.serve import BundleError, index_registry, load_index, save_index
+
+DIM = 8
+K = 5
+QUERIES = np.random.default_rng(31).normal(size=(13, DIM))
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """``{"lccs": path, "dynamic": path}``: the bundles every example copies."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(30)
+    data = rng.normal(size=(60, DIM))
+    static = LCCSLSH(dim=DIM, m=8, w=2.0, seed=4).fit(data)
+    dynamic = DynamicLCCSLSH(dim=DIM, m=8, w=2.0, seed=4, memtable_size=8)
+    dynamic.fit(data)
+    for _ in range(20):
+        dynamic.insert(rng.normal(size=DIM))
+    for handle in (2, 61, 75):
+        dynamic.delete(handle)
+    assert dynamic.tier_stats()["segments"] >= 2 and dynamic.buffer_size
+    paths = {}
+    for name, index in (("lccs", static), ("dynamic", dynamic)):
+        paths[name] = str(root / f"{name}.bundle")
+        save_index(index, paths[name])
+    return paths
+
+
+def _manifest(path):
+    with open(os.path.join(path, "manifest.json")) as f:
+        return json.load(f)
+
+
+def _write_manifest(path, manifest):
+    with open(os.path.join(path, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+
+
+def _rank_arrays(manifest):
+    """Arrays whose values index rows: CSA ranks and segment handles."""
+    return sorted(
+        name for name in manifest["array_index"]
+        if name.endswith(("csa.sorted_idx", "csa.next_link", ".handles"))
+    )
+
+
+# ----------------------------------------------------------------------
+# Mutations: each takes (path, manifest, data) and changes one thing
+# ----------------------------------------------------------------------
+
+def _entry_field(path, manifest, data):
+    name = data.draw(st.sampled_from(sorted(manifest["array_index"])))
+    entry = manifest["array_index"][name]
+    field = data.draw(st.sampled_from(["shape", "dtype", "offset"]))
+    if field == "shape":
+        shape = list(entry["shape"])
+        entry["shape"] = data.draw(st.one_of(
+            st.just(shape + [1]),
+            st.just(shape[:-1]),
+            st.lists(st.integers(0, 200), max_size=3),
+            st.just(None),
+        ))
+    elif field == "dtype":
+        entry["dtype"] = data.draw(st.sampled_from(
+            ["|u1", "<u2", "<i4", "<i8", "<f8", ">i4", "<f4", "nonsense", 7]
+        ))
+    else:
+        entry["offset"] = data.draw(st.integers(-1, 1 << 20))
+    _write_manifest(path, manifest)
+
+
+def _serializer(path, manifest, data):
+    manifest["serializer"] = data.draw(
+        st.sampled_from(["pickle", "numpy", "", None, 3])
+    )
+    _write_manifest(path, manifest)
+
+
+def _class(path, manifest, data):
+    names = sorted(index_registry())
+    manifest["class"] = data.draw(
+        st.sampled_from(names + ["NoSuchIndex", None, 5, ["LCCSLSH"]])
+    )
+    _write_manifest(path, manifest)
+
+
+def _segment_entry(path, manifest, data):
+    segments = manifest["state"].get("segments")
+    if not segments:  # static bundle: mutate its state instead
+        key = data.draw(st.sampled_from(sorted(manifest["state"])))
+        manifest["state"][key] = data.draw(
+            st.sampled_from([None, 0, 3, -1, "x", [], {}])
+        )
+        _write_manifest(path, manifest)
+        return
+    i = data.draw(st.integers(0, len(segments) - 1))
+    how = data.draw(st.sampled_from(
+        ["drop", "duplicate", "swap", "not-a-dict", "class", "dim", "m",
+         "format_version", "state-key"]
+    ))
+    seg = segments[i]
+    if how == "drop":
+        del segments[i]
+    elif how == "duplicate":
+        segments.insert(i, dict(seg))
+    elif how == "swap" and len(segments) > 1:
+        j = (i + 1) % len(segments)
+        segments[i], segments[j] = segments[j], segments[i]
+    elif how == "not-a-dict":
+        segments[i] = data.draw(st.sampled_from([None, "seg", 1, []]))
+    elif how == "class":
+        seg["class"] = data.draw(st.sampled_from(
+            ["LinearScan", "DynamicLCCSLSH", "E2LSH", "QALSH"]
+        ))
+    elif how == "dim":
+        seg["dim"] = data.draw(st.sampled_from([DIM - 1, DIM + 1, 0]))
+    elif how == "m":
+        seg["state"]["m"] = data.draw(st.sampled_from([2, 4, 16]))
+    elif how == "format_version":
+        seg["format_version"] = data.draw(st.sampled_from([1, 2, 4]))
+    else:
+        key = data.draw(st.sampled_from(sorted(seg["state"])))
+        seg["state"][key] = data.draw(st.sampled_from([None, 0, "x", []]))
+    _write_manifest(path, manifest)
+
+
+def _truncate(path, manifest, data):
+    name = data.draw(st.sampled_from(sorted(manifest["array_index"])))
+    fpath = os.path.join(path, manifest["array_index"][name]["file"])
+    size = os.path.getsize(fpath)
+    keep = data.draw(st.integers(0, size - 1))
+    with open(fpath, "r+b") as f:
+        f.truncate(keep)
+
+
+def _rank_value(path, manifest, data):
+    name = data.draw(st.sampled_from(_rank_arrays(manifest)))
+    fpath = os.path.join(path, manifest["array_index"][name]["file"])
+    arr = np.load(fpath)
+    if arr.size == 0:
+        return
+    info = np.iinfo(arr.dtype)
+    # Out of range (the point of the check) or in range but wrong: the
+    # kernels must survive ranks that are not a permutation, too.
+    bound = arr.shape[-1] if "csa." in name else int(arr.max()) + 1
+    value = data.draw(st.one_of(
+        st.sampled_from([-1, bound, bound + 5, info.max, info.min]),
+        st.integers(int(info.min), int(info.max)),
+        st.integers(0, max(0, bound - 1)),
+    ))
+    flat = arr.reshape(-1).copy()
+    flat[data.draw(st.integers(0, flat.size - 1))] = value
+    np.save(fpath, flat.reshape(arr.shape))
+
+
+MUTATIONS = {
+    "entry": _entry_field,
+    "serializer": _serializer,
+    "class": _class,
+    "segment": _segment_entry,
+    "truncate": _truncate,
+    "rank": _rank_value,
+}
+
+
+def _check_outcome(path, mmap):
+    """BundleError at load, or answers with ids inside the index."""
+    try:
+        index = load_index(path, mmap=mmap)
+    except BundleError:
+        return
+    for batch in (1, 13):
+        ids, dists = index.batch_query(QUERIES[:batch], k=K)
+        assert ids.shape == dists.shape == (batch, K)
+        assert ((ids >= -1) & (ids < index.n)).all(), ids
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kind=st.sampled_from(["lccs", "dynamic"]),
+    mutation=st.sampled_from(sorted(MUTATIONS)),
+    mmap=st.booleans(),
+    data=st.data(),
+)
+def test_mutated_bundle_is_refused_or_answers_inside_the_index(
+    pristine, kind, mutation, mmap, data
+):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "bundle")
+        shutil.copytree(pristine[kind], path)
+        MUTATIONS[mutation](path, _manifest(path), data)
+        _check_outcome(path, mmap)
+
+
+class _TouchOnUnpickle:
+    """Unpickling an instance creates ``path`` (via ``__reduce__``)."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+@pytest.mark.parametrize("kind", ["lccs", "dynamic"])
+def test_pickle_payload_never_runs(pristine, kind, tmp_path, monkeypatch):
+    """A ``__pickle__`` array that would create a file if unpickled,
+    added to a real bundle and named by its manifest (what earlier
+    builds wrote for the baselines): refused before any array is
+    opened, and the file never appears."""
+    sentinel = tmp_path / "unpickled"
+    path = str(tmp_path / "bundle")
+    shutil.copytree(pristine[kind], path)
+    payload = np.frombuffer(
+        pickle.dumps(_TouchOnUnpickle(str(sentinel))), dtype=np.uint8
+    )
+    np.save(os.path.join(path, "arrays", "__pickle__.npy"), payload)
+    manifest = _manifest(path)
+    manifest["serializer"] = "pickle"
+    manifest["array_names"] = ["__pickle__"]
+    manifest["array_index"]["__pickle__"] = {
+        "file": "arrays/__pickle__.npy", "shape": [len(payload)],
+        "dtype": "|u1", "offset": 128, "nbytes": len(payload),
+    }
+    _write_manifest(path, manifest)
+
+    def no_payload_reads(*args, **kwargs):
+        raise AssertionError("a pickle bundle's array was opened")
+
+    monkeypatch.setattr(np, "load", no_payload_reads)
+    for mmap in (False, True):
+        with pytest.raises(BundleError, match="'pickle' is not read"):
+            load_index(path, mmap=mmap)
+    assert not sentinel.exists()

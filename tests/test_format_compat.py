@@ -6,10 +6,11 @@ Format v2 stored them as int64; this library still reads it, encoding
 the int64 strings once at load.  The fixtures under
 ``tests/fixtures/format_v2`` were written by :func:`write_v2_fixtures`
 run on the last v2 release of this library, together with the digests
-of its answers (``expected.json``): a static bundle per code width, a
-pickle-serializer bundle whose pickled CSA holds int64 strings, and a
-durable directory — a v2 snapshot of a dynamic index plus the WAL
-suffix recorded after it.
+of its answers (``expected.json``): a static bundle per code width and
+a durable directory — a v2 snapshot of a dynamic index plus the WAL
+suffix recorded after it.  (The v2 library also wrote pickle-serializer
+bundles for baselines; those are refused now, see
+``test_persistence_roundtrip``.)
 """
 
 import hashlib
@@ -21,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro import DynamicLCCSLSH, IndexSpec, LCCSLSH
-from repro.core.cascade import LCCSCascade
 from repro.data.synthetic import sparse_sets
 from repro.serve import FORMAT_VERSION, load_index, read_manifest, save_index
 from repro.serve.durability import DurableIndex, SnapshotManager, recover
@@ -43,8 +43,6 @@ def _build(name):
     data = np.random.default_rng(20).normal(size=(150, 8))
     if name == "lccs":
         return LCCSLSH(dim=8, m=16, w=1.0, seed=1).fit(data)
-    if name == "cascade":  # no native hooks: the pickle serializer
-        return LCCSCascade(8, 0.5, 4.0, m=16, w=1.0, seed=3).fit(data)
     data = sparse_sets(120, 64, avg_size=8, seed=20).astype(np.float64)
     return LCCSLSH(dim=64, m=8, metric="jaccard", seed=2).fit(data)
 
@@ -62,7 +60,7 @@ def answer_digest(index, queries):
 def write_v2_fixtures(root):
     """Write the fixtures and ``expected.json`` under ``root``."""
     expected = {}
-    for name in ("lccs", "minhash", "cascade"):
+    for name in ("lccs", "minhash"):
         index = _build(name)
         save_index(index, os.path.join(root, f"{name}.bundle"))
         expected[name] = answer_digest(index, _queries(name))
@@ -92,18 +90,15 @@ def _expected():
 
 
 @pytest.mark.parametrize("mmap", [False, True])
-@pytest.mark.parametrize(
-    "name,width", [("lccs", 1), ("minhash", 8), ("cascade", 1)]
-)
+@pytest.mark.parametrize("name,width", [("lccs", 1), ("minhash", 8)])
 def test_v2_bundle_answers_like_the_v2_library(name, width, mmap):
     path = os.path.join(FIXTURES, f"{name}.bundle")
     assert read_manifest(path)["format_version"] == 2
     index = load_index(path, mmap=mmap)
-    lccs = getattr(index, "inner", index)
-    assert lccs.csa.width == width
-    assert lccs.csa.export_arrays()["doubled"].dtype == np.dtype(f"u{width}")
+    assert index.csa.width == width
+    assert index.csa.export_arrays()["doubled"].dtype == np.dtype(f"u{width}")
     assert answer_digest(index, _queries(name)) == _expected()[name]
-    assert lccs.hash_strings.dtype == np.int64
+    assert index.hash_strings.dtype == np.int64
 
 
 @pytest.mark.parametrize("mmap", [False, True])

@@ -7,6 +7,7 @@ from repro import LCCSLSH
 from repro.baselines import E2LSH, FALCONN, LinearScan, MultiProbeLSH
 from repro.data import compute_ground_truth, load_dataset
 from repro.eval import evaluate, pareto_frontier, sweep, grid
+from repro.serve import BundleError
 
 from tests.helpers import average_recall
 
@@ -103,19 +104,27 @@ def test_multiprobe_saves_memory_for_same_recall(sift_small):
 
 
 def test_mixed_serialization(tmp_path, sift_small):
-    """Every index type survives a save/load round trip."""
+    """Every served index type survives a save/load round trip; the
+    hash-table baselines are refused, leaving nothing on disk."""
     ds, gt = sift_small
     indexes = [
         (LCCSLSH(dim=ds.dim, m=16, w=130.0, seed=6), {}),
         (LCCSLSH(dim=ds.dim, m=16, w=130.0, seed=6), {"n_probes": 17}),
-        (E2LSH(dim=ds.dim, K=4, L=8, w=130.0, seed=6), {}),
-        (MultiProbeLSH(dim=ds.dim, K=4, L=4, w=130.0, n_probes=16, seed=6), {}),
+        (LinearScan(dim=ds.dim), {}),
     ]
     q = ds.queries[0]
     for i, (idx, kw) in enumerate(indexes):
         idx.fit(ds.data)
         want = idx.query(q, k=5, **kw)[0].tolist()
-        path = tmp_path / f"{i}_{idx.name.replace(' ', '_')}.pkl"
+        path = tmp_path / f"{i}_{idx.name.replace(' ', '_')}.bundle"
         idx.save(str(path))
         loaded = type(idx).load(str(path))
         assert loaded.query(q, k=5, **kw)[0].tolist() == want
+    for idx in (
+        E2LSH(dim=ds.dim, K=4, L=8, w=130.0, seed=6),
+        MultiProbeLSH(dim=ds.dim, K=4, L=4, w=130.0, n_probes=16, seed=6),
+    ):
+        path = tmp_path / f"{type(idx).__name__}.bundle"
+        with pytest.raises(BundleError, match=type(idx).__name__):
+            idx.fit(ds.data).save(str(path))
+        assert not path.exists()

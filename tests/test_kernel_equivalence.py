@@ -389,10 +389,11 @@ def test_backend_survives_bundle_roundtrip(tmp_path, backend):
 
 
 def test_persisted_unknown_backend_loads_on_the_default(tmp_path):
-    """A pickle or bundle written by an earlier build may record a
-    backend name (``"numpy"``, ``"numba"``, ``"cext"`` or null): it must
-    load on the engine and answer identically, while an unknown name
-    passed by a caller still raises."""
+    """A bundle written by an earlier build may record a backend name
+    (``"numpy"``, ``"numba"``, ``"cext"`` or null): it must load on the
+    engine and answer identically, while an unknown name passed by a
+    caller still raises.  An in-memory pickle of a CSA re-attaches the
+    engine instead of carrying it."""
     import json
     import pickle
 
@@ -406,7 +407,6 @@ def test_persisted_unknown_backend_loads_on_the_default(tmp_path):
 
     state = index.csa.__getstate__()
     assert "_engine" not in state  # the engine is re-attached, not pickled
-    state["_backend"] = "numba"  # what a CSA pickled by an earlier build held
     csa = CircularShiftArray.__new__(CircularShiftArray)
     csa.__setstate__(pickle.loads(pickle.dumps(state)))
     assert csa._engine is kernels.engine()
@@ -488,6 +488,8 @@ def test_mistyped_csa_arrays_are_refused_not_copied(tmp_path):
     ``from_arrays``, or written into a bundle — are refused
     (``ValueError``; ``BundleError`` at load) instead of getting a silent
     private copy; so is an array the engine would have to convert."""
+    import json
+
     from repro.core import CircularShiftArray
     from repro.serve import BundleError, load_index, save_index
 
@@ -507,7 +509,16 @@ def test_mistyped_csa_arrays_are_refused_not_copied(tmp_path):
     save_index(LCCSLSH(dim=8, m=10, seed=8).fit(data), path)
     doubled = os.path.join(path, "arrays", "csa.doubled.npy")
     np.save(doubled, np.load(doubled).astype(np.int32))
-    for mmap in (False, True):
+    for mmap in (False, True):  # the manifest still says uint8
+        with pytest.raises(BundleError, match="manifest entry says"):
+            load_index(path, mmap=mmap)
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    manifest["array_index"]["csa.doubled"]["dtype"] = "<i4"
+    with open(manifest_path, "w") as f:
+        json.dump(manifest, f)
+    for mmap in (False, True):  # file and manifest agree: not codes
         with pytest.raises(BundleError, match="codes"):
             load_index(path, mmap=mmap)
     if COMPILED:

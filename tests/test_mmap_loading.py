@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DynamicLCCSLSH, LCCSLSH
-from repro.baselines import QALSH
+from repro.baselines import LinearScan
 from repro.serve import IndexSpec, load_index, read_manifest, save_index
 
 DIM = 12
@@ -30,7 +30,7 @@ BUILDERS = {
     "LCCSLSH": lambda: LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED),
     "LCCSLSH-probed": lambda: LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED),
     "DynamicLCCSLSH": lambda: DynamicLCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED),
-    "QALSH": lambda: QALSH(dim=DIM, m=8, l=2, w=1.0, beta=0.1, seed=SEED),
+    "LinearScan": lambda: LinearScan(dim=DIM, seed=SEED),
 }
 
 #: query kwargs per builder (default: none)

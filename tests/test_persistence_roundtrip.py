@@ -1,13 +1,15 @@
-"""Save -> load round trips for every index in the serving registry.
+"""Save -> load round trips, and what a bundle refuses to hold.
 
-The equivalence contract: ``fit -> query -> save -> load -> query``
-returns *identical* ``(ids, distances)``, and the loaded index preserves
-``dim`` / ``metric`` / ``seed`` / ``build_time`` and the work counters
-in ``last_stats``.  Native bundles (LCCS family, LinearScan, ...)
-and pickle-fallback bundles (the remaining baselines) go through the
-same assertions.  Corrupt manifests, wrong format versions, unknown
-classes and missing payloads must raise :class:`BundleError` — not
-arbitrary exceptions.
+The equivalence contract for the served indexes (``LCCSLSH``,
+``DynamicLCCSLSH``, ``LinearScan``): ``fit -> query -> save -> load ->
+query`` returns *identical* ``(ids, distances)``, and the loaded index
+preserves ``dim`` / ``metric`` / ``seed`` / ``build_time`` and the work
+counters in ``last_stats``.  Every other registered index is refused at
+save with :class:`BundleError` naming its class, leaving nothing on
+disk.  Corrupt manifests, wrong format versions, unknown classes, pickle
+bundles, missing payloads and arrays that disagree with each other must
+raise :class:`BundleError` — not arbitrary exceptions, and never an
+out-of-bounds read in the kernels.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import json
 import os
 import pickle
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,7 +53,7 @@ DIM = 16
 SEED = 3
 
 #: registry name -> zero-arg builder; the coverage test forces every new
-#: index class to either appear here or explicitly opt out.
+#: index class to appear here, served (round trip) or not (refused).
 BUILDERS = {
     "C2LSH": lambda: C2LSH(dim=DIM, m=8, l=2, w=2.0, beta=0.1, seed=SEED),
     "DynamicLCCSLSH": lambda: DynamicLCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED),
@@ -81,13 +85,11 @@ BUILDERS = {
     ),
 }
 
-#: indexes with native (pickle-free) bundle serializers; the remaining
-#: baselines must still round-trip, just through the documented pickle
-#: fallback
-NATIVE = {
-    "LCCSLSH", "DynamicLCCSLSH", "LinearScan", "QALSH", "SKLSH",
-    "LSBForest", "SRS",
-}
+#: the indexes a bundle holds; every other one is refused at save
+SERVED = {"LCCSLSH", "DynamicLCCSLSH", "LinearScan"}
+#: baselines earlier builds also saved natively; their bundles are
+#: refused at load
+RETIRED_NATIVE = {"QALSH", "SKLSH", "LSBForest", "SRS"}
 
 
 @pytest.fixture(scope="module")
@@ -97,24 +99,30 @@ def workload():
 
 
 def test_builders_cover_registry():
-    """Every registered index class must have a round-trip builder."""
+    """Every registered index class must have a builder here."""
     assert set(BUILDERS) == set(index_registry())
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_fit_save_load_query_identical(name, tmp_path, workload):
+    """Served indexes round-trip; any other is refused by name and
+    leaves no directory behind."""
     data, q = workload
     index = BUILDERS[name]().fit(data)
+    path = str(tmp_path / "bundle")
+    if name not in SERVED:
+        with pytest.raises(BundleError, match=f"{name} cannot be saved"):
+            save_index(index, path)
+        assert not os.path.exists(path)
+        return
     want_ids, want_dists = index.query(q, k=5)
     want_stats = dict(index.last_stats)
-    path = str(tmp_path / "bundle")
     save_index(index, path)
 
     manifest = read_manifest(path)
     assert manifest["format_version"] == FORMAT_VERSION
     assert manifest["class"] == name
-    expected = "native" if name in NATIVE else "pickle"
-    assert manifest["serializer"] == expected
+    assert manifest["serializer"] == "native"
 
     loaded = load_index(path)
     assert type(loaded) is type(index)
@@ -130,12 +138,20 @@ def test_fit_save_load_query_identical(name, tmp_path, workload):
     assert got_dists.tolist() == want_dists.tolist()
 
 
-@pytest.mark.parametrize("name", sorted(NATIVE))
+@pytest.mark.parametrize("name", sorted(SERVED | RETIRED_NATIVE))
 def test_native_bundles_load_without_pickle(name, tmp_path, workload):
-    """Native arrays must be readable with ``allow_pickle=False``."""
+    """Native arrays must be readable with ``allow_pickle=False``; a
+    native manifest naming a baseline whose hooks are gone is refused."""
     data, _ = workload
-    index = BUILDERS[name]().fit(data)
     path = str(tmp_path / "bundle")
+    if name in RETIRED_NATIVE:
+        save_index(LinearScan(dim=DIM, seed=SEED).fit(data), path)
+        _rewrite_manifest(path, **{"class": name})
+        for mmap in (False, True):
+            with pytest.raises(BundleError, match=f"{name} is not served"):
+                load_index(path, mmap=mmap)
+        return
+    index = BUILDERS[name]().fit(data)
     save_index(index, path)
     manifest = read_manifest(path)
     names = sorted(manifest["array_index"])
@@ -413,3 +429,163 @@ def test_pickle_file_is_refused_without_unpickling(tmp_path, capsys):
     assert not sentinel.exists()
     pickle.loads(path.read_bytes()).close()  # the payload was live
     assert sentinel.exists()
+
+
+# ----------------------------------------------------------------------
+# Only what is served is saved (pickle bundles: tests/test_bundle_fuzz.py)
+# ----------------------------------------------------------------------
+
+def test_checkpoint_of_an_unserved_index_is_refused(tmp_path, workload):
+    """A snapshot is a bundle: checkpointing a baseline raises and
+    leaves no snapshot (nor its temporary directory) behind."""
+    from repro.serve import SnapshotManager
+
+    data, _ = workload
+    wal_dir = tmp_path / "wal"
+    snaps = SnapshotManager(str(wal_dir), keep=2)
+    with pytest.raises(BundleError, match="E2LSH cannot be saved"):
+        snaps.take(BUILDERS["E2LSH"]().fit(data), 5)
+    assert snaps.list() == []
+    assert os.listdir(wal_dir / "snapshots") == []
+
+
+def test_dynamic_with_an_object_family_is_refused(tmp_path, workload):
+    """LCCS kwargs that are not JSON-safe (a pre-built family object)
+    cannot be described by a manifest: refused by name, nothing written."""
+    from repro.hashes import make_family
+
+    data, _ = workload
+    family = make_family("euclidean", DIM, 16, seed=SEED, w=2.0)
+    index = DynamicLCCSLSH(dim=DIM, m=16, family=family).fit(data)
+    path = str(tmp_path / "bundle")
+    with pytest.raises(BundleError, match="DynamicLCCSLSH cannot be saved"):
+        save_index(index, path)
+    assert not os.path.exists(path)
+
+
+# ----------------------------------------------------------------------
+# Load checks: arrays the kernels read in place must agree
+# ----------------------------------------------------------------------
+
+def _rewrite_array(path, name, arr, update_manifest=True):
+    """Replace one array file (and, by default, its manifest entry)."""
+    np.save(os.path.join(path, "arrays", f"{name}.npy"), arr)
+    if update_manifest:
+        manifest = read_manifest(path)
+        entry = manifest["array_index"][name]
+        entry["shape"] = list(arr.shape)
+        entry["dtype"] = arr.dtype.str
+        _rewrite_manifest(path, array_index=manifest["array_index"])
+
+
+def test_out_of_range_csa_ranks_are_refused_in_a_subprocess(tmp_path):
+    """Every ``csa.sorted_idx`` entry set to 2e9: the load is refused.
+    Without the check the first batch query read far outside the data
+    and killed the process, so the query runs in a child process."""
+    rng = np.random.default_rng(5)
+    path = str(tmp_path / "bundle")
+    save_index(LCCSLSH(dim=32, m=16, seed=SEED).fit(rng.normal(size=(2000, 32))), path)
+    ranks = np.load(os.path.join(path, "arrays", "csa.sorted_idx.npy"))
+    _rewrite_array(path, "csa.sorted_idx", np.full_like(ranks, 2_000_000_000))
+    script = (
+        "import sys, numpy as np\n"
+        "from repro.serve import BundleError, load_index\n"
+        "for mmap in (False, True):\n"
+        "    try:\n"
+        "        index = load_index(sys.argv[1], mmap=mmap)\n"
+        "    except BundleError as exc:\n"
+        "        print('refused', exc)\n"
+        "        continue\n"
+        "    index.batch_query(np.zeros((4, 32)), k=5)\n"
+        "    print('answered')\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    child = subprocess.run(
+        [sys.executable, "-c", script, path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, (child.returncode, child.stderr)
+    lines = child.stdout.splitlines()
+    assert len(lines) == 2 and all("refused" in line for line in lines), lines
+    assert "sorted_idx holds a rank outside [0, 2000)" in lines[0]
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("metric", ["euclidean", "angular"])
+def test_arrays_that_disagree_with_the_csa_are_refused(tmp_path, metric, mmap):
+    """``data.npy`` cut to 10 rows, its manifest entry updated to match,
+    while the CSA keeps 2000: once loaded with ``n == 10``, it answered
+    with ids past the data and distances read beyond its buffer.  A
+    family projection cut to half its columns no longer hashes to ``m``
+    codes: refused at load, not at the first query."""
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=(2000, 32))
+    path = str(tmp_path / "bundle")
+    save_index(LCCSLSH(dim=32, m=16, metric=metric, seed=SEED).fit(data), path)
+    proj = np.load(os.path.join(path, "arrays", "family.proj.npy"))
+    _rewrite_array(path, "data", data[:10].copy())
+    with pytest.raises(BundleError, match="do not fit"):
+        load_index(path, mmap=mmap)
+    _rewrite_array(path, "data", data)
+    _rewrite_array(path, "family.proj", proj[:, : proj.shape[1] // 2].copy())
+    with pytest.raises(BundleError, match="does not hash dim=32 to m=16"):
+        load_index(path, mmap=mmap)
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_array_that_disagrees_with_its_manifest_entry_is_refused(
+    tmp_path, workload, mmap
+):
+    """The file's header decides what is read; a manifest describing
+    something else is a corrupt bundle."""
+    data, _ = workload
+    path = str(tmp_path / "bundle")
+    save_index(LCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED).fit(data), path)
+    _rewrite_array(path, "data", data[:10].copy(), update_manifest=False)
+    with pytest.raises(BundleError, match="manifest entry says"):
+        load_index(path, mmap=mmap)
+
+
+@pytest.fixture()
+def aged_dynamic_bundle(tmp_path, workload):
+    """A dynamic bundle with two segments, a memtable and tombstones."""
+    data, _ = workload
+    rng = np.random.default_rng(12)
+    index = DynamicLCCSLSH(dim=DIM, m=16, w=2.0, seed=SEED, memtable_size=20)
+    index.fit(data)
+    for _ in range(30):
+        index.insert(rng.normal(size=DIM))
+    index.delete(3)
+    index.delete(len(data) + 25)
+    assert index.tier_stats()["segments"] >= 2 and index.buffer_size
+    path = str(tmp_path / "dyn.bundle")
+    save_index(index, path)
+    return path, len(data) + 30
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_dynamic_handles_are_checked_against_the_store(
+    aged_dynamic_bundle, mmap
+):
+    path, rows = aged_dynamic_bundle
+    pristine = read_manifest(path)
+    handles = np.load(os.path.join(path, "arrays", "seg0.handles.npy"))
+    cases = [
+        ("seg0.handles", lambda: _rewrite_array(
+            path, "seg0.handles", np.where(handles == handles[-1], rows, handles))),
+        ("seg0.handles", lambda: _rewrite_array(
+            path, "seg0.handles", handles[:-1].copy())),
+        ("buffer_handles", lambda: _rewrite_manifest(path, state=dict(
+            pristine["state"], buffer_handles=[rows + 7]))),
+        ("dead", lambda: _rewrite_manifest(path, state=dict(
+            pristine["state"], dead=[-1]))),
+    ]
+    for what, corrupt in cases:
+        corrupt()
+        with pytest.raises(BundleError, match=what):
+            load_index(path, mmap=mmap)
+        _rewrite_array(path, "seg0.handles", handles)
+        _rewrite_manifest(path, state=pristine["state"])
+    assert load_index(path, mmap=mmap).live_count == rows - 2

@@ -214,7 +214,14 @@ def test_overload_sheds_with_explicit_response():
                 for _ in range(6):
                     client.send({"query": q, "k": 3})
                 # The two admitted queries are parked on the gate, so
-                # the four excess requests were shed at read time.
+                # the four excess requests are shed at read time; wait
+                # until the server has read (and shed) all four before
+                # releasing the gate, or an admitted query may finish
+                # first and free a slot for a later one.
+                deadline = time.monotonic() + 30
+                while server.server.metrics.snapshot()["shed_total"] < 4:
+                    assert time.monotonic() < deadline, "never shed 4"
+                    time.sleep(0.005)
                 responses = []
                 gate.set()
                 for _ in range(6):
