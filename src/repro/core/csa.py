@@ -35,6 +35,13 @@ every answer — is the int64 strings' own.  :meth:`CircularShiftArray.encode`
 is the one encoder; raw hash strings are encoded where they enter (the
 ``query_rotations`` and the search entry points), and everything below
 them sees codes.
+
+Ranks are narrow too: ``sorted_idx`` and ``next_link`` hold values in
+``[0, n)``, so every build — engine or rank doubling, at fit, seal,
+compaction or replay — stores them as :func:`rank_dtype` ``(n)``:
+uint16 when ``n <= 65536``, int32 beyond.  Loading also accepts int32
+ranks at any ``n`` (what format-3 bundles hold) and serves them in
+place.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import numpy as np
 from repro import kernels
 from repro.core.lccs import compare_rotations, lcp_length
 
-__all__ = ["ShiftBounds", "CircularShiftArray"]
+__all__ = ["ShiftBounds", "CircularShiftArray", "rank_dtype"]
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -67,6 +74,16 @@ def code_layout(lo: int, hi: int) -> Tuple[int, int]:
         if lo > _INT64_MIN and hi - lo <= 2 ** (8 * width) - 3:
             return width, lo - 1
     return 8, _INT64_MIN
+
+
+def rank_dtype(n: int) -> np.dtype:
+    """The type of ``sorted_idx`` / ``next_link`` for ``n`` strings: the
+    narrowest that holds every rank ``< n`` and that the kernels read —
+    uint16 up to ``n = 65536``, int32 up to ``2**31``; int64 beyond, on
+    the scalar path only."""
+    if n <= 2**16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int32 if n < 2**31 else np.int64)
 
 
 def encode_codes(values, offset: int, width: int) -> np.ndarray:
@@ -123,7 +140,9 @@ class CircularShiftArray:
             (string ids ordered by their ``s``-rotation).
         next_link: ``(m, n)`` — ``next_link[s][j]`` is the rank in
             ``sorted_idx[(s+1) % m]`` of the string at rank ``j`` of
-            ``sorted_idx[s]`` (the paper's ``N``).
+            ``sorted_idx[s]`` (the paper's ``N``).  Both are
+            :func:`rank_dtype` ``(n)`` when built (uint16 up to 65 536
+            strings), or int32 as loaded from a format-3 bundle.
     """
 
     def __init__(self, strings: np.ndarray):
@@ -233,7 +252,7 @@ class CircularShiftArray:
             new_rank[order] = dense
             rank = new_rank.reshape(n, m)
             width *= 2
-        idx_dtype = np.int32 if n < 2**31 else np.int64
+        idx_dtype = rank_dtype(n)
         sorted_idx = np.empty((m, n), dtype=idx_dtype)
         for s in range(m):
             sorted_idx[s] = np.argsort(rank[:, s], kind="stable")
@@ -655,11 +674,13 @@ class CircularShiftArray:
         Arrays are adopted by reference — read-only memory-mapped inputs
         stay memory-mapped, and the CSA never writes to them (queries
         only bisect) — so they must already be what the kernels read in
-        place: C-contiguous native ``uint8/16/32/64`` codes and the
-        build's rank type, every rank in ``[0, n)``.  Raises
-        ``ValueError`` on missing arrays, other dtypes, inconsistent
-        shapes or a rank out of range (one pass over the rank arrays,
-        which touches every page of a memory-mapped bundle).
+        place: C-contiguous native ``uint8/16/32/64`` codes, and ranks
+        of one type — the build's :func:`rank_dtype` ``(n)`` or int32
+        (what format-3 bundles hold at any ``n``) — every rank in
+        ``[0, n)``.  Raises ``ValueError`` on missing arrays, other
+        dtypes, inconsistent shapes or a rank out of range (one pass
+        over the rank arrays, which touches every page of a
+        memory-mapped bundle).
         """
         for key in ("doubled", "offset", "sorted_idx", "next_link"):
             if key not in arrays:
@@ -680,26 +701,33 @@ class CircularShiftArray:
         offset = np.asarray(arrays["offset"])
         if offset.size != 1 or offset.dtype != np.int64:
             raise ValueError(f"{source}: CSA offset must be one int64")
-        idx_dtype = np.int32 if obj.n < 2**31 else np.int64
         sorted_idx = np.asarray(arrays["sorted_idx"])
         next_link = np.asarray(arrays["next_link"])
-        for name, arr, shape, dtype in (
-            ("doubled", doubled, (obj.n, 2 * obj.m), doubled.dtype),
-            ("sorted_idx", sorted_idx, (obj.m, obj.n), idx_dtype),
-            ("next_link", next_link, (obj.m, obj.n), idx_dtype),
+        ranks = {rank_dtype(obj.n)}
+        if obj.n < 2**31:  # the int32 ranks of a format-3 bundle
+            ranks.add(np.dtype(np.int32))
+        for name, arr, shape, dtypes in (
+            ("doubled", doubled, (obj.n, 2 * obj.m), {doubled.dtype}),
+            ("sorted_idx", sorted_idx, (obj.m, obj.n), ranks),
+            ("next_link", next_link, (obj.m, obj.n), ranks),
         ):
             if arr.shape != shape:
                 raise ValueError(f"{source} has inconsistent array shapes")
-            if arr.dtype != dtype or not arr.flags.c_contiguous:
+            if arr.dtype not in dtypes or not arr.flags.c_contiguous:
                 raise ValueError(
                     f"{source}: CSA {name} must be C-contiguous "
-                    f"{np.dtype(dtype)}, got {arr.dtype}"
+                    f"{' or '.join(sorted(map(str, dtypes)))}, got {arr.dtype}"
                 )
         for name, arr in (("sorted_idx", sorted_idx), ("next_link", next_link)):
             if arr.min() < 0 or arr.max() >= obj.n:
                 raise ValueError(
                     f"{source}: CSA {name} holds a rank outside [0, {obj.n})"
                 )
+        if next_link.dtype != sorted_idx.dtype:
+            raise ValueError(
+                f"{source}: CSA next_link is {next_link.dtype} but "
+                f"sorted_idx is {sorted_idx.dtype}"
+            )
         obj.width, obj.offset = width, int(offset.reshape(-1)[0])
         obj._doubled = doubled
         obj.sorted_idx = sorted_idx

@@ -28,9 +28,12 @@ path):
   as ``CircularShiftArray.encode`` (pinned by the tests);
 * the build's output is fully determined by its contract — ``I_s``
   orders ids by their ``s``-rotation, equal rotations by ascending id —
-  so ``csa_build`` and the rank-doubling ``_build`` emit the same int32
-  bytes; it ranks characters by exact int64 order, never by a range
-  assumption;
+  so ``csa_build`` and the rank-doubling ``_build`` emit the same bytes
+  (ranks as ``rank_dtype(n)``: uint16 up to 65 536 strings, int32
+  beyond); it ranks characters by exact int64 order, never by a range
+  assumption.  The query kernels read either rank type: like ``W``,
+  the rank width is a compile-time constant of each specialisation
+  (``BY_LAYOUT``);
 * the merge pops walks in the scalar heap's canonical ``(-lcp, sid,
   shift, rank)`` order, packed into one int64 key;
 * verification never re-computes float distances: ``gather_diff`` only
@@ -47,8 +50,9 @@ per-index constant arrays are remembered per array *object*
 (:class:`_AddressCache`) and so re-taken whenever one is replaced: fit,
 store growth, seal/compaction and unpickling all invalidate them by
 construction.  Every constant array is read in place — ``uintW``
-codes, ``sorted_idx``/``next_link`` as the int32 the CSA build emits;
-the cache refuses an array of another type rather than copying it.
+codes, ``sorted_idx``/``next_link`` as the uint16 or int32 the CSA
+holds; the cache refuses an array of another type rather than copying
+it.
 Search and merge share one entry point (``repro_search_merge``) so the
 four ``(Q, m)`` bound arrays never leave C.
 
@@ -74,6 +78,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.csa import rank_dtype
+
 __all__ = ["CExtBackend"]
 
 _C_SOURCE = r"""
@@ -83,7 +89,9 @@ _C_SOURCE = r"""
 #include <string.h>
 #include <time.h>
 
-/* sorted_idx / next_link element: the CSA build emits int32 (n < 2^31) */
+/* The CSA build's ranks and scratch: int32 (n < 2^31).  The CSA keeps
+   sorted_idx / next_link as uint16 when n <= 65536 and as int32 beyond;
+   the query kernels read either through rank_at. */
 typedef int32_t idx_t;
 
 #define INLINE static inline __attribute__((always_inline))
@@ -107,6 +115,19 @@ typedef int32_t idx_t;
     default: call(8); break; \
     }
 
+/* Run call(W, R) with the code width W and the rank width R (2: uint16
+   ranks, 4: int32) both compile-time constants: one specialisation per
+   layout, no branch on either in the inner loops. */
+#define BY_RANKS(ranks, call, w) \
+    if ((ranks) == 2) call(w, 2); else call(w, 4);
+#define BY_LAYOUT(width, ranks, call) \
+    switch (width) { \
+    case 1: BY_RANKS(ranks, call, 1) break; \
+    case 2: BY_RANKS(ranks, call, 2) break; \
+    case 4: BY_RANKS(ranks, call, 4) break; \
+    default: BY_RANKS(ranks, call, 8) break; \
+    }
+
 static int64_t clip64(int64_t v, int64_t lo, int64_t hi) {
     return v < lo ? lo : (v > hi ? hi : v);
 }
@@ -125,6 +146,12 @@ INLINE uint64_t char_at(const uint8_t *p, int64_t j, int w) {
     case 4: { uint32_t c; memcpy(&c, p + 4 * j, 4); return c; }
     default: { uint64_t c; memcpy(&c, p + 8 * j, 8); return c; }
     }
+}
+
+/* Entry i of a rank array (sorted_idx / next_link) of r-byte entries. */
+INLINE int64_t rank_at(const void *p, int64_t i, int r) {
+    if (r == 2) return ((const uint16_t *)p)[i];
+    return ((const int32_t *)p)[i];
 }
 
 INLINE void put_char(uint8_t *p, int64_t j, uint64_t c, int w) {
@@ -180,15 +207,16 @@ INLINE int cmp_rot(const uint8_t *row, const uint8_t *q, int64_t m, int w,
     return char_at(row, j, w) < char_at(q, j, w) ? -1 : 1;
 }
 
-INLINE void search_one(const uint8_t *doubled, const idx_t *idxs, int64_t n,
-                       int64_t m, int w, int64_t s, const uint8_t *q,
-                       int64_t lo, int64_t hi, int64_t *pl, int64_t *pu,
-                       int64_t *ll, int64_t *lu) {
+/* Bisection of shift s; idxs is that shift's row of sorted_idx. */
+INLINE void search_one(const uint8_t *doubled, const void *idxs, int r,
+                       int64_t n, int64_t m, int w, int64_t s,
+                       const uint8_t *q, int64_t lo, int64_t hi, int64_t *pl,
+                       int64_t *pu, int64_t *ll, int64_t *lu) {
     int64_t row_bytes = 2 * m * w;
     const uint8_t *rot = doubled + s * w;
     while (lo < hi) {
         int64_t mid = (lo + hi) >> 1;
-        if (cmp_rot(rot + (int64_t)idxs[mid] * row_bytes, q, m, w, 0) <= 0)
+        if (cmp_rot(rot + rank_at(idxs, mid, r) * row_bytes, q, m, w, 0) <= 0)
             lo = mid + 1;
         else
             hi = mid;
@@ -198,15 +226,15 @@ INLINE void search_one(const uint8_t *doubled, const idx_t *idxs, int64_t n,
     *ll = 0;
     *lu = 0;
     if (*pl >= 0)
-        cmp_rot(rot + (int64_t)idxs[*pl] * row_bytes, q, m, w, ll);
+        cmp_rot(rot + rank_at(idxs, *pl, r) * row_bytes, q, m, w, ll);
     if (*pu < n)
-        cmp_rot(rot + (int64_t)idxs[*pu] * row_bytes, q, m, w, lu);
+        cmp_rot(rot + rank_at(idxs, *pu, r) * row_bytes, q, m, w, lu);
 }
 
 /* Kernel 1a: independent windowed bisections (the multi-probe lanes);
    q_rots is (B, m) query codes. */
-INLINE void search_lanes_w(const uint8_t *doubled, const idx_t *sorted_idx,
-                           int64_t n, int64_t m, int w, int64_t B,
+INLINE void search_lanes_w(const uint8_t *doubled, const uint8_t *sorted_idx,
+                           int r, int64_t n, int64_t m, int w, int64_t B,
                            const int64_t *shifts, const uint8_t *q_rots,
                            const int64_t *lo_in, const int64_t *hi_in,
                            int64_t *pos_lower, int64_t *pos_upper,
@@ -214,71 +242,73 @@ INLINE void search_lanes_w(const uint8_t *doubled, const idx_t *sorted_idx,
     int64_t b;
     for (b = 0; b < B; b++) {
         int64_t s = shifts[b];
-        search_one(doubled, sorted_idx + s * n, n, m, w, s, q_rots + b * m * w,
-                   lo_in[b], hi_in[b], pos_lower + b, pos_upper + b,
-                   len_lower + b, len_upper + b);
+        search_one(doubled, sorted_idx + s * n * r, r, n, m, w, s,
+                   q_rots + b * m * w, lo_in[b], hi_in[b], pos_lower + b,
+                   pos_upper + b, len_lower + b, len_upper + b);
     }
 }
 
 void repro_search_lanes(const uint8_t *doubled, int64_t width,
-                        const idx_t *sorted_idx, int64_t n, int64_t m,
-                        int64_t B, const int64_t *shifts,
+                        const uint8_t *sorted_idx, int64_t ranks, int64_t n,
+                        int64_t m, int64_t B, const int64_t *shifts,
                         const uint8_t *q_rots, const int64_t *lo_in,
                         const int64_t *hi_in, int64_t *pos_lower,
                         int64_t *pos_upper, int64_t *len_lower,
                         int64_t *len_upper) {
-#define CALL(w) search_lanes_w(doubled, sorted_idx, n, m, w, B, shifts, \
-                               q_rots, lo_in, hi_in, pos_lower, pos_upper, \
-                               len_lower, len_upper)
-    BY_WIDTH(width, CALL)
+#define CALL(w, r) search_lanes_w(doubled, sorted_idx, r, n, m, w, B, shifts, \
+                                  q_rots, lo_in, hi_in, pos_lower, pos_upper, \
+                                  len_lower, len_upper)
+    BY_LAYOUT(width, ranks, CALL)
 #undef CALL
 }
 
 /* Phase 1 of Algorithm 2 for one doubled query, with Lemma 3.1
    windowing through the next links. */
-INLINE void search_query(const uint8_t *doubled, const idx_t *sorted_idx,
-                         const idx_t *next_link, int64_t n, int64_t m, int w,
-                         const uint8_t *qd, int64_t *pl, int64_t *pu,
-                         int64_t *ll, int64_t *lu) {
+INLINE void search_query(const uint8_t *doubled, const uint8_t *sorted_idx,
+                         const uint8_t *next_link, int r, int64_t n,
+                         int64_t m, int w, const uint8_t *qd, int64_t *pl,
+                         int64_t *pu, int64_t *ll, int64_t *lu) {
     int64_t s;
     for (s = 0; s < m; s++) {
         int64_t lo = 0, hi = n;
         if (s > 0 && ll[s - 1] >= 1 && lu[s - 1] >= 1) {
-            const idx_t *nl = next_link + (s - 1) * n;
-            int64_t wlo = nl[clip64(pl[s - 1], 0, n - 1)];
-            int64_t whi = nl[clip64(pu[s - 1], 0, n - 1)];
+            const uint8_t *nl = next_link + (s - 1) * n * r;
+            int64_t wlo = rank_at(nl, clip64(pl[s - 1], 0, n - 1), r);
+            int64_t whi = rank_at(nl, clip64(pu[s - 1], 0, n - 1), r);
             if (wlo > whi) { wlo = 0; whi = n - 1; } /* defensive */
             lo = wlo;
             hi = whi + 1;
         }
-        search_one(doubled, sorted_idx + s * n, n, m, w, s, qd + s * w, lo,
-                   hi, pl + s, pu + s, ll + s, lu + s);
+        search_one(doubled, sorted_idx + s * n * r, r, n, m, w, s, qd + s * w,
+                   lo, hi, pl + s, pu + s, ll + s, lu + s);
     }
 }
 
 /* Kernel 1b: phase 1 for a whole batch of (Q, 2m) doubled query codes,
    bounds returned as (Q, m). */
-INLINE void search_all_w(const uint8_t *doubled, const idx_t *sorted_idx,
-                         const idx_t *next_link, int64_t n, int64_t m, int w,
-                         int64_t Q, const uint8_t *qds, int64_t *pos_lower,
-                         int64_t *pos_upper, int64_t *len_lower,
-                         int64_t *len_upper) {
+INLINE void search_all_w(const uint8_t *doubled, const uint8_t *sorted_idx,
+                         const uint8_t *next_link, int r, int64_t n,
+                         int64_t m, int w, int64_t Q, const uint8_t *qds,
+                         int64_t *pos_lower, int64_t *pos_upper,
+                         int64_t *len_lower, int64_t *len_upper) {
     int64_t qi;
     for (qi = 0; qi < Q; qi++)
-        search_query(doubled, sorted_idx, next_link, n, m, w,
+        search_query(doubled, sorted_idx, next_link, r, n, m, w,
                      qds + qi * 2 * m * w, pos_lower + qi * m,
                      pos_upper + qi * m, len_lower + qi * m,
                      len_upper + qi * m);
 }
 
 void repro_search_all(const uint8_t *doubled, int64_t width,
-                      const idx_t *sorted_idx, const idx_t *next_link,
-                      int64_t n, int64_t m, int64_t Q, const uint8_t *qds,
-                      int64_t *pos_lower, int64_t *pos_upper,
-                      int64_t *len_lower, int64_t *len_upper) {
-#define CALL(w) search_all_w(doubled, sorted_idx, next_link, n, m, w, Q, qds, \
-                             pos_lower, pos_upper, len_lower, len_upper)
-    BY_WIDTH(width, CALL)
+                      const uint8_t *sorted_idx, const uint8_t *next_link,
+                      int64_t ranks, int64_t n, int64_t m, int64_t Q,
+                      const uint8_t *qds, int64_t *pos_lower,
+                      int64_t *pos_upper, int64_t *len_lower,
+                      int64_t *len_upper) {
+#define CALL(w, r) search_all_w(doubled, sorted_idx, next_link, r, n, m, w, Q, \
+                                qds, pos_lower, pos_upper, len_lower, \
+                                len_upper)
+    BY_LAYOUT(width, ranks, CALL)
 #undef CALL
 }
 
@@ -308,8 +338,8 @@ static void sift_up(uint64_t *hkey, int32_t *hdir, int64_t i) {
    rank) keys.  All fields decode back from the key, so the heap carries
    only (key, direction).  hkey/hdir are scratch of size 2m; a string is
    seen when seen_epoch[sid] == epoch.  Returns the number emitted. */
-INLINE int64_t merge_query(const uint8_t *doubled, const idx_t *sorted_idx,
-                           int64_t n, int64_t m, int w, int64_t kcap,
+INLINE int64_t merge_query(const uint8_t *doubled, const uint8_t *sorted_idx,
+                           int r, int64_t n, int64_t m, int w, int64_t kcap,
                            const uint8_t *qd, const int64_t *pos_lower,
                            const int64_t *pos_upper, const int64_t *len_lower,
                            const int64_t *len_upper, int64_t sh_shift,
@@ -325,14 +355,14 @@ INLINE int64_t merge_query(const uint8_t *doubled, const idx_t *sorted_idx,
         int64_t pl = pos_lower[s];
         int64_t pu = pos_upper[s];
         if (pl >= 0) {
-            uint64_t sid = (uint64_t)sorted_idx[s * n + pl];
+            uint64_t sid = (uint64_t)rank_at(sorted_idx, s * n + pl, r);
             uint64_t key = ((uint64_t)(m - len_lower[s]) << sh_len)
                          | (sid << sh_sid)
                          | ((uint64_t)s << sh_shift) | (uint64_t)pl;
             hkey[hs] = key; hdir[hs] = -1; sift_up(hkey, hdir, hs); hs++;
         }
         if (pu < n) {
-            uint64_t sid = (uint64_t)sorted_idx[s * n + pu];
+            uint64_t sid = (uint64_t)rank_at(sorted_idx, s * n + pu, r);
             uint64_t key = ((uint64_t)(m - len_upper[s]) << sh_len)
                          | (sid << sh_sid)
                          | ((uint64_t)s << sh_shift) | (uint64_t)pu;
@@ -354,7 +384,7 @@ INLINE int64_t merge_query(const uint8_t *doubled, const idx_t *sorted_idx,
         }
         int64_t npos = pos + dir;
         if (npos >= 0 && npos < n) {
-            int64_t nsid = sorted_idx[sh * n + npos];
+            int64_t nsid = rank_at(sorted_idx, sh * n + npos, r);
             int64_t nlen = first_diff(doubled + nsid * row_bytes + sh * w,
                                       qd + sh * w, m, w);
             hkey[0] = ((uint64_t)(m - nlen) << sh_len)
@@ -381,9 +411,9 @@ INLINE int64_t merge_query(const uint8_t *doubled, const idx_t *sorted_idx,
    seconds spent in phase 1 (encoding included), so callers can still
    attribute the two stages.  Returns -1 when the scratch cannot be
    allocated. */
-INLINE int search_merge_w(const uint8_t *doubled, const idx_t *sorted_idx,
-                          const idx_t *next_link, int64_t n, int64_t m, int w,
-                          int64_t offset, int64_t Q, int64_t k,
+INLINE int search_merge_w(const uint8_t *doubled, const uint8_t *sorted_idx,
+                          const uint8_t *next_link, int r, int64_t n,
+                          int64_t m, int w, int64_t offset, int64_t Q, int64_t k,
                           const int64_t *queries, int64_t sh_shift,
                           int64_t sh_sid, int64_t sh_len, int64_t *out_ids,
                           int64_t *out_lens, int64_t *offsets,
@@ -406,11 +436,11 @@ INLINE int search_merge_w(const uint8_t *doubled, const idx_t *sorted_idx,
         for (j = 0; j < m; j++)
             put_char(qd, j, encode_char(queries[qi * m + j], offset, w), w);
         memcpy(qd + m * w, qd, (size_t)(m * w));
-        search_query(doubled, sorted_idx, next_link, n, m, w, qd, pl, pu, ll,
-                     lu);
+        search_query(doubled, sorted_idx, next_link, r, n, m, w, qd, pl, pu,
+                     ll, lu);
         spent += now_s() - t0;
         offsets[qi + 1] = offsets[qi] + merge_query(
-            doubled, sorted_idx, n, m, w, kcap, qd, pl, pu, ll, lu, sh_shift,
+            doubled, sorted_idx, r, n, m, w, kcap, qd, pl, pu, ll, lu, sh_shift,
             sh_sid, sh_len, out_ids + offsets[qi], out_lens + offsets[qi],
             hkey, hdir, seen_epoch, (int32_t)(epoch_base + qi + 1));
     }
@@ -420,19 +450,21 @@ INLINE int search_merge_w(const uint8_t *doubled, const idx_t *sorted_idx,
 }
 
 int repro_search_merge(const uint8_t *doubled, int64_t width, int64_t offset,
-                       const idx_t *sorted_idx, const idx_t *next_link,
-                       int64_t n, int64_t m, int64_t Q, int64_t k,
+                       const uint8_t *sorted_idx, const uint8_t *next_link,
+                       int64_t ranks, int64_t n, int64_t m, int64_t Q,
+                       int64_t k,
                        const int64_t *queries, int64_t sh_shift,
                        int64_t sh_sid, int64_t sh_len, int64_t *out_ids,
                        int64_t *out_lens, int64_t *offsets,
                        int32_t *seen_epoch, int64_t epoch_base,
                        double *search_s) {
     int rc = 0;
-#define CALL(w) rc = search_merge_w(doubled, sorted_idx, next_link, n, m, w, \
-                                    offset, Q, k, queries, sh_shift, sh_sid, \
-                                    sh_len, out_ids, out_lens, offsets, \
-                                    seen_epoch, epoch_base, search_s)
-    BY_WIDTH(width, CALL)
+#define CALL(w, r) rc = search_merge_w(doubled, sorted_idx, next_link, r, n, \
+                                       m, w, offset, Q, k, queries, sh_shift, \
+                                       sh_sid, sh_len, out_ids, out_lens, \
+                                       offsets, seen_epoch, epoch_base, \
+                                       search_s)
+    BY_LAYOUT(width, ranks, CALL)
 #undef CALL
     return rc;
 }
@@ -655,6 +687,8 @@ _P = ctypes.c_void_p
 _L = ctypes.c_int64
 #: the CSA's character codes, by width in bytes
 _CODES = {w: np.dtype(f"u{w}") for w in (1, 2, 4, 8)}
+#: the CSA's rank types (``sorted_idx`` / ``next_link``) the kernels read
+_RANKS = (np.dtype(np.uint16), np.dtype(np.int32))
 
 
 def _addr(arr: np.ndarray) -> int:
@@ -724,16 +758,16 @@ def _load_library() -> ctypes.CDLL:
     lib = ctypes.CDLL(_compile_library())
     lib.repro_search_lanes.restype = None
     lib.repro_search_lanes.argtypes = [
-        _P, _L, _P, _L, _L, _L, _P, _P, _P, _P, _P, _P, _P, _P,
+        _P, _L, _P, _L, _L, _L, _L, _P, _P, _P, _P, _P, _P, _P, _P,
     ]
     lib.repro_search_all.restype = None
     lib.repro_search_all.argtypes = [
-        _P, _L, _P, _P, _L, _L, _L, _P, _P, _P, _P, _P,
+        _P, _L, _P, _P, _L, _L, _L, _L, _P, _P, _P, _P, _P,
     ]
     lib.repro_search_merge.restype = ctypes.c_int
     lib.repro_search_merge.argtypes = [
-        _P, _L, _L, _P, _P, _L, _L, _L, _L, _P, _L, _L, _L, _P, _P, _P, _P,
-        _L, _P,
+        _P, _L, _L, _P, _P, _L, _L, _L, _L, _L, _P, _L, _L, _L, _P, _P, _P,
+        _P, _L, _P,
     ]
     lib.repro_encode.restype = None
     lib.repro_encode.argtypes = [_P, _L, _L, _L, _P]
@@ -821,16 +855,21 @@ class CExtBackend:
         self._seen = _SeenScratch()
         self._addresses = _AddressCache()
 
-    def _csa_pointers(self, csa) -> Tuple[int, int, int]:
-        """``(doubled, sorted_idx, next_link)`` as the kernels read them:
-        ``uint{8 width}`` codes, int32 ranks (what the CSA build emits)."""
+    def _csa_pointers(self, csa) -> Tuple[int, int, int, int]:
+        """``(doubled, sorted_idx, next_link, rank width)`` as the kernels
+        read them: ``uint{8 width}`` codes, and uint16 or int32 ranks
+        (2 or 4 bytes), both rank arrays alike."""
         if csa.n >= 2**31:
             raise OverflowError("the C kernels index strings with int32 ranks")
+        ranks = csa.sorted_idx.dtype
+        if ranks not in _RANKS:
+            raise TypeError(f"the kernels read uint16 or int32 ranks, got {ranks}")
         of = self._addresses.of
         return (
             of(csa._doubled, _CODES[csa.width]),
-            of(csa.sorted_idx, np.int32),
-            of(csa.next_link, np.int32),
+            of(csa.sorted_idx, ranks),
+            of(csa.next_link, ranks),
+            ranks.itemsize,
         )
 
     # -- CSA kernels ---------------------------------------------------
@@ -844,7 +883,7 @@ class CExtBackend:
         hi: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Independent windowed bisections of ``(B, m)`` query codes."""
-        doubled, sorted_idx, _ = self._csa_pointers(csa)
+        doubled, sorted_idx, _, ranks = self._csa_pointers(csa)
         B = len(shifts)
         n = csa.n
         shifts = np.ascontiguousarray(shifts, dtype=np.int64)
@@ -862,7 +901,7 @@ class CExtBackend:
         out = np.empty((4, B), dtype=np.int64)
         base, step = _addr(out), 8 * B
         self._lib.repro_search_lanes(
-            doubled, csa.width, sorted_idx, n, csa.m, B, _addr(shifts),
+            doubled, csa.width, sorted_idx, ranks, n, csa.m, B, _addr(shifts),
             _addr(q_rots), _addr(lo), _addr(hi), base, base + step,
             base + 2 * step, base + 3 * step,
         )
@@ -872,15 +911,15 @@ class CExtBackend:
         self, csa, qds: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Phase 1 for ``(Q, 2m)`` doubled query codes."""
-        doubled, sorted_idx, next_link = self._csa_pointers(csa)
+        doubled, sorted_idx, next_link, ranks = self._csa_pointers(csa)
         Q = len(qds)
         n, m = csa.n, csa.m
         qds = self._codes(csa, qds)
         out = np.empty((4, Q, m), dtype=np.int64)
         base, step = _addr(out), 8 * Q * m
         self._lib.repro_search_all(
-            doubled, csa.width, sorted_idx, next_link, n, m, Q, _addr(qds),
-            base, base + step, base + 2 * step, base + 3 * step,
+            doubled, csa.width, sorted_idx, next_link, ranks, n, m, Q,
+            _addr(qds), base, base + step, base + 2 * step, base + 3 * step,
         )
         return out[0], out[1], out[2], out[3]
 
@@ -902,7 +941,7 @@ class CExtBackend:
         ``search_s`` is the time the kernel spent in phase 1 (the rest of
         the call is the merge).
         """
-        doubled, sorted_idx, next_link = self._csa_pointers(csa)
+        doubled, sorted_idx, next_link, ranks = self._csa_pointers(csa)
         queries = np.ascontiguousarray(queries, dtype=np.int64)
         Q = len(queries)
         n, m = csa.n, csa.m
@@ -914,7 +953,8 @@ class CExtBackend:
         search_s = ctypes.c_double()
         seen, epoch = self._seen.reserve(n, Q)
         if self._lib.repro_search_merge(
-            doubled, csa.width, csa.offset, sorted_idx, next_link, n, m, Q, k,
+            doubled, csa.width, csa.offset, sorted_idx, next_link, ranks, n, m,
+            Q, k,
             _addr(queries), sh_shift, sh_sid, sh_len, _addr(out_ids),
             _addr(out_lens), _addr(offsets), seen, epoch,
             ctypes.byref(search_s),
@@ -948,9 +988,10 @@ class CExtBackend:
 
     def csa_build(self, strings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(sorted_idx, next_link)`` of ``(n, m)`` int64 ``strings``
-        (``n < 2**31``): byte-identical to ``CircularShiftArray._build``,
-        which ranks the codes of the same strings (codes order as the
-        values do)."""
+        (``n < 2**31``) as ``rank_dtype(n)``: byte-identical to
+        ``CircularShiftArray._build``, which ranks the codes of the same
+        strings (codes order as the values do).  The C build works in
+        int32; the narrow copy replaces it before this returns."""
         n, m = strings.shape
         if not (0 < n < 2**31 and m > 0):
             raise ValueError(f"cannot build a CSA of shape {strings.shape}")
@@ -962,7 +1003,11 @@ class CExtBackend:
             _addr(sorted_idx), _addr(next_link),
         ):
             raise MemoryError("CSA build: cannot allocate scratch")
-        return sorted_idx, next_link
+        ranks = rank_dtype(n)
+        return (
+            sorted_idx.astype(ranks, copy=False),
+            next_link.astype(ranks, copy=False),
+        )
 
     # -- verification kernels ------------------------------------------
 

@@ -6,9 +6,10 @@ This package turns the in-process indexes into servable artifacts:
   A bundle is a directory of ``manifest.json`` (format version, registry
   class name, ``dim``/``metric``/``seed``, build time, work counters,
   JSON-safe native state, per-array file/shape/dtype/offset index) plus
-  one raw ``.npy`` file per array.  Format 3 stores each CSA's hash
-  strings as narrow unsigned codes plus an offset; format-2 bundles
-  (int64 strings) still load, encoded once.  ``load_index(path,
+  one raw ``.npy`` file per array.  Format 4 stores each CSA's hash
+  strings as narrow unsigned codes plus an offset, and its ranks as
+  uint16 up to 65 536 strings; format-3 bundles (int32 ranks) load as
+  they are, format-2 bundles (int64 strings) load encoded once.  ``load_index(path,
   mmap=True)`` opens a bundle as read-only memory maps through the
   :class:`~repro.serve.persistence.ArrayStore` abstraction — cold start
   in milliseconds, one page-cache copy of the data shared by every
@@ -17,8 +18,8 @@ This package turns the in-process indexes into servable artifacts:
   through their native export hooks; saving any other index raises
   :class:`~repro.serve.persistence.BundleError`, and so does loading a
   pickle bundle an earlier build wrote, a corrupt manifest, another
-  ``format_version``, an unknown class or arrays that disagree with
-  each other.  Loading never runs code.
+  ``format_version``, an unknown class, arrays that disagree with
+  each other or a manifest naming a file outside the bundle.  Loading never runs code.
 * :mod:`repro.serve.registry` — name -> class registry the manifests
   reference, so loading a bundle never imports a class reference,
   and :class:`~repro.serve.registry.IndexSpec`, the JSON-safe index

@@ -15,9 +15,12 @@ A *bundle* is a directory::
 The CSA of an LCCS-LSH index is stored as ``csa.doubled`` — the doubled
 hash strings as unsigned codes of the narrowest of 1/2/4/8 bytes that
 holds their range — ``csa.offset`` (the int64 value of code 0),
-``csa.sorted_idx`` and ``csa.next_link`` (int32).  That is format 3;
-format 2 stored ``csa.doubled`` as int64 with no offset, and still
-loads: its strings are encoded once at load, into private memory.
+``csa.sorted_idx`` and ``csa.next_link`` (uint16 for a CSA of at most
+65 536 strings, int32 beyond).  That is format 4.  Format 3 stored the
+ranks as int32 at every size; its bundles load and are served in place,
+eager or memory-mapped.  Format 2 also stored ``csa.doubled`` as int64
+with no offset, and still loads: its strings are encoded once at load,
+into private memory.
 
 Because every array is a plain contiguous ``.npy`` file, the whole
 bundle can be opened with ``np.load(..., mmap_mode="r")``:
@@ -41,9 +44,10 @@ refused before any array is opened, and so is any path that is not a
 bundle directory.
 
 Loading checks every array the kernels read in place against the rest
-of the bundle: each file's shape and dtype against the manifest, CSA
-ranks against the row count, the data against the CSA, and a dynamic
-index's handles against its row store.  A bundle that fails a check is
+of the bundle: that its file lies inside the bundle's ``arrays/``
+directory (symlinks resolved), each file's shape and dtype against the
+manifest, CSA ranks against the row count, the data against the CSA,
+and a dynamic index's handles against its row store.  A bundle that fails a check is
 :class:`BundleError`, eagerly or memory-mapped alike, never an
 out-of-bounds read.
 
@@ -55,7 +59,7 @@ index classes must treat loaded state as immutable and copy-on-write
 anything they need to change.
 
 Errors are reported as :class:`BundleError` (corrupt or missing
-manifest, a ``format_version`` other than 2 or 3, a serializer other
+manifest, a ``format_version`` other than 2, 3 or 4, a serializer other
 than ``native``, unknown or unservable registry class, missing,
 mis-typed or inconsistent arrays), so callers can distinguish bad
 bundles from programming errors.
@@ -89,13 +93,14 @@ __all__ = [
     "read_manifest",
 ]
 
-#: the bundle layout written; bump when it changes incompatibly.  3:
-#: each CSA stores its hash strings as narrow unsigned codes plus an
-#: offset (``csa.doubled`` uint8/16/32/64, ``csa.offset``)
-FORMAT_VERSION = 3
-#: layouts read: 2 stored the CSA strings as int64, which are encoded
-#: once at load
-READ_VERSIONS = (2, 3)
+#: the bundle layout written; bump when it changes incompatibly.  4: a
+#: CSA of at most 65 536 strings stores its ranks (``csa.sorted_idx``,
+#: ``csa.next_link``) as uint16
+FORMAT_VERSION = 4
+#: layouts read: 3 stored every CSA's ranks as int32, served as they
+#: are; 2 also stored the CSA strings as int64, which are encoded once
+#: at load
+READ_VERSIONS = (2, 3, 4)
 MANIFEST_NAME = "manifest.json"
 #: directory of one raw .npy file per array
 ARRAYS_DIR = "arrays"
@@ -323,7 +328,7 @@ class ArrayStore(Mapping):
         except KeyError:
             raise KeyError(name) from None
         rel = entry["file"]
-        fpath = os.path.join(self._path, rel)
+        fpath = _array_path(self._path, rel, name, self._source)
         try:
             if self._mmap:
                 arr = np.load(fpath, mmap_mode="r")
@@ -349,6 +354,22 @@ class ArrayStore(Mapping):
             )
         self._cache[name] = arr
         return arr
+
+
+def _array_path(path: str, rel, name: str, source: str) -> str:
+    """The file array ``name`` is read from: ``rel`` (its manifest entry's
+    ``file``) resolved against the bundle, symlinks included.
+    :class:`BundleError` unless it lies inside the bundle's
+    ``arrays/`` — a manifest cannot point the loader at other files."""
+    root = os.path.realpath(os.path.join(path, ARRAYS_DIR))
+    if isinstance(rel, str):
+        fpath = os.path.realpath(os.path.join(path, rel))
+        if os.path.dirname(fpath) == root:
+            return fpath
+    raise BundleError(
+        f"{source}: array {name!r} names file {rel!r}, which is not in "
+        f"the bundle's {ARRAYS_DIR}/ directory"
+    )
 
 
 def _array_filenames(names) -> Dict[str, str]:
@@ -502,7 +523,7 @@ def _summary_arrays(path: str, manifest: dict) -> list:
             ) from None
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         try:
-            stored = int(os.path.getsize(os.path.join(path, rel)))
+            stored = int(os.path.getsize(_array_path(path, rel, name, path)))
         except OSError:
             raise BundleError(
                 f"{path}: missing array file {rel!r} for {name!r}"

@@ -5,11 +5,14 @@ A small ``LCCSLSH`` bundle and a small aged ``DynamicLCCSLSH`` bundle
 example copies one of them, changes exactly one thing — a manifest
 ``array_index`` shape, dtype or offset, the ``serializer``, the
 ``class``, one entry of the dynamic index's segment list, a truncated
-``.npy`` file, or one value written into ``sorted_idx``, ``next_link``
-or ``handles`` — and opens the copy eagerly or memory-mapped.  The only
-allowed outcomes are :class:`BundleError` at load, or ``batch_query`` at
-B = 1 and B = 13 answering with ids in ``[-1, n)``.  Anything else — an
-other exception, an id outside the index, a dead process — fails.
+``.npy`` file, one value written into ``sorted_idx``, ``next_link``
+or ``handles``, the type of one such array (manifest entry to match), or
+an array's file moved out of the bundle with its entry pointing at it —
+and opens the copy eagerly or memory-mapped.  The only allowed outcomes
+are :class:`BundleError` at load, or ``batch_query`` at B = 1 and B = 13
+answering with ids in ``[-1, n)``; a bundle whose manifest names a file
+outside it must be refused.  Anything else — an other exception, an id
+outside the index, a dead process — fails.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def _segment_entry(path, manifest, data):
     elif how == "m":
         seg["state"]["m"] = data.draw(st.sampled_from([2, 4, 16]))
     elif how == "format_version":
-        seg["format_version"] = data.draw(st.sampled_from([1, 2, 4]))
+        seg["format_version"] = data.draw(st.sampled_from([1, 2, 5]))
     else:
         key = data.draw(st.sampled_from(sorted(seg["state"])))
         seg["state"][key] = data.draw(st.sampled_from([None, 0, "x", []]))
@@ -171,14 +174,45 @@ def _rank_value(path, manifest, data):
     # Out of range (the point of the check) or in range but wrong: the
     # kernels must survive ranks that are not a permutation, too.
     bound = arr.shape[-1] if "csa." in name else int(arr.max()) + 1
+    specials = [-1, bound, bound + 5, info.max, info.min]
     value = data.draw(st.one_of(
-        st.sampled_from([-1, bound, bound + 5, info.max, info.min]),
+        st.sampled_from([v for v in specials if info.min <= v <= info.max]),
         st.integers(int(info.min), int(info.max)),
         st.integers(0, max(0, bound - 1)),
     ))
     flat = arr.reshape(-1).copy()
     flat[data.draw(st.integers(0, flat.size - 1))] = value
     np.save(fpath, flat.reshape(arr.shape))
+
+
+def _rank_dtype(path, manifest, data):
+    """One rank or handle array re-typed, its manifest entry to match:
+    narrowed values wrap, and the two rank arrays of a CSA may differ."""
+    name = data.draw(st.sampled_from(_rank_arrays(manifest)))
+    entry = manifest["array_index"][name]
+    fpath = os.path.join(path, entry["file"])
+    dtype = np.dtype(data.draw(st.sampled_from(
+        ["u1", "<u2", "<i2", "<i4", "<u4", "<i8", ">i4", "<f8"]
+    )))
+    np.save(fpath, np.load(fpath).astype(dtype))
+    entry["dtype"] = dtype.str
+    _write_manifest(path, manifest)
+
+
+def _escape(path, manifest, data):
+    """One array's file moved out of the bundle, its manifest entry
+    naming the new place by absolute path or by ``../``.  Refused."""
+    name = data.draw(st.sampled_from(sorted(manifest["array_index"])))
+    entry = manifest["array_index"][name]
+    outside = os.path.join(os.path.dirname(path), "outside")
+    os.makedirs(outside, exist_ok=True)
+    moved = os.path.join(outside, os.path.basename(entry["file"]))
+    shutil.move(os.path.join(path, entry["file"]), moved)
+    entry["file"] = data.draw(st.sampled_from(
+        [moved, os.path.relpath(moved, path)]
+    ))
+    _write_manifest(path, manifest)
+    return True
 
 
 MUTATIONS = {
@@ -188,15 +222,19 @@ MUTATIONS = {
     "segment": _segment_entry,
     "truncate": _truncate,
     "rank": _rank_value,
+    "rank-dtype": _rank_dtype,
+    "escape": _escape,
 }
 
 
-def _check_outcome(path, mmap):
-    """BundleError at load, or answers with ids inside the index."""
+def _check_outcome(path, mmap, refuse=False):
+    """BundleError at load, or (unless ``refuse``) answers with ids
+    inside the index."""
     try:
         index = load_index(path, mmap=mmap)
     except BundleError:
         return
+    assert not refuse, "loaded a bundle that must be refused"
     for batch in (1, 13):
         ids, dists = index.batch_query(QUERIES[:batch], k=K)
         assert ids.shape == dists.shape == (batch, K)
@@ -220,8 +258,8 @@ def test_mutated_bundle_is_refused_or_answers_inside_the_index(
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "bundle")
         shutil.copytree(pristine[kind], path)
-        MUTATIONS[mutation](path, _manifest(path), data)
-        _check_outcome(path, mmap)
+        refuse = MUTATIONS[mutation](path, _manifest(path), data)
+        _check_outcome(path, mmap, refuse=bool(refuse))
 
 
 class _TouchOnUnpickle:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core import CircularShiftArray, brute_force_k_lccs, lccs_length, shift
+from repro.core.csa import rank_dtype
 
 INT64 = np.iinfo(np.int64)
 
@@ -75,7 +76,7 @@ def engine():
 
 def _assert_same_build(got, want):
     for g, w in zip(got, want):
-        assert g.dtype == w.dtype == np.int32
+        assert g.dtype == w.dtype == rank_dtype(g.shape[1])
         assert g.tobytes() == w.tobytes()
 
 
@@ -176,7 +177,7 @@ def test_engine_build_sha1_at_serving_scale(engine, family):
     fallback = csa._build()
     assert _sha1(csa.sorted_idx) == _sha1(fallback[0])
     assert _sha1(csa.next_link) == _sha1(fallback[1])
-    assert csa.sorted_idx.dtype == fallback[0].dtype == np.int32
+    assert csa.sorted_idx.dtype == fallback[0].dtype == np.uint16
 
 
 def test_strings_are_stored_as_int64_codes():

@@ -1,9 +1,15 @@
-"""Bundle format v3 (narrow CSA codes) and reading what v2 wrote.
+"""Bundle format v4 (narrow CSA ranks) and reading what v2 and v3 wrote.
 
 Format v3 stores each CSA's hash strings as unsigned codes of the
-narrowest width that holds them, plus the offset that decodes them.
-Format v2 stored them as int64; this library still reads it, encoding
-the int64 strings once at load.  The fixtures under
+narrowest width that holds them, plus the offset that decodes them;
+format v4 also stores the ranks of a CSA of at most 65 536 strings as
+uint16.  A v3 bundle's int32 ranks load as they are, in place.  The
+fixtures under ``tests/fixtures/format_v3`` were written by
+:func:`write_v3_fixtures` run on the last v3 release of this library,
+with the digests of their answers.
+
+Format v2 stored the strings as int64; this library still reads it,
+encoding the int64 strings once at load.  The fixtures under
 ``tests/fixtures/format_v2`` were written by :func:`write_v2_fixtures`
 run on the last v2 release of this library, together with the digests
 of its answers (``expected.json``): a static bundle per code width and
@@ -25,8 +31,10 @@ from repro import DynamicLCCSLSH, IndexSpec, LCCSLSH
 from repro.data.synthetic import sparse_sets
 from repro.serve import FORMAT_VERSION, load_index, read_manifest, save_index
 from repro.serve.durability import DurableIndex, SnapshotManager, recover
+from tests.helpers import _csas
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "format_v2")
+V3_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "format_v3")
 K = 5
 SPEC = IndexSpec(
     "DynamicLCCSLSH", dim=8, m=16, w=1.0, seed=7, memtable_size=8
@@ -84,8 +92,28 @@ def write_v2_fixtures(root):
         json.dump(expected, f, indent=1, sort_keys=True)
 
 
-def _expected():
-    with open(os.path.join(FIXTURES, "expected.json")) as f:
+def write_v3_fixtures(root):
+    """Write a static and a dynamic (several segments) bundle and their
+    ``expected.json`` under ``root``."""
+    index = _build("lccs")
+    save_index(index, os.path.join(root, "lccs.bundle"))
+    expected = {"lccs": answer_digest(index, _queries("lccs"))}
+    rng = np.random.default_rng(23)
+    dynamic = SPEC.build()
+    dynamic.fit(rng.normal(size=(60, 8)))
+    for _ in range(40):
+        dynamic.insert(rng.normal(size=8))
+    for handle in (3, 61, 95):
+        dynamic.delete(handle)
+    assert dynamic.tier_stats()["segments"] >= 2
+    save_index(dynamic, os.path.join(root, "dynamic.bundle"))
+    expected["dynamic"] = answer_digest(dynamic, _queries("dynamic"))
+    with open(os.path.join(root, "expected.json"), "w") as f:
+        json.dump(expected, f, indent=1, sort_keys=True)
+
+
+def _expected(root=FIXTURES):
+    with open(os.path.join(root, "expected.json")) as f:
         return json.load(f)
 
 
@@ -113,16 +141,36 @@ def test_v2_durable_directory_recovers(tmp_path, mmap):
     assert digest == _expected()["durable"]
 
 
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize("name", ["lccs", "dynamic"])
+def test_v3_bundle_serves_int32_ranks_in_place(name, mmap):
+    """A v3 bundle's int32 ranks are what the loaded CSAs hold — the
+    arrays read from the bundle, memory maps when ``mmap`` — and the
+    answers are the v3 library's."""
+    path = os.path.join(V3_FIXTURES, f"{name}.bundle")
+    assert read_manifest(path)["format_version"] == 3
+    index = load_index(path, mmap=mmap)
+    csas = _csas(index)
+    assert len(csas) == (1 if name == "lccs" else 2)
+    for csa in csas:
+        for ranks in (csa.sorted_idx, csa.next_link):
+            assert ranks.dtype == np.int32
+            assert isinstance(ranks.base, np.memmap) == mmap
+    assert answer_digest(index, _queries(name)) == _expected(V3_FIXTURES)[name]
+
+
 @pytest.mark.parametrize("name", ["lccs", "minhash"])
 def test_save_writes_v3_codes(tmp_path, name):
     index = _build(name)
     path = str(tmp_path / "bundle")
     save_index(index, path)
     manifest = read_manifest(path)
-    assert manifest["format_version"] == FORMAT_VERSION == 3
+    assert manifest["format_version"] == FORMAT_VERSION == 4
     codes = manifest["array_index"]["csa.doubled"]
     assert np.dtype(codes["dtype"]) == np.dtype(f"u{index.csa.width}")
     assert "csa.offset" in manifest["array_index"]
+    for ranks in ("csa.sorted_idx", "csa.next_link"):
+        assert manifest["array_index"][ranks]["dtype"] == "<u2"
     for mmap in (False, True):
         loaded = load_index(path, mmap=mmap)
         assert answer_digest(loaded, _queries(name)) == _expected()[name]

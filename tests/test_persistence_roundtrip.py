@@ -250,8 +250,8 @@ def test_bundle_summary_reads_headers_without_loading(
     assert by_name["seg0.inner.csa.doubled"]["dtype"] == "uint8"
     for name in ("seg0.inner.csa.sorted_idx", "seg0.inner.csa.next_link"):
         assert by_name[name]["shape"] == (16, n)
-        assert by_name[name]["dtype"] == "int32"
-        assert by_name[name]["bytes"] == 16 * n * 4
+        assert by_name[name]["dtype"] == "uint16"
+        assert by_name[name]["bytes"] == 16 * n * 2
     assert summary["total_bytes"] == sum(a["bytes"] for a in summary["arrays"])
     assert summary["total_stored_bytes"] > summary["total_bytes"]
 
@@ -479,14 +479,17 @@ def _rewrite_array(path, name, arr, update_manifest=True):
 
 
 def test_out_of_range_csa_ranks_are_refused_in_a_subprocess(tmp_path):
-    """Every ``csa.sorted_idx`` entry set to 2e9: the load is refused.
-    Without the check the first batch query read far outside the data
-    and killed the process, so the query runs in a child process."""
+    """Every ``csa.sorted_idx`` entry set to 2e9, as int32 ranks (the
+    format-3 type, still read): the load is refused.  Without the check
+    the first batch query read far outside the data and killed the
+    process, so the query runs in a child process."""
     rng = np.random.default_rng(5)
     path = str(tmp_path / "bundle")
     save_index(LCCSLSH(dim=32, m=16, seed=SEED).fit(rng.normal(size=(2000, 32))), path)
     ranks = np.load(os.path.join(path, "arrays", "csa.sorted_idx.npy"))
-    _rewrite_array(path, "csa.sorted_idx", np.full_like(ranks, 2_000_000_000))
+    _rewrite_array(
+        path, "csa.sorted_idx", np.full(ranks.shape, 2_000_000_000, np.int32)
+    )
     script = (
         "import sys, numpy as np\n"
         "from repro.serve import BundleError, load_index\n"
@@ -546,6 +549,36 @@ def test_array_that_disagrees_with_its_manifest_entry_is_refused(
     _rewrite_array(path, "data", data[:10].copy(), update_manifest=False)
     with pytest.raises(BundleError, match="manifest entry says"):
         load_index(path, mmap=mmap)
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("spelling", ["absolute", "dotdot", "symlink"])
+def test_array_files_outside_the_bundle_are_refused(tmp_path, spelling, mmap):
+    """``arrays/data.npy`` moved out of a 50-row bundle, its manifest
+    entry pointing at the new place by absolute path or ``../``, or a
+    symlink left in its place: the file is outside the bundle, so the
+    load is refused — before, each loaded with ``n == 50``."""
+    from repro.serve.persistence import bundle_summary
+
+    rng = np.random.default_rng(13)
+    path = str(tmp_path / "bundle")
+    save_index(LCCSLSH(dim=DIM, m=8, seed=SEED).fit(rng.normal(size=(50, DIM))), path)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    moved = str(outside / "data.npy")
+    shutil.move(os.path.join(path, "arrays", "data.npy"), moved)
+    if spelling == "symlink":
+        os.symlink(moved, os.path.join(path, "arrays", "data.npy"))
+    else:
+        manifest = read_manifest(path)
+        manifest["array_index"]["data"]["file"] = (
+            moved if spelling == "absolute" else "../outside/data.npy"
+        )
+        _rewrite_manifest(path, array_index=manifest["array_index"])
+    with pytest.raises(BundleError, match="not in the bundle's arrays/"):
+        load_index(path, mmap=mmap)
+    with pytest.raises(BundleError, match="not in the bundle's arrays/"):
+        bundle_summary(path)
 
 
 @pytest.fixture()
