@@ -17,9 +17,7 @@ before timing is trusted.  Workloads:
 
 Each run records the index's own per-stage wall-clock
 (``stage_{hash,search,merge,verify}_s``) so the speedup is attributable
-per stage.  An extra row benches the engine's opt-in
-``verify_dtype="float32"`` screen (with exact float64 re-rank) on the
-Euclidean workload.
+per stage.
 
 Two last tables use random-projection strings (SIFT-like data, w=256:
 the e2e bundle's family, 1-byte codes) and MinHash strings (8-byte
@@ -104,26 +102,21 @@ def bench_workload(
     nq = len(queries)
     engine = index.csa._engine
     rows = []
-    variants = [("scalar", "float64"), ("cext", "float64")]
-    if workload == "euclidean":
-        variants.append(("cext", "float32"))  # the engine's opt-in screen
-    for path, vdtype in variants:
+    for path in ("scalar", "cext"):
         index.csa._engine = engine if path == "cext" else None
-        index.verify_dtype = vdtype
         best, stages, ids, dists = _time_path(index, queries, k, repeats)
         if path == "scalar":
             ref_ids, ref_dists, ref_qps = ids, dists, nq / best
         else:
             assert np.array_equal(ids, ref_ids), (
-                f"{path}/{vdtype} ids diverge from the scalar path on {workload}"
+                f"{path} ids diverge from the scalar path on {workload}"
             )
             assert np.array_equal(dists, ref_dists), (
-                f"{path}/{vdtype} dists diverge from the scalar path on {workload}"
+                f"{path} dists diverge from the scalar path on {workload}"
             )
         rows.append(
             {
                 "backend": path,
-                "verify_dtype": vdtype,
                 "batch_seconds": best,
                 "qps": nq / best,
                 "speedup_vs_scalar": (nq / best) / ref_qps,
@@ -132,7 +125,6 @@ def bench_workload(
             }
         )
     index.csa._engine = engine
-    index.verify_dtype = "float64"
     return {
         "workload": {
             "name": workload,
@@ -254,18 +246,17 @@ def _md_build_table(rows) -> str:
 
 def _md_table(section: dict) -> str:
     lines = [
-        "| path | verify | batch(s) | QPS | vs scalar | "
+        "| path | batch(s) | QPS | vs scalar | "
         "hash(ms) | W | search(ms) | merge(ms) | verify(ms) |",
-        "|---|---|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|---|---|",
     ]
     for r in section["backends"]:
         st = r["stages_s"]
         lines.append(
-            "| {backend} | {vd} | {bs:.4f} | {qps:.0f} | {sp:.2f}x | "
+            "| {backend} | {bs:.4f} | {qps:.0f} | {sp:.2f}x | "
             "{h:.1f} | {w} | {s:.1f} | {m:.1f} | {v:.1f} |".format(
                 backend=r["backend"],
                 w=section["workload"]["width"],
-                vd=r["verify_dtype"],
                 bs=r["batch_seconds"],
                 qps=r["qps"],
                 sp=r["speedup_vs_scalar"],
@@ -302,7 +293,7 @@ def main(argv=None) -> int:
         sections[workload] = section
         for r in section["backends"]:
             print(
-                f"  {r['backend']:>6}/{r['verify_dtype']}: "
+                f"  {r['backend']:>6}: "
                 f"{r['batch_seconds']:.4f}s  {r['qps']:.0f} QPS  "
                 f"{r['speedup_vs_scalar']:.2f}x vs scalar"
             )
@@ -346,8 +337,7 @@ def main(argv=None) -> int:
     )
     md.append(
         "\nEvery engine row is byte-identical to the scalar path (asserted "
-        "in-bench before timing is reported); `verify=float32` is the "
-        "opt-in reduced-precision screen with exact float64 re-rank."
+        "in-bench before timing is reported)."
     )
     for workload, section in sections.items():
         w = section["workload"]
@@ -356,10 +346,7 @@ def main(argv=None) -> int:
             f"Q={w['queries']}, k={w['k']})\n"
         )
         md.append(_md_table(section))
-        best = next(
-            r for r in section["backends"]
-            if r["backend"] == "cext" and r["verify_dtype"] == "float64"
-        )
+        best = next(r for r in section["backends"] if r["backend"] == "cext")
         md.append(
             f"\nHeadline: the engine reaches **{best['qps']:.0f} QPS** "
             f"({best['speedup_vs_scalar']:.2f}x the scalar path) on a "

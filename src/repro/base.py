@@ -26,7 +26,15 @@ import numpy as np
 
 from repro.distances import pairwise, pairwise_rows
 
-__all__ = ["ANNIndex"]
+__all__ = ["ANNIndex", "widened"]
+
+
+def widened(data: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ``data[ids]`` as float64, the type every distance is computed
+    in.  A store may hold its vectors narrower (:mod:`repro.core.store`);
+    widening before any arithmetic is exact, where ``uint8 - uint8``
+    would wrap."""
+    return np.asarray(data[ids], dtype=np.float64)
 
 
 class ANNIndex(abc.ABC):
@@ -92,11 +100,12 @@ class ANNIndex(abc.ABC):
         """Approximate top-``k``: returns ``(ids, distances)``.
 
         Both arrays are sorted by ascending distance and may be shorter
-        than ``k`` if the index surfaced fewer candidates.
+        than ``k`` if the index surfaced fewer candidates.  ``q`` is
+        read as float64, whatever its type.
         """
         if not self.is_fitted:
             raise RuntimeError("index must be fitted before querying")
-        q = np.asarray(q)
+        q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValueError(f"query must have shape ({self.dim},), got {q.shape}")
         if k <= 0:
@@ -117,7 +126,7 @@ class ANNIndex(abc.ABC):
         """
         if not self.is_fitted:
             raise RuntimeError("index must be fitted before querying")
-        queries = np.asarray(queries)
+        queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
             raise ValueError("queries must be 2-d")
         if queries.shape[1] != self.dim:
@@ -280,7 +289,7 @@ class ANNIndex(abc.ABC):
         )
         if len(candidate_ids) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        dists = pairwise(self._data[candidate_ids], q, self.metric)
+        dists = pairwise(widened(self._data, candidate_ids), q, self.metric)
         order = np.lexsort((candidate_ids, dists))[: min(k, len(candidate_ids))]
         return candidate_ids[order], dists[order]
 
@@ -311,7 +320,7 @@ class ANNIndex(abc.ABC):
         flat_ids = np.concatenate(uniq)
         rep_queries = np.repeat(np.asarray(queries), counts, axis=0)
         flat_dists = pairwise_rows(
-            self._data[flat_ids], rep_queries, self.metric
+            widened(self._data, flat_ids), rep_queries, self.metric
         )
         offsets = np.concatenate([[0], np.cumsum(counts)])
         out: List[Tuple[np.ndarray, np.ndarray]] = []

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.base import ANNIndex
+from repro.base import ANNIndex, widened
 from repro.core.lccs_lsh import LCCSLSH, check_probes
 from repro.core.segments import (
     CompactionManager,
@@ -64,6 +64,7 @@ from repro.core.segments import (
     merge_range,
     merge_segments,
 )
+from repro.core.store import check_store, narrow_store, widen_for
 from repro.distances import pairwise, pairwise_rows
 from repro.obs.tracing import span as obs_span
 
@@ -299,8 +300,9 @@ class DynamicLCCSLSH(ANNIndex):
         return Segment(self._make_inner().fit(self._vectors[handles]), handles)
 
     def _fit(self, data: np.ndarray) -> None:
-        self._store = np.array(data, dtype=np.float64, copy=True)
+        self._store = narrow_store(data, copy=True)
         self._size = len(data)
+        self._data = self._vectors
         handles = list(range(len(data)))
         self._state = _DynState((), handles, set(handles), set())
         self._rebuild()
@@ -503,18 +505,24 @@ class DynamicLCCSLSH(ANNIndex):
         """Add one vector; returns its stable handle.
 
         Amortised O(d): the backing store doubles when full rather than
-        reallocating per insert.  The row is fully written to the store
-        before its handle is published to the memtable, so an
-        interleaved reader never sees a half-initialised point.
+        reallocating per insert.  A vector the store's type cannot hold
+        exactly widens the store in that same copy (never back).  The
+        row is fully written to the store before its handle is published
+        to the memtable, so an interleaved reader never sees a
+        half-initialised point.
         """
         if self._store is None:
             raise RuntimeError("fit the index before inserting")
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim,):
             raise ValueError(f"vector must have shape ({self.dim},)")
-        if self._size == len(self._store):
+        dtype = widen_for(self._store.dtype, vector)
+        full = self._size == len(self._store)
+        if full or dtype != self._store.dtype:
             grown = np.empty(
-                (max(4, 2 * len(self._store)), self.dim), dtype=np.float64
+                (max(4, 2 * len(self._store)) if full else len(self._store),
+                 self.dim),
+                dtype=dtype,
             )
             grown[: self._size] = self._store[: self._size]
             self._store = grown
@@ -653,7 +661,7 @@ class DynamicLCCSLSH(ANNIndex):
         for h in buffer:
             if h in state.dead:
                 continue
-            d = float(pairwise(self._vectors[h : h + 1], q, self.metric)[0])
+            d = float(pairwise(widened(self._vectors, [h]), q, self.metric)[0])
             pairs.append((d, h))
         self.last_stats["buffer_scanned"] = float(len(buffer))
         pairs.sort()
@@ -701,7 +709,7 @@ class DynamicLCCSLSH(ANNIndex):
             # scan, so results stay bit-identical under every metric.
             # Chunked over queries to bound the tiled temporaries at
             # ~8M elements regardless of Q x memtable size.
-            buf = self._vectors[live_buffer]
+            buf = widened(self._vectors, live_buffer)
             nb = len(buf)
             chunk = max(1, (1 << 23) // max(1, nb * self.dim))
             buffer_dists = np.empty((Q, nb))
@@ -830,7 +838,10 @@ class DynamicLCCSLSH(ANNIndex):
         state = manifest["state"]
         kwargs = dict(state["lccs_kwargs"])
         kwargs.setdefault("seed", manifest["seed"])
-        kwargs.pop("backend", None)  # recorded by earlier builds; selects nothing
+        # recorded by earlier builds: backend selects nothing, and the
+        # verify_dtype knob is gone
+        kwargs.pop("backend", None)
+        kwargs.pop("verify_dtype", None)
         memtable_size = state.get("memtable_size")
         index = cls(
             dim=int(manifest["dim"]),
@@ -849,6 +860,7 @@ class DynamicLCCSLSH(ANNIndex):
             store = arrays["store"]
             if store.ndim != 2 or store.shape[1] != index.dim:
                 raise ValueError(f"store of shape {store.shape}")
+            check_store(store, manifest.get("format_version"))
             index._store = np.ascontiguousarray(store)
             index._size = rows = len(index._store)
             index._data = index._vectors
@@ -964,4 +976,4 @@ class DynamicLCCSLSH(ANNIndex):
             seg.contains(handle) for seg in state.segments
         ):
             raise KeyError(f"handle {handle} is deleted")
-        return self._vectors[handle].copy()
+        return self._vectors[handle].astype(np.float64)

@@ -36,6 +36,7 @@ from repro import kernels
 from repro.base import ANNIndex
 from repro.core.csa import CircularShiftArray
 from repro.core.perturbation import generate_perturbation_vectors
+from repro.core.store import check_store, narrow_store
 from repro.hashes import HashFamily, make_family
 from repro.kernels import verify as kernel_verify
 
@@ -83,10 +84,11 @@ class LCCSLSH(ANNIndex):
         backend: ``None`` or ``"cext"``, which insists on the compiled
             engine (``RuntimeError`` where it cannot be built); selects
             nothing else — see :func:`repro.kernels.check_backend`.
-        verify_dtype: ``"float64"`` (default, exact) or ``"float32"``
-            (opt-in: candidates are screened with reduced-precision
-            distances and the surviving top-``k`` margin re-ranked with
-            the exact float64 kernel).
+
+    The fitted vectors are kept in the narrowest type that holds them
+    exactly (:func:`repro.core.store.narrow_store`: SIFT-like integers
+    0..255 take one byte each); distances are computed on their float64
+    values, so answers do not depend on it.
 
     Example:
         >>> import numpy as np
@@ -110,18 +112,12 @@ class LCCSLSH(ANNIndex):
         cp_dim: int = 32,
         seed: Optional[int] = None,
         backend: Optional[str] = None,
-        verify_dtype: str = "float64",
     ):
         super().__init__(dim, metric, seed)
         if m <= 1:
             raise ValueError("hash-string length m must exceed 1")
-        if verify_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"verify_dtype must be 'float64' or 'float32', got {verify_dtype!r}"
-            )
         kernels.check_backend(backend)
         self.m = int(m)
-        self.verify_dtype = verify_dtype
         if family is not None:
             if family.dim != dim or family.m != m:
                 raise ValueError(
@@ -140,9 +136,9 @@ class LCCSLSH(ANNIndex):
 
     def _fit(self, data: np.ndarray) -> None:
         self.csa = CircularShiftArray(self.family.hash(data))
-        # Verification caches are keyed on the data array; drop stale ones.
+        self._data = narrow_store(data)
+        # The packed-bits cache is keyed on the data array; drop it.
         self._kv_packed = None
-        self._kv_data32 = None
 
     @property
     def hash_strings(self) -> Optional[np.ndarray]:
@@ -423,16 +419,14 @@ class LCCSLSH(ANNIndex):
     # stored them as int64, which the CSA encodes once at load.  The
     # kernels read the CSA and the data in place, so loading checks that
     # they agree: one data row of ``dim`` values per CSA string, of the
-    # index's length ``m``.
+    # index's length ``m``, in one of the store types (format 5; earlier
+    # formats stored float64, served as it is).  A ``verify_dtype``
+    # field that earlier builds recorded is ignored.
     # ------------------------------------------------------------------
 
     def _export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         family_meta, family_arrays = self.family.export_state()
-        state = {
-            "m": self.m,
-            "family": family_meta,
-            "verify_dtype": self.verify_dtype,
-        }
+        state = {"m": self.m, "family": family_meta}
         arrays = {f"family.{key}": val for key, val in family_arrays.items()}
         if self._data is not None:
             arrays["data"] = self._data
@@ -462,7 +456,6 @@ class LCCSLSH(ANNIndex):
             m=int(state["m"]),
             family=family,
             seed=manifest["seed"],
-            verify_dtype=state.get("verify_dtype", "float64"),
         )
         index.metric = manifest["metric"]
         csa_arrays = {
@@ -483,7 +476,6 @@ class LCCSLSH(ANNIndex):
                     f"(n={index.csa.n}, m={index.csa.m}) do not fit an "
                     f"index of dim={index.dim}, m={index.m}"
                 )
-            index._data = data
+            index._data = check_store(data, manifest.get("format_version"))
         index._kv_packed = None
-        index._kv_data32 = None
         return index

@@ -38,9 +38,10 @@ path):
   shift, rank)`` order, packed into one int64 key;
 * verification never re-computes float distances: ``gather_diff`` only
   performs the IEEE-exact elementwise subtraction (the reduction stays
-  on the shared NumPy ``einsum``), ``topk_select`` only *compares*
-  float64 values produced by the shared kernels, and the popcount path
-  is integer-exact.  The whole file is compiled without
+  on the shared NumPy ``einsum``) of rows read in the store's own type
+  and widened exactly to float64 (one specialisation per store type),
+  ``topk_select`` only *compares* float64 values produced by the shared
+  kernels, and the popcount path is integer-exact.  The whole file is compiled without
   ``-ffast-math``; there is no floating-point arithmetic to contract.
 
 Call cost (what makes a batch of one cheap): every pointer crosses as a
@@ -79,6 +80,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.csa import rank_dtype
+from repro.core.store import STORE_DTYPES
 
 __all__ = ["CExtBackend"]
 
@@ -619,21 +621,37 @@ int repro_csa_build(const int64_t *strings, int64_t n, int64_t m,
 
 /* Kernel 3a: fused gather-and-subtract for float64 verification.
    Query qi owns rows offsets[qi] .. offsets[qi+1]):
-   out[r,:] = data[ids[r],:] - queries[qi,:] — elementwise IEEE
-   subtraction only; the reduction stays on the shared NumPy einsum. */
-void repro_gather_diff(const double *data, int64_t d, const int64_t *ids,
-                       const int64_t *offsets, int64_t Q,
+   out[r,:] = (double)data[ids[r],:] - queries[qi,:] — elementwise IEEE
+   subtraction only; the reduction stays on the shared NumPy einsum.
+   The store holds each value in the narrowest exact type (store: 0..5
+   = uint8, int8, uint16, int16, float32, float64); widening an exact
+   integer or a float32 to double is exact, so the differences are the
+   float64 store's bit for bit.  One specialisation per store type. */
+#define GATHER_DIFF(T) { \
+    const T *rows = (const T *)data; \
+    for (qi = 0; qi < Q; qi++) { \
+        const double *b = queries + qi * d; \
+        for (r = offsets[qi]; r < offsets[qi + 1]; r++) { \
+            const T *a = rows + ids[r] * d; \
+            double *o = out + r * d; \
+            for (j = 0; j < d; j++) o[j] = (double)a[j] - b[j]; \
+        } \
+    } \
+}
+void repro_gather_diff(const void *data, int64_t store, int64_t d,
+                       const int64_t *ids, const int64_t *offsets, int64_t Q,
                        const double *queries, double *out) {
     int64_t qi, r, j;
-    for (qi = 0; qi < Q; qi++) {
-        const double *b = queries + qi * d;
-        for (r = offsets[qi]; r < offsets[qi + 1]; r++) {
-            const double *a = data + ids[r] * d;
-            double *o = out + r * d;
-            for (j = 0; j < d; j++) o[j] = a[j] - b[j];
-        }
+    switch (store) {
+    case 0: GATHER_DIFF(uint8_t) break;
+    case 1: GATHER_DIFF(int8_t) break;
+    case 2: GATHER_DIFF(uint16_t) break;
+    case 3: GATHER_DIFF(int16_t) break;
+    case 4: GATHER_DIFF(float) break;
+    default: GATHER_DIFF(double) break;
     }
 }
+#undef GATHER_DIFF
 
 /* Kernel 3b: row-wise Hamming distance over bit-packed uint64 words. */
 void repro_hamming_packed(const uint64_t *a, const uint64_t *b, int64_t rows,
@@ -774,7 +792,7 @@ def _load_library() -> ctypes.CDLL:
     lib.repro_csa_build.restype = ctypes.c_int
     lib.repro_csa_build.argtypes = [_P, _L, _L, _P, _P]
     lib.repro_gather_diff.restype = None
-    lib.repro_gather_diff.argtypes = [_P, _L, _P, _P, _L, _P, _P]
+    lib.repro_gather_diff.argtypes = [_P, _L, _L, _P, _P, _L, _P, _P]
     lib.repro_hamming_packed.restype = None
     lib.repro_hamming_packed.argtypes = [_P, _P, _L, _L, _P]
     lib.repro_topk_select.restype = None
@@ -1018,15 +1036,19 @@ class CExtBackend:
         offsets: np.ndarray,
         queries: np.ndarray,
     ) -> np.ndarray:
-        """``data[flat_ids] - queries[owner]`` without the NumPy temps;
-        query ``qi`` owns rows ``offsets[qi]:offsets[qi + 1]``."""
+        """``data[flat_ids] - queries[owner]`` in float64, without the
+        NumPy temps; query ``qi`` owns rows ``offsets[qi]:offsets[qi + 1]``
+        and ``data`` is a store of any of the ``STORE_DTYPES``."""
         dim = data.shape[1]
+        if data.dtype not in STORE_DTYPES:
+            raise TypeError(f"no store type {data.dtype}")
         flat_ids = np.ascontiguousarray(flat_ids, dtype=np.int64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         out = np.empty((len(flat_ids), dim), dtype=np.float64)
         self._lib.repro_gather_diff(
-            self._addresses.of(data, np.float64), dim, _addr(flat_ids),
+            self._addresses.of(data, data.dtype),
+            STORE_DTYPES.index(data.dtype), dim, _addr(flat_ids),
             _addr(offsets),
             len(offsets) - 1, _addr(queries), _addr(out),
         )

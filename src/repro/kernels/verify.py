@@ -14,17 +14,14 @@ implementation).  Three facts make the fast paths safe:
 * the float64 distance *values* always come from the same elementwise
   operations and reduction as :func:`repro.distances.pairwise_rows`
   (the C ``gather_diff`` only fuses the IEEE-exact gather and
-  subtraction; the einsum reduction is shared), so bits cannot drift;
+  subtraction; the einsum reduction is shared), so bits cannot drift.
+  The store holds its vectors in the narrowest exact type
+  (:mod:`repro.core.store`); both paths widen the gathered rows to
+  float64 before subtracting, which is exact, so a narrow store answers
+  with the float64 store's distance values;
 * integer metrics are exactly representable: XOR-plus-popcount over
   bit-packed rows equals the unpacked Hamming count whenever both
   sides are binary, which eligibility checks enforce.
-
-The float32 path is the one *opt-in approximation*
-(``verify_dtype="float32"``): candidate distances are computed in
-float32, a top-``k + max(16, 2k)`` margin survives, and that shortlist
-is re-ranked with the exact float64 kernel.  Results match the default
-path whenever the true top-k lies inside the margin — the intended
-trade, tested for exactness of the re-rank itself.
 """
 
 from __future__ import annotations
@@ -33,7 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.base import ANNIndex
+from repro.base import ANNIndex, widened
+from repro.core.store import STORE_DTYPES
 from repro.distances import pairwise_rows
 from repro.distances.metrics import pack_bits
 
@@ -67,17 +65,6 @@ def _get_packed_data(index) -> Optional[np.ndarray]:
     return packed
 
 
-def _get_data32(index) -> np.ndarray:
-    """float32 copy of ``index._data``, cached per data array."""
-    data = index._data
-    cached = getattr(index, "_kv_data32", None)
-    if cached is not None and cached[0] is data:
-        return cached[1]
-    data32 = np.ascontiguousarray(data, dtype=np.float32)
-    index._kv_data32 = (data, data32)
-    return data32
-
-
 def _owner_of(offsets: np.ndarray) -> np.ndarray:
     """Owning query of every flat candidate row."""
     return np.repeat(
@@ -98,40 +85,9 @@ def _flatten(ids_per_query: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarra
 def _can_gather(data: np.ndarray, metric: str) -> bool:
     return (
         metric in _GATHER_METRICS
-        and data.dtype == np.float64
+        and data.dtype in STORE_DTYPES
         and data.flags["C_CONTIGUOUS"]
     )
-
-
-def _verify_float32(
-    index,
-    engine,
-    queries: np.ndarray,
-    flat_ids: np.ndarray,
-    offsets: np.ndarray,
-    k: int,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Reduced-precision screen, exact float64 re-rank of the margin."""
-    data = index._data
-    metric = index.metric
-    data32 = _get_data32(index)
-    q32 = np.ascontiguousarray(queries, dtype=np.float32)
-    diff32 = data32[flat_ids] - q32[_owner_of(offsets)]
-    if metric == "euclidean":
-        d32 = np.sqrt(np.einsum("ij,ij->i", diff32, diff32))
-    elif metric == "squared_euclidean":
-        d32 = np.einsum("ij,ij->i", diff32, diff32)
-    else:
-        d32 = np.sum(np.abs(diff32), axis=1)
-    margin = k + max(16, 2 * k)
-    short = engine.topk_select(flat_ids, d32.astype(np.float64), offsets, margin)
-    sl_ids, sl_offsets = _flatten([ids for ids, _ in short])
-    q64 = np.ascontiguousarray(queries, dtype=np.float64)
-    if _can_gather(data, metric):
-        d64 = _reduce_diff(engine.gather_diff(data, sl_ids, sl_offsets, q64), metric)
-    else:
-        d64 = pairwise_rows(data[sl_ids], q64[_owner_of(sl_offsets)], metric)
-    return engine.topk_select(sl_ids, d64, sl_offsets, k)
 
 
 def verify_batch(
@@ -165,8 +121,8 @@ def verify_flat(
     Query ``qi``'s duplicate-free candidates are
     ``flat_ids[offsets[qi]:offsets[qi + 1]]`` (int64, contiguous — what
     ``CircularShiftArray._batch_k_lccs_flat`` returns); ``index``
-    supplies data, metric, the ``last_stats`` accumulator and the
-    ``verify_dtype`` switch; ``engine`` is the compiled backend, or
+    supplies data, metric and the ``last_stats`` accumulator;
+    ``engine`` is the compiled backend, or
     ``None`` to rank through :meth:`repro.base.ANNIndex._verify_batch`.
     """
     if engine is None:
@@ -184,13 +140,6 @@ def verify_flat(
         return [empty for _ in range(Q)]
     queries = np.asarray(queries)
 
-    if (
-        getattr(index, "verify_dtype", "float64") == "float32"
-        and metric in _GATHER_METRICS
-        and data.dtype == np.float64
-    ):
-        return _verify_float32(index, engine, queries, flat_ids, offsets, k)
-
     dists = None
     if metric == "hamming":
         packed = _get_packed_data(index)
@@ -205,5 +154,5 @@ def verify_flat(
     if dists is None:
         # the distances ANNIndex._verify_batch computes
         rep_queries = np.repeat(queries, np.diff(offsets), axis=0)
-        dists = pairwise_rows(data[flat_ids], rep_queries, metric)
+        dists = pairwise_rows(widened(data, flat_ids), rep_queries, metric)
     return engine.topk_select(flat_ids, dists, offsets, k)

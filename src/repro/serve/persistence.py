@@ -16,11 +16,15 @@ The CSA of an LCCS-LSH index is stored as ``csa.doubled`` — the doubled
 hash strings as unsigned codes of the narrowest of 1/2/4/8 bytes that
 holds their range — ``csa.offset`` (the int64 value of code 0),
 ``csa.sorted_idx`` and ``csa.next_link`` (uint16 for a CSA of at most
-65 536 strings, int32 beyond).  That is format 4.  Format 3 stored the
-ranks as int32 at every size; its bundles load and are served in place,
-eager or memory-mapped.  Format 2 also stored ``csa.doubled`` as int64
-with no offset, and still loads: its strings are encoded once at load,
-into private memory.
+65 536 strings, int32 beyond).  The vectors (``data``, or a dynamic
+index's ``store``) are kept in the narrowest exact type of uint8, int8,
+uint16, int16, float32 and float64 (:mod:`repro.core.store`), and a
+bundle holding them in any other type is refused.  That is format 5.
+Format 4 stored the vectors as float64; format 3 also stored the ranks
+as int32 at every size.  Bundles of both load and are served in place,
+eager or memory-mapped, float64 vectors included.  Format 2 also stored
+``csa.doubled`` as int64 with no offset, and still loads: its strings
+are encoded once at load, into private memory.
 
 Because every array is a plain contiguous ``.npy`` file, the whole
 bundle can be opened with ``np.load(..., mmap_mode="r")``:
@@ -47,7 +51,8 @@ Loading checks every array the kernels read in place against the rest
 of the bundle: that its file lies inside the bundle's ``arrays/``
 directory (symlinks resolved), each file's shape and dtype against the
 manifest, CSA ranks against the row count, the data against the CSA,
-and a dynamic index's handles against its row store.  A bundle that fails a check is
+the vectors' type against the store types, and a dynamic index's
+handles against its row store.  A bundle that fails a check is
 :class:`BundleError`, eagerly or memory-mapped alike, never an
 out-of-bounds read.
 
@@ -59,7 +64,7 @@ index classes must treat loaded state as immutable and copy-on-write
 anything they need to change.
 
 Errors are reported as :class:`BundleError` (corrupt or missing
-manifest, a ``format_version`` other than 2, 3 or 4, a serializer other
+manifest, a ``format_version`` other than 2, 3, 4 or 5, a serializer other
 than ``native``, unknown or unservable registry class, missing,
 mis-typed or inconsistent arrays), so callers can distinguish bad
 bundles from programming errors.
@@ -93,14 +98,13 @@ __all__ = [
     "read_manifest",
 ]
 
-#: the bundle layout written; bump when it changes incompatibly.  4: a
-#: CSA of at most 65 536 strings stores its ranks (``csa.sorted_idx``,
-#: ``csa.next_link``) as uint16
-FORMAT_VERSION = 4
-#: layouts read: 3 stored every CSA's ranks as int32, served as they
-#: are; 2 also stored the CSA strings as int64, which are encoded once
-#: at load
-READ_VERSIONS = (2, 3, 4)
+#: the bundle layout written; bump when it changes incompatibly.  5: the
+#: vectors are stored in the narrowest exact type (``STORE_DTYPES``)
+FORMAT_VERSION = 5
+#: layouts read: 4 stored the vectors as float64 and 3 also every CSA's
+#: ranks as int32, both served as they are; 2 also stored the CSA
+#: strings as int64, which are encoded once at load
+READ_VERSIONS = (2, 3, 4, 5)
 MANIFEST_NAME = "manifest.json"
 #: directory of one raw .npy file per array
 ARRAYS_DIR = "arrays"

@@ -6,12 +6,14 @@ example copies one of them, changes exactly one thing — a manifest
 ``array_index`` shape, dtype or offset, the ``serializer``, the
 ``class``, one entry of the dynamic index's segment list, a truncated
 ``.npy`` file, one value written into ``sorted_idx``, ``next_link``
-or ``handles``, the type of one such array (manifest entry to match), or
-an array's file moved out of the bundle with its entry pointing at it —
-and opens the copy eagerly or memory-mapped.  The only allowed outcomes
-are :class:`BundleError` at load, or ``batch_query`` at B = 1 and B = 13
-answering with ids in ``[-1, n)``; a bundle whose manifest names a file
-outside it must be refused.  Anything else — an other exception, an id
+or ``handles``, the type of one such array or of a vector store
+(manifest entry to match), or an array's file moved out of the bundle
+with its entry pointing at it — and opens the copy eagerly or
+memory-mapped.  The only allowed outcomes are :class:`BundleError` at
+load, or ``batch_query`` at B = 1 and B = 13 answering with ids in
+``[-1, n)``; a bundle whose manifest names a file outside it, or that
+holds its vectors in a type other than the store types, must be
+refused, and one re-typed to another store type must answer.  Anything else — an other exception, an id
 outside the index, a dead process — fails.
 """
 
@@ -199,6 +201,32 @@ def _rank_dtype(path, manifest, data):
     _write_manifest(path, manifest)
 
 
+#: the vector store's types: a format-5 bundle holding its vectors in
+#: anything else is refused
+STORE_TYPES = ["u1", "i1", "<u2", "<i2", "<f4", "<f8"]
+
+
+def _store_dtype(path, manifest, data):
+    """One vector store (``data``, ``store`` or a segment's data)
+    re-typed, its manifest entry to match: a store type loads (values
+    may wrap) and answers; any other type is refused."""
+    names = sorted(
+        n for n in manifest["array_index"] if n in ("data", "store")
+        or n.endswith(".data")
+    )
+    name = data.draw(st.sampled_from(names))
+    entry = manifest["array_index"][name]
+    fpath = os.path.join(path, entry["file"])
+    dtype = np.dtype(data.draw(st.sampled_from(
+        STORE_TYPES + ["<u4", "<i8", "<f2", "?", "<c16", ">f8"]
+    )))
+    with np.errstate(all="ignore"):
+        np.save(fpath, np.load(fpath).astype(dtype))
+    entry["dtype"] = dtype.str
+    _write_manifest(path, manifest)
+    return "load" if dtype in map(np.dtype, STORE_TYPES) else True
+
+
 def _escape(path, manifest, data):
     """One array's file moved out of the bundle, its manifest entry
     naming the new place by absolute path or by ``../``.  Refused."""
@@ -223,18 +251,20 @@ MUTATIONS = {
     "truncate": _truncate,
     "rank": _rank_value,
     "rank-dtype": _rank_dtype,
+    "store-dtype": _store_dtype,
     "escape": _escape,
 }
 
 
 def _check_outcome(path, mmap, refuse=False):
     """BundleError at load, or (unless ``refuse``) answers with ids
-    inside the index."""
+    inside the index; ``refuse="load"`` insists on the answers."""
     try:
         index = load_index(path, mmap=mmap)
     except BundleError:
+        assert refuse != "load", "refused a bundle that must load"
         return
-    assert not refuse, "loaded a bundle that must be refused"
+    assert refuse in (False, "load"), "loaded a bundle that must be refused"
     for batch in (1, 13):
         ids, dists = index.batch_query(QUERIES[:batch], k=K)
         assert ids.shape == dists.shape == (batch, K)
@@ -259,7 +289,7 @@ def test_mutated_bundle_is_refused_or_answers_inside_the_index(
         path = os.path.join(scratch, "bundle")
         shutil.copytree(pristine[kind], path)
         refuse = MUTATIONS[mutation](path, _manifest(path), data)
-        _check_outcome(path, mmap, refuse=bool(refuse))
+        _check_outcome(path, mmap, refuse=refuse or False)
 
 
 class _TouchOnUnpickle:

@@ -90,7 +90,7 @@ def test_inspect_describes_the_bundle(bundle, capsys):
     assert f"{N}x{SIFT_DIM}" in out  # the data payload's shape
     assert main(["inspect", bundle, "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["format_version"] == 4
+    assert summary["format_version"] == 5
     assert summary["class"] == "LCCSLSH"
     assert summary["extra"]["method"] == "lccs"
     assert "shards" not in summary

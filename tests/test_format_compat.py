@@ -1,12 +1,15 @@
-"""Bundle format v4 (narrow CSA ranks) and reading what v2 and v3 wrote.
+"""Bundle format v5 (narrow vector stores) and reading what v2–v4 wrote.
 
 Format v3 stores each CSA's hash strings as unsigned codes of the
 narrowest width that holds them, plus the offset that decodes them;
 format v4 also stores the ranks of a CSA of at most 65 536 strings as
-uint16.  A v3 bundle's int32 ranks load as they are, in place.  The
-fixtures under ``tests/fixtures/format_v3`` were written by
-:func:`write_v3_fixtures` run on the last v3 release of this library,
-with the digests of their answers.
+uint16; format v5 also stores the vectors in the narrowest exact type.
+A v3 bundle's int32 ranks and a v4 bundle's float64 vectors load as
+they are, in place.  The fixtures under ``tests/fixtures/format_v3``
+were written by :func:`write_v3_fixtures` run on the last v3 release of
+this library, and those under ``tests/fixtures/format_v4`` by
+:func:`write_v4_fixtures` on the last v4 release, with the digests of
+their answers.
 
 Format v2 stored the strings as int64; this library still reads it,
 encoding the int64 strings once at load.  The fixtures under
@@ -28,13 +31,15 @@ import numpy as np
 import pytest
 
 from repro import DynamicLCCSLSH, IndexSpec, LCCSLSH
-from repro.data.synthetic import sparse_sets
+from repro.core.store import narrow_store
+from repro.data.synthetic import sift_like, sparse_sets
 from repro.serve import FORMAT_VERSION, load_index, read_manifest, save_index
 from repro.serve.durability import DurableIndex, SnapshotManager, recover
 from tests.helpers import _csas
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "format_v2")
 V3_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "format_v3")
+V4_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "format_v4")
 K = 5
 SPEC = IndexSpec(
     "DynamicLCCSLSH", dim=8, m=16, w=1.0, seed=7, memtable_size=8
@@ -112,6 +117,42 @@ def write_v3_fixtures(root):
         json.dump(expected, f, indent=1, sort_keys=True)
 
 
+V4_SPEC = IndexSpec(
+    "DynamicLCCSLSH", dim=8, m=16, w=16.0, seed=7, memtable_size=8
+)
+
+
+def _v4_queries():
+    """Integer-valued queries, like the v4 fixtures' rows."""
+    return sift_like(13, 8, n_clusters=4, seed=21)
+
+
+def write_v4_fixtures(root):
+    """Write a static and a dynamic (several segments) bundle over
+    integer-valued rows, and their ``expected.json``, under ``root``.
+
+    The rows are SIFT-like integers in 0..255 held as float64: a v4
+    bundle stores them as float64, where a v5 build would store uint8.
+    """
+    index = LCCSLSH(dim=8, m=16, w=16.0, seed=1).fit(
+        sift_like(150, 8, n_clusters=4, seed=20)
+    )
+    save_index(index, os.path.join(root, "lccs.bundle"))
+    expected = {"lccs": answer_digest(index, _v4_queries())}
+    rows = sift_like(100, 8, n_clusters=4, seed=23)
+    dynamic = V4_SPEC.build()
+    dynamic.fit(rows[:60])
+    for row in rows[60:]:
+        dynamic.insert(row)
+    for handle in (3, 61, 95):
+        dynamic.delete(handle)
+    assert dynamic.tier_stats()["segments"] >= 2
+    save_index(dynamic, os.path.join(root, "dynamic.bundle"))
+    expected["dynamic"] = answer_digest(dynamic, _v4_queries())
+    with open(os.path.join(root, "expected.json"), "w") as f:
+        json.dump(expected, f, indent=1, sort_keys=True)
+
+
 def _expected(root=FIXTURES):
     with open(os.path.join(root, "expected.json")) as f:
         return json.load(f)
@@ -159,13 +200,36 @@ def test_v3_bundle_serves_int32_ranks_in_place(name, mmap):
     assert answer_digest(index, _queries(name)) == _expected(V3_FIXTURES)[name]
 
 
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize("name", ["lccs", "dynamic"])
+def test_v4_bundle_serves_float64_vectors_in_place(name, mmap):
+    """A v4 bundle's float64 vectors are what the loaded index holds —
+    the arrays read from the bundle, memory maps when ``mmap`` — though
+    its integer values would narrow to uint8 at a fit; the answers are
+    the v4 library's."""
+    path = os.path.join(V4_FIXTURES, f"{name}.bundle")
+    assert read_manifest(path)["format_version"] == 4
+    index = load_index(path, mmap=mmap)
+    stores = [index._data]
+    if name == "dynamic":
+        stores = [index._store] + [seg.inner._data for seg in index._state.segments]
+        assert len(stores) == 3
+    for store in stores:
+        assert store.dtype == np.float64
+        mapped = isinstance(store, np.memmap) or isinstance(store.base, np.memmap)
+        assert mapped == mmap
+        assert narrow_store(store).dtype == np.uint8
+    want = _expected(V4_FIXTURES)[name]
+    assert answer_digest(index, _v4_queries()) == want
+
+
 @pytest.mark.parametrize("name", ["lccs", "minhash"])
 def test_save_writes_v3_codes(tmp_path, name):
     index = _build(name)
     path = str(tmp_path / "bundle")
     save_index(index, path)
     manifest = read_manifest(path)
-    assert manifest["format_version"] == FORMAT_VERSION == 4
+    assert manifest["format_version"] == FORMAT_VERSION == 5
     codes = manifest["array_index"]["csa.doubled"]
     assert np.dtype(codes["dtype"]) == np.dtype(f"u{index.csa.width}")
     assert "csa.offset" in manifest["array_index"]

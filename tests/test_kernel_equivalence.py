@@ -16,7 +16,6 @@ Also pinned here:
 * ``backend=`` accepts only ``None``/``"cext"`` from callers, while
   names recorded by earlier builds load on the engine;
 * ``pack_bits``/``hamming_packed`` equal the unpacked Hamming distance;
-* the opt-in ``verify_dtype="float32"`` screen re-ranks exactly;
 * the per-stage timing hooks are populated by the batch path.
 
 The engine tests self-skip where it cannot be built (CI runs this file
@@ -293,27 +292,6 @@ def test_backend_hamming_packed_kernel(backend):
     b = rng.integers(0, 2, size=(60, 100)).astype(np.float64)
     got = kernels.engine().hamming_packed(pack_bits(a), pack_bits(b))
     assert np.array_equal(got, pairwise_rows(a, b, "hamming"))
-
-
-@needs_compiled
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 12))
-def test_float32_rerank_is_exact(seed, k):
-    """The reduced-precision screen changes nothing after the re-rank."""
-    data, queries = _workload(seed, n=80, dim=12, nq=6)
-    ref = LCCSLSH(dim=12, m=8, w=4.0, seed=seed % 1000).fit(data)
-    ref_out = ref.batch_query(queries, k=k)
-    fast = LCCSLSH(
-        dim=12, m=8, w=4.0, seed=seed % 1000, verify_dtype="float32"
-    ).fit(data)
-    bi, bd = fast.batch_query(queries, k=k)
-    assert np.array_equal(bi, ref_out[0])
-    assert np.array_equal(bd, ref_out[1])
-
-
-def test_verify_dtype_validated():
-    with pytest.raises(ValueError, match="verify_dtype"):
-        LCCSLSH(dim=4, m=4, verify_dtype="float16")
 
 
 # ----------------------------------------------------------------------
