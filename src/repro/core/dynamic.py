@@ -833,7 +833,11 @@ class DynamicLCCSLSH(ANNIndex):
     def _import_state(
         cls, manifest: dict, arrays: Dict[str, np.ndarray]
     ) -> "DynamicLCCSLSH":
-        from repro.serve.persistence import import_index, unpack_nested
+        from repro.serve.persistence import (
+            TYPED_STORE_VERSION,
+            import_index,
+            unpack_nested,
+        )
 
         state = manifest["state"]
         kwargs = dict(state["lccs_kwargs"])
@@ -860,7 +864,7 @@ class DynamicLCCSLSH(ANNIndex):
             store = arrays["store"]
             if store.ndim != 2 or store.shape[1] != index.dim:
                 raise ValueError(f"store of shape {store.shape}")
-            check_store(store, manifest.get("format_version"))
+            check_store(store, manifest["format_version"] >= TYPED_STORE_VERSION)
             index._store = np.ascontiguousarray(store)
             index._size = rows = len(index._store)
             index._data = index._vectors

@@ -441,6 +441,7 @@ class LCCSLSH(ANNIndex):
         cls, manifest: dict, arrays: Dict[str, np.ndarray]
     ) -> "LCCSLSH":
         from repro.hashes import HashFamily as _HashFamily
+        from repro.serve.persistence import TYPED_STORE_VERSION
 
         state = manifest["state"]
         family = _HashFamily.from_state(
@@ -476,6 +477,8 @@ class LCCSLSH(ANNIndex):
                     f"(n={index.csa.n}, m={index.csa.m}) do not fit an "
                     f"index of dim={index.dim}, m={index.m}"
                 )
-            index._data = check_store(data, manifest.get("format_version"))
+            index._data = check_store(
+                data, manifest["format_version"] >= TYPED_STORE_VERSION
+            )
         index._kv_packed = None
         return index

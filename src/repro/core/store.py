@@ -5,8 +5,8 @@ distance is computed on their float64 values.  So the store may hold
 them in any type that widens back to the same float64 bits: SIFT-like
 descriptors (integers 0..255) fit in one byte instead of eight.  The
 type is chosen from the values alone, at fit — there is no knob — as
-the first of :data:`STORE_DTYPES` that every value round-trips through
-bit for bit.  Bits, not values: ``-0.0`` never narrows to an integer
+the first of :data:`STORE_DTYPES` through which every value widens back
+to its own float64 bits.  Bits, not values: ``-0.0`` never narrows to an integer
 type, and a NaN never narrows at all.  A dynamic store widens (once, in
 the copy its growth makes anyway) when an insert does not fit, and
 never narrows back.
@@ -33,17 +33,21 @@ _CHUNK = 1 << 14
 
 
 def _as(values: np.ndarray, dtype: np.dtype) -> Optional[np.ndarray]:
-    """``values`` as ``dtype`` if every element round-trips bit for bit
-    (and none is NaN), else ``None``."""
+    """``values`` as ``dtype`` if every element widens back to the
+    float64 bits of the input element (and none is NaN), else ``None``.
+
+    The comparison is in float64, not in the input's type: casting
+    ``int8`` to ``uint8`` and back is a bijection that would pass
+    ``-3`` stored as ``253``."""
     flat = values.reshape(-1)
-    bits = np.dtype(f"u{values.itemsize}")
     out = np.empty(flat.shape, dtype)
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, len(flat), _CHUNK):
             part = flat[start : start + _CHUNK]
             out[start : start + _CHUNK] = part
-            back = out[start : start + _CHUNK].astype(values.dtype)
-            if not np.array_equal(back.view(bits), part.view(bits)) or (
+            back = out[start : start + _CHUNK].astype(np.float64)
+            want = part.astype(np.float64, copy=False)
+            if not np.array_equal(back.view(np.uint64), want.view(np.uint64)) or (
                 dtype.kind == "f" and np.isnan(part).any()
             ):
                 return None
@@ -71,17 +75,20 @@ def narrow_store(data: np.ndarray, copy: bool = False) -> np.ndarray:
 def widen_for(store: np.dtype, vector: np.ndarray) -> np.dtype:
     """The store type that holds both ``store``'s values and ``vector``:
     ``store`` itself when the vector fits, else the first wider type."""
+    if _as(vector, store) is not None:  # one cast: the common case
+        return store
     own = narrow_store(vector).dtype
     return next(
         t for t in STORE_DTYPES if np.can_cast(store, t) and np.can_cast(own, t)
     )
 
 
-def check_store(data: np.ndarray, format_version) -> np.ndarray:
-    """A loaded store, refused (``ValueError``) unless a format-5+
-    bundle holds it in one of :data:`STORE_DTYPES`; earlier formats
-    wrote float64 and are served as they are."""
-    if format_version not in (2, 3, 4) and data.dtype not in STORE_DTYPES:
+def check_store(data: np.ndarray, typed: bool) -> np.ndarray:
+    """A loaded store, refused (``ValueError``) when its bundle format
+    types the store (``typed``) and it is not one of
+    :data:`STORE_DTYPES`; earlier formats wrote float64 and are served
+    as they are."""
+    if typed and data.dtype not in STORE_DTYPES:
         raise ValueError(
             f"a vector store is one of {[str(t) for t in STORE_DTYPES]}, "
             f"got {data.dtype}"

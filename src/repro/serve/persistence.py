@@ -87,6 +87,7 @@ __all__ = [
     "ArrayStore",
     "BundleError",
     "FORMAT_VERSION",
+    "TYPED_STORE_VERSION",
     "MANIFEST_NAME",
     "ARRAYS_DIR",
     "bundle_summary",
@@ -105,6 +106,8 @@ FORMAT_VERSION = 5
 #: ranks as int32, both served as they are; 2 also stored the CSA
 #: strings as int64, which are encoded once at load
 READ_VERSIONS = (2, 3, 4, 5)
+#: the first layout whose vector stores must be one of ``STORE_DTYPES``
+TYPED_STORE_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 #: directory of one raw .npy file per array
 ARRAYS_DIR = "arrays"

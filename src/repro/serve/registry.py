@@ -124,7 +124,11 @@ class IndexSpec:
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "IndexSpec":
-        return cls(manifest["class"], **manifest["kwargs"])
+        kwargs = dict(manifest["kwargs"])
+        # recorded by earlier builds; the knob is gone (the store type
+        # is chosen exactly at fit)
+        kwargs.pop("verify_dtype", None)
+        return cls(manifest["class"], **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         args = ", ".join(f"{k}={v!r}" for k, v in self.kwargs.items())

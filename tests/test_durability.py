@@ -483,6 +483,24 @@ def test_recover_replays_a_recipe_naming_a_retired_backend(tmp_path, name):
     assert_identical_answers(result.index, apply_all(SPEC.build(), ops), queries_for())
 
 
+@pytest.mark.parametrize("value", ["float32", "float64"])
+def test_recover_replays_a_recipe_naming_the_removed_verify_dtype(tmp_path, value):
+    """Earlier builds could record ``verify_dtype`` in the recipe; the
+    knob is gone (the store type is chosen at fit) and the field is
+    ignored."""
+    recipe = SPEC.to_manifest()
+    recipe["kwargs"]["verify_dtype"] = value
+    wal_dir = _wal_with_recipe(tmp_path, {"spec": recipe})
+    result = recover(wal_dir)
+    ops = make_ops(n_updates=5)
+    assert result.applied_seq == len(ops)
+    assert_identical_answers(result.index, apply_all(SPEC.build(), ops), queries_for())
+    static = IndexSpec.from_manifest(
+        {"class": "LCCSLSH", "kwargs": {"dim": DIM, "verify_dtype": value}}
+    )
+    assert "verify_dtype" not in static.kwargs and static.build().dim == DIM
+
+
 def test_recover_refuses_a_sharded_recipe(tmp_path):
     """A recipe for the removed sharded wrapper names the class."""
     recipe = {

@@ -74,6 +74,10 @@ def test_store_dtype_edges(values, want):
         (np.array([[1, 300]], dtype=np.uint16), "u2"),
         (np.array([[1, 200]], dtype=np.uint16), "u1"),
         (np.array([[-3, 5]], dtype=np.int16), "i1"),
+        (np.array([[-3, 5]], dtype=np.int8), "i1"),  # not 253 as uint8
+        (np.array([[-1000, 5]], dtype=np.int16), "i2"),  # not uint16
+        (np.array([[-30_000, 5]], dtype=np.int16), "i2"),
+        (np.array([[-3.0, 5.0]], dtype=np.float32), "i1"),
         (np.array([[-0.0, 4.0]], dtype=np.float32), "f4"),
         (np.array([[7.0, 4.0]], dtype=np.float32), "u1"),
     ],
@@ -92,6 +96,14 @@ def test_float64_input_is_kept_or_copied():
     assert narrow_store(data) is data
     copied = narrow_store(data, copy=True)
     assert copied is not data and np.array_equal(copied, data)
+
+
+@pytest.mark.parametrize("dtype", ["i1", "i2"])
+def test_static_fit_on_signed_input_keeps_its_values(dtype):
+    data = np.random.default_rng(16).integers(-100, 101, size=(50, DIM))
+    index = LCCSLSH(dim=DIM, m=12, w=40.0, seed=4).fit(data.astype(dtype))
+    assert index._data.dtype == np.int8
+    assert np.array_equal(index._data.astype(np.int64), data)
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +298,38 @@ def test_dynamic_store_widens_and_stays_exact(tmp_path):
     durable.close()
     recovered = recover(wal_dir).index
     assert _assert_oracle(recovered, "recovered") == digest
+
+
+@pytest.mark.parametrize("low,want", [(-100, "i1"), (-30_000, "i2")])
+def test_dynamic_store_of_negative_integers_stays_exact(low, want):
+    """Segments fit on rows read from a signed store: each one holds the
+    values it was given (a signed store re-read as unsigned used to
+    pass its own round trip and store ``-3`` as ``253``)."""
+    rng = np.random.default_rng(15)
+    data = rng.integers(low, 101, size=(70, DIM)).astype(np.float64)
+    data[0, 0] = low
+    index = SPEC.build().fit(data[:40])
+
+    def check(what):
+        assert index._store.dtype == np.dtype(want), what
+        assert np.array_equal(index._vectors.astype(np.float64), data[: index.n])
+        for seg in index._state.segments:
+            assert seg.inner._data.dtype == np.dtype(want), what
+            rows = seg.inner._data.astype(np.float64)
+            assert np.array_equal(rows, data[seg.handles]), what
+        ids, dists = index.batch_query(QUERIES, k=K)
+        for qi, q in enumerate(QUERIES):
+            want_dists = np.linalg.norm(data[ids[qi]] - q, axis=1)
+            np.testing.assert_allclose(dists[qi], want_dists, rtol=1e-12)
+        _assert_oracle(index, what)
+
+    check("after fit")
+    for row in data[40:]:
+        index.insert(row)
+    assert index.seals >= 2
+    check("after seals")
+    assert index.compact()
+    check("after a compaction")
 
 
 def test_segments_and_store_narrow_at_fit(tmp_path):
