@@ -29,6 +29,7 @@ setup(
     python_requires=">=3.9",
     install_requires=[
         "numpy>=1.22",
+        "orjson>=3.6",
         "scipy>=1.8",
     ],
     extras_require={

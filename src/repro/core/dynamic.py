@@ -516,6 +516,8 @@ class DynamicLCCSLSH(ANNIndex):
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim,):
             raise ValueError(f"vector must have shape ({self.dim},)")
+        if not np.isfinite(vector).all():
+            raise ValueError("vector must be finite (no NaN or infinity)")
         dtype = widen_for(self._store.dtype, vector)
         full = self._size == len(self._store)
         if full or dtype != self._store.dtype:

@@ -511,6 +511,9 @@ class MetricsRegistry:
 
     def register_collector(self, key: str, fn: Callable[[], dict]) -> None:
         with self._lock:
+            # Re-registering moves the key last: where two collectors
+            # publish one family, the newest registration wins.
+            self._collectors.pop(key, None)
             self._collectors[key] = fn
 
     def unregister_collector(self, key: str, fn=None) -> None:

@@ -11,10 +11,11 @@ Two flavours over the same newline-framed protocol:
 Both expose ``request(dict) -> dict`` (one request line in, the
 matching response line out) plus typed conveniences.  ``query`` returns
 ``(ids, dists)`` as numpy arrays — byte-identical to a local
-``index.query`` against the same state, because JSON round-trips float
-``repr`` exactly.  Error responses raise :class:`ServerError`;
-``{"error": "overloaded"}`` shed responses raise the
-:class:`Overloaded` subclass so callers can implement backoff.
+``index.query`` against the same state, because the codec
+(:mod:`repro.serve.codec`) round-trips every finite double exactly.
+Error responses raise :class:`ServerError`; ``{"error": "overloaded"}``
+shed responses raise the :class:`Overloaded` subclass so callers can
+implement backoff.
 
 The wire protocol is documented in :mod:`repro.serve.server` and the
 README "Serving" section.
@@ -23,11 +24,12 @@ README "Serving" section.
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.serve.codec import decode_line, encode_line
 
 __all__ = ["AsyncServeClient", "Overloaded", "ServeClient", "ServerError"]
 
@@ -49,12 +51,8 @@ class Overloaded(ServerError):
     """Admission control shed the request (``{"shed": true}``)."""
 
 
-def _encode(request: dict) -> bytes:
-    return json.dumps(request).encode("utf-8") + b"\n"
-
-
 def _decode(line: bytes) -> dict:
-    response = json.loads(line.decode("utf-8"))
+    response = decode_line(line)
     if not isinstance(response, dict):
         raise ServerError({"error": f"non-object response: {response!r}"})
     return response
@@ -109,7 +107,7 @@ class AsyncServeClient:
         return cls(reader, writer)
 
     async def send(self, request: dict) -> None:
-        self._writer.write(_encode(request))
+        self._writer.write(encode_line(request))
         await self._writer.drain()
 
     async def recv(self) -> dict:
@@ -182,7 +180,7 @@ class ServeClient:
         self._file = self._sock.makefile("rwb")
 
     def send(self, request: dict) -> None:
-        self._file.write(_encode(request))
+        self._file.write(encode_line(request))
         self._file.flush()
 
     def recv(self) -> dict:

@@ -903,6 +903,8 @@ class DurableIndex(ANNIndex):
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim,):
             raise ValueError(f"vector must have shape ({self.dim},)")
+        if not np.isfinite(vector).all():
+            raise ValueError("vector must be finite (no NaN or infinity)")
         self.wal.append(Op.insert(vector))
         handle = int(self.inner.insert(vector))
         self._notify()

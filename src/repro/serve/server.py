@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import os
 import signal
 import socket
@@ -94,6 +93,7 @@ from repro.obs.export import SnapshotSpool, merge_snapshots, render_prometheus
 from repro.obs.metrics import ServerMetrics, get_registry
 from repro.obs.tracing import Tracer, get_tracer
 from repro.serve.client import AsyncServeClient
+from repro.serve.codec import decode_line, encode_line
 
 __all__ = [
     "AsyncANNServer",
@@ -112,14 +112,6 @@ SHED_RESPONSE = {"error": "overloaded", "shed": True}
 LINE_LIMIT = 32 << 20
 
 DEFAULT_MAX_INFLIGHT = 64
-
-
-def _json_default(value):
-    """Last-resort JSON coercion for numpy scalars inside stats dicts."""
-    item = getattr(value, "item", None)
-    if item is not None:
-        return item()
-    return str(value)
 
 
 def _error_response(exc: BaseException) -> dict:
@@ -141,15 +133,18 @@ class _Backend:
     Every method below is called unconditionally by
     :class:`AsyncANNServer`; a role overrides what it does differently.
     Shared here: query unpacking, the thread pool that keeps index and
-    WAL work off the event loop, and the ``insert``/``delete``/``stats``
+    WAL work off the event loop, the ``insert``/``delete``/``stats``
     envelopes (roles that apply writes themselves supply ``_insert`` /
-    ``_delete`` / ``_write_ack``; all supply ``_stats``).
+    ``_delete`` / ``_write_ack``; all supply ``_stats``), and the batch
+    epoch that wakes the loop once per micro-batch (:meth:`settled`).
     """
 
     #: the ``stats.role`` this backend reports
     role = ""
     #: WAL position this process has applied (``None``: no log)
     applied_seq: Optional[int] = None
+    #: the :class:`ANNService` answering queries (``None``: none here)
+    _service = None
 
     def __init__(
         self,
@@ -163,11 +158,15 @@ class _Backend:
             max_workers=pool_workers,
             thread_name_prefix=f"{type(self).__name__}-pool",
         )
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._epoch: Optional[asyncio.Future] = None
 
     def parse_query(self, request: dict):
         """request -> ``(q, k, min_version, kwargs)``."""
         payload = dict(request)
         q = np.asarray(payload.pop("query"), dtype=np.float64)
+        if not np.isfinite(q).all():  # a JSON null reads as NaN
+            raise ValueError("query must be finite numbers")
         k = int(payload.pop("k", self._default_k))
         min_version = payload.pop("min_version", None)
         if min_version is not None:
@@ -179,7 +178,37 @@ class _Backend:
         return asyncio.get_running_loop().run_in_executor(self._pool, fn)
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Launch background tasks on the serving loop (none by default)."""
+        """Bind to the serving loop; :meth:`AsyncANNServer.start` calls it
+        once, before the first request.
+
+        The service gets one batch listener: after each micro-batch it
+        resolves the loop's current *batch epoch* with a single
+        ``call_soon_threadsafe``, however many of the batch's futures
+        the loop is waiting on.
+        """
+        self._loop = loop
+        self._epoch = loop.create_future()
+        if self._service is not None:
+            self._service.add_batch_listener(self._batch_done)
+
+    def _batch_done(self) -> None:
+        """Batch listener (batcher thread): one loop wake-up per batch."""
+        self._loop.call_soon_threadsafe(self._next_epoch)
+
+    def _next_epoch(self) -> None:
+        epoch, self._epoch = self._epoch, self._loop.create_future()
+        epoch.set_result(None)
+
+    async def settled(self, fut):
+        """Wait (on the loop) until the service future ``fut`` is done.
+
+        A batch resolves its futures before it ends the current epoch,
+        so this re-checks ``fut`` at most once per batch and never
+        misses the one that answers it.  The epoch is shielded: one
+        waiter's cancellation must not cancel the future all share.
+        """
+        while not fut.done():
+            await asyncio.shield(self._epoch)
 
     def query_nowait(self, request: dict, trace=None):
         """Submit a query without awaiting anything.
@@ -212,6 +241,8 @@ class _Backend:
         return {"stats": stats}
 
     async def aclose(self) -> None:
+        if self._service is not None:
+            self._service.remove_batch_listener(self._batch_done)
         self._pool.shutdown(wait=False)
 
 
@@ -219,7 +250,7 @@ class ServiceBackend(_Backend):
     """Single-process backend: one :class:`ANNService` does everything.
 
     Queries go through the service's cache + micro-batcher (its
-    ``concurrent.futures`` future is bridged onto the event loop);
+    ``concurrent.futures`` futures are awaited through the batch epoch);
     writes and stats run on a small thread pool so a WAL fsync never
     blocks the loop.
     """
@@ -316,8 +347,9 @@ class ReplicaBackend(_Backend):
         return None if self._replica is None else self._replica.applied_seq
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Launch the background WAL tailing task (if there is a WAL)."""
-        if self._replica is not None and self._tail_task is None:
+        """Bind to the loop and launch the WAL tailing task (if any)."""
+        super().start(loop)
+        if self._replica is not None:
             self._tail_task = loop.create_task(self._tail_loop())
 
     async def _tail_loop(self) -> None:
@@ -368,7 +400,8 @@ class ReplicaBackend(_Backend):
                     min_version=min_version,
                 )
         fut = self._service.query_async(q, k=k, trace=trace, **kwargs)
-        return _query_response(await asyncio.wrap_future(fut))
+        await self.settled(fut)
+        return _query_response(fut.result())
 
     async def _forward(self, request: dict, trace=None) -> dict:
         if self._primary_addr is None:
@@ -519,7 +552,8 @@ class AsyncANNServer:
             ``query_nowait(request, trace=None)`` returning the
             ``concurrent.futures.Future`` of ``(ids, dists)`` for queries
             it can submit without awaiting (``None`` for the others),
-            ``start(loop)`` and ``aclose()``.
+            ``settled(future)`` waiting for one, ``start(loop)`` (called
+            by :meth:`start`) and ``aclose()``.
         host / port: listening address (``port=0`` picks one), or pass
             a pre-bound ``sock`` (the prefork workers' SO_REUSEPORT
             sockets come in this way).
@@ -565,14 +599,14 @@ class AsyncANNServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._closed: Optional[asyncio.Event] = None
         # Publish this server's request metrics into the unified
-        # registry (keyed by role name so a prefork parent's primary
-        # server and a test's transient servers replace cleanly).
-        get_registry().register_collector(
-            f"server-{self.name}", self.metrics.families
-        )
-        get_registry().register_collector(
-            f"tracer-{self.name}", self._tracer_families
-        )
+        # registry until its drain completes (keyed by role name; the
+        # callables are kept so only these registrations are dropped).
+        self._collectors = {
+            f"server-{self.name}": self.metrics.families,
+            f"tracer-{self.name}": self._tracer_families,
+        }
+        for key, fn in self._collectors.items():
+            get_registry().register_collector(key, fn)
 
     def _tracer_families(self) -> dict:
         stats = self.tracer.stats()
@@ -593,15 +627,22 @@ class AsyncANNServer:
 
     # -- lifecycle ----------------------------------------------------
 
-    async def start(self) -> None:
+    async def start(self, listen: bool = True) -> None:
+        """Start the backend on this loop, then accept sockets.
+
+        ``listen=False`` starts everything but the listener, for a
+        transport that hands :meth:`serve_connection` its one connection
+        itself (``cli serve`` on stdin).  Call once.
+        """
         self._closed = asyncio.Event()
-        if self._sock is not None:
+        self._backend.start(asyncio.get_running_loop())
+        if listen:
+            if self._sock is not None:
+                where = {"sock": self._sock}
+            else:
+                where = {"host": self._host, "port": self._port}
             self._server = await asyncio.start_server(
-                self.serve_connection, sock=self._sock, limit=LINE_LIMIT
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self.serve_connection, self._host, self._port, limit=LINE_LIMIT
+                self.serve_connection, limit=LINE_LIMIT, **where
             )
         if self._spool is not None:
             self._spool_task = asyncio.ensure_future(self._spool_loop())
@@ -626,11 +667,13 @@ class AsyncANNServer:
         if self._draining:
             return
         self._draining = True
-        self._server.close()
+        if self._server is not None:
+            self._server.close()
         asyncio.ensure_future(self._finish_drain())
 
     async def _finish_drain(self) -> None:
-        await self._server.wait_closed()
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._conn_tasks:
             _, pending = await asyncio.wait(
                 set(self._conn_tasks), timeout=self._drain_timeout
@@ -647,6 +690,9 @@ class AsyncANNServer:
             # counters while the file ages out.
             with contextlib.suppress(Exception):
                 self._spool.dump(get_registry().snapshot())
+        # A drained server's counters must not shadow a live one's.
+        for key, fn in self._collectors.items():
+            get_registry().unregister_collector(key, fn)
         self._closed.set()
 
     async def wait_closed(self) -> None:
@@ -756,7 +802,7 @@ class AsyncANNServer:
             if not line:
                 continue
             try:
-                request = json.loads(line)
+                request = decode_line(line)
                 if not isinstance(request, dict):
                     raise ValueError("request must be a JSON object")
             except ValueError as exc:
@@ -874,8 +920,7 @@ class AsyncANNServer:
                     if isinstance(pending, asyncio.Task):
                         response = await pending
                     else:
-                        if not pending.done():
-                            await asyncio.wrap_future(pending)
+                        await self._backend.settled(pending)
                         response = _query_response(pending.result())
                 except Exception as exc:
                     response = _error_response(exc)
@@ -915,10 +960,7 @@ class AsyncANNServer:
             if broken:
                 continue  # keep accounting; peer is gone
             try:
-                writer.write(
-                    json.dumps(response, default=_json_default).encode("utf-8")
-                    + b"\n"
-                )
+                writer.write(encode_line(response))
                 await writer.drain()
             except (ConnectionError, OSError):
                 broken = True
@@ -953,7 +995,6 @@ class ThreadedServer:
                 self.server = server
                 self.port = server.port
                 self._loop = asyncio.get_running_loop()
-                self._backend.start(self._loop)
                 started.set()
                 await server.wait_closed()
                 await self._backend.aclose()
@@ -1183,10 +1224,12 @@ def _run_single(config: ServerConfig, connect=None) -> int:
             name="single",
             obs_spool=obs_spool,
         )
+        await server.start(listen=connect is None)
         if connect is not None:
             await server.serve_connection(*connect())
+            server.begin_drain()
+            await server.wait_closed()
         else:
-            await server.start()
             _drain_on_signals(server)
             _log(
                 f"listening on {config.host}:{server.port} workers=1 "
@@ -1283,7 +1326,6 @@ async def _worker_async(
     )
     await server.start()
     _drain_on_signals(server)
-    backend.start(asyncio.get_running_loop())
     ready.set()
     await server.wait_closed()
     if worker_id == 0:

@@ -42,7 +42,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Deque, Tuple
+from typing import Callable, Deque, Tuple
 
 import numpy as np
 
@@ -228,6 +228,10 @@ class ANNService:
         self._batches = 0
         self._batched_queries = 0
         self._largest_batch = 0
+        #: called (no arguments, on the batcher thread) once per executed
+        #: micro-batch after every one of its futures is resolved;
+        #: replaced, never mutated, so the batcher reads it lock-free
+        self._batch_listeners: Tuple[Callable[[], None], ...] = ()
         self._executor = threading.Thread(
             target=self._run, name="ANNService-batcher", daemon=True
         )
@@ -350,6 +354,36 @@ class ANNService:
                     self._ci.delete_versioned(handle)
         if self._cache is not None:
             self._cache.invalidate()
+
+    # ------------------------------------------------------------------
+    # Batch listeners
+    # ------------------------------------------------------------------
+
+    def add_batch_listener(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` once per micro-batch, after all its futures are
+        resolved (results and exceptions alike).
+
+        It runs on the batcher thread, so it must be quick and must not
+        block: an event loop waiting on many of the batch's futures
+        registers one listener that wakes it once, instead of one
+        cross-thread wake-up per future.  What it raises is ignored.
+        """
+        with self._cond:
+            self._batch_listeners = (*self._batch_listeners, fn)
+
+    def remove_batch_listener(self, fn: Callable[[], None]) -> None:
+        """Stop calling ``fn`` (no-op if it is not registered)."""
+        with self._cond:
+            self._batch_listeners = tuple(
+                f for f in self._batch_listeners if f != fn
+            )
+
+    def _notify_batch_listeners(self) -> None:
+        for fn in self._batch_listeners:
+            try:
+                fn()
+            except Exception:  # a listener never kills the batcher
+                pass
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -520,6 +554,7 @@ class ANNService:
         except BaseException as exc:  # propagate to every waiter
             for request in batch:
                 request.future.set_exception(exc)
+            self._notify_batch_listeners()
             return
         with self._cond:
             self._batches += 1
@@ -537,6 +572,7 @@ class ANNService:
                     row_dists,
                 )
             request.future.set_result((row_ids, row_dists))
+        self._notify_batch_listeners()
 
     @staticmethod
     def _graft_batch_spans(request: _Request, batch_size: int, info: dict) -> None:

@@ -513,3 +513,34 @@ def test_tcp_metrics_op_merges_spool(quiet_tracer, tmp_path):
     ]
     assert query_reqs == [1]
 
+
+
+def test_drained_servers_metrics_never_shadow_the_live_one():
+    """Servers in sequence in one process: a drained server drops its
+    collectors, so the ``metrics`` op counts only the live server's
+    requests — whatever names the earlier servers had and in whatever
+    order they registered."""
+    rng = np.random.default_rng(9)
+    index = DynamicLCCSLSH(dim=DIM, m=8, w=4.0, seed=2).fit(
+        rng.normal(size=(150, DIM))
+    )
+    service = ANNService(index, cache_size=0)
+
+    def query_count(name: str, queries: int) -> list:
+        server = ThreadedServer(ServiceBackend(service, default_k=3), name=name)
+        with server, ServeClient("127.0.0.1", server.port) as client:
+            for _ in range(queries):
+                client.query(rng.normal(size=DIM), k=3)
+            fams = client.request({"metrics": True})["metrics"]["families"]
+        return [
+            s["value"]
+            for s in fams["repro_server_requests_total"]["samples"]
+            if s["labels"].get("op") == "query"
+        ]
+
+    try:
+        assert query_count("live", 2) == [2]
+        assert query_count("earlier", 3) == [3]
+        assert query_count("live", 1) == [1]
+    finally:
+        service.close()
