@@ -6,30 +6,27 @@ insert.  The tiered write path seals the memtable into a small
 immutable segment (O(memtable) work) and merges segments size-tiered:
 a seal folds the newest segments together while the one before them is
 under twice their rows, so compaction work follows the rows sealed and
-the O(n) base is rewritten only once the data beside it rivals it —
-on the write path (``inline``) or off it (``background``).
+the O(n) base is rewritten only once the data beside it rivals it.
 
 This bench fits a large base, then drives a sustained insert stream
-through three configurations:
+through two configurations:
 
-* ``rebuild``     — legacy behavior, kept bench-local
+* ``rebuild`` — legacy behavior, kept bench-local
   (:class:`RebuildEverySeal`): every seal is a full O(n) rebuild;
-* ``inline``      — seals are cheap; the size-tiered merges run
-  synchronously on the write path;
-* ``background``  — seals are cheap; merges run on the compaction
-  thread and commit on a later write.
+* ``inline``  — seals are cheap; the size-tiered merges run on the
+  write path, at the insert where the policy calls for them.
 
 Per-insert wall-clock is recorded for every insert, so the p99/p99.9/max
 columns show exactly what the stall looks like from a writer's point of
 view, and ``amplification`` (``rows_rebuilt / inserts``, a count that
 repeats exactly) says what the structure cost.  Acceptance: p99 at
-n>=100k improves >=10x in the tiered modes vs ``rebuild``, and the
-tiered modes stay under ``AMPLIFICATION_BOUND`` rows rebuilt per insert
+n>=100k improves >=10x in the tiered mode vs ``rebuild``, and the
+tiered mode stays under ``AMPLIFICATION_BOUND`` rows rebuilt per insert
 (``--check`` exits non-zero otherwise, or on any failed identity rider).
 
 Correctness riders (recorded as booleans in the payload):
 
-* saturated queries against each tiered index are **byte-identical** to
+* saturated queries against the tiered index are **byte-identical** to
   a reference twin that applied the same op stream and then fully
   rebuilt into a single CSA;
 * a WAL'd workload with seals and compactions recovers byte-identically,
@@ -62,7 +59,7 @@ M = 16
 W = 4.0
 SEED = 7
 
-#: rows rebuilt per insert a tiered mode may spend: one seal plus one
+#: rows rebuilt per insert the tiered mode may spend: one seal plus one
 #: re-merge per doubling of the data beside the base (measured 2.7-4.3;
 #: the merge-all policy this replaced read 35.6 on the e2e shape)
 AMPLIFICATION_BOUND = 5.0
@@ -77,8 +74,7 @@ class RebuildEverySeal(DynamicLCCSLSH):
 
 MODES = (
     ("rebuild", dict(cls=RebuildEverySeal)),
-    ("inline", dict(compaction="inline", max_segments=4)),
-    ("background", dict(compaction="background", max_segments=4)),
+    ("inline", dict(max_segments=4)),
 )
 
 
@@ -115,10 +111,6 @@ def run_mode(name, mode_kwargs, base, stream, memtable_size):
         index.insert(vec)
         latencies[i] = time.perf_counter() - t1
     stream_s = time.perf_counter() - t0
-    # Commit every in-flight or still-due background merge before the
-    # correctness checks and the amplification count.
-    while index.drain_compaction(timeout=120.0):
-        pass
     row = {
         "mode": name,
         "fit_s": round(fit_s, 3),
@@ -200,7 +192,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 when a tiered mode exceeds AMPLIFICATION_BOUND or "
+        help="exit 1 when the tiered mode exceeds AMPLIFICATION_BOUND or "
         "any byte-identity rider is false (the CI smoke)",
     )
     args = parser.parse_args(argv)

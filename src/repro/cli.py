@@ -254,13 +254,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
     lsm_knobs = {
         "memtable_size": args.memtable_size,
         "max_segments": args.max_segments,
-        "compaction": args.compaction,
     }
     lsm_knobs = {k: v for k, v in lsm_knobs.items() if v is not None}
     if lsm_knobs:
         if args.method != "dynamic":
             print(
-                "--memtable-size/--max-segments/--compaction apply to "
+                "--memtable-size/--max-segments apply to "
                 "--method dynamic only",
                 file=sys.stderr,
             )
@@ -910,13 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-segments", type=int, default=None,
         help="(--method dynamic) hard cap on sealed segments (default 4); "
         "the size-tiered policy usually merges well before it binds",
-    )
-    p.add_argument(
-        "--compaction", choices=("inline", "background"),
-        default=None,
-        help="(--method dynamic) where the size-tiered segment merges "
-        "run: inline (deterministic, default) or background (off the "
-        "write path)",
     )
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_build)

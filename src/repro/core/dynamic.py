@@ -19,12 +19,12 @@ updates, so this wrapper applies the LSM recipe on top of it:
 * segments are **size-tiered** (:func:`repro.core.segments.merge_range`):
   a seal merges the newest segments while the one before them is under
   twice their rows, so the stack stays ``O(log(n / memtable))`` deep and
-  the big base is rewritten only once the data beside it rivals it —
-  inline by default (deterministic in op order), or on a background
-  thread (``compaction="background"``) that builds the merged CSA off
-  the write path and publishes it via the usual atomic epoch swap, with
-  the merge sequenced through the WAL (``seal``/``compact`` records) so
-  crash recovery and log-tailing replicas stay byte-exact.
+  the big base is rewritten only once the data beside it rivals it.
+  Every merge runs on the write path, at the op where the policy calls
+  for it, so the tier shape is a function of the op sequence alone:
+  crash recovery and log-tailing replicas replay the same merges, and
+  only the manual ``flush()``/``compact()`` go through the WAL
+  (``seal``/``compact`` records).
 
 This is an extension beyond the paper (which evaluates static indexes);
 it exercises the same public machinery and shows the cost model: queries
@@ -43,9 +43,7 @@ reentrant-read interleavings safe by construction; for genuinely
 concurrent readers and writers, wrap the index in
 :class:`repro.serve.ConcurrentIndex`, which serializes writes against
 reads (this class on its own is **not** thread-safe: e.g. two racing
-``insert`` calls may assign the same handle).  The background
-compaction thread only ever *builds* — commits happen on the caller's
-write path, inside whatever lock the caller already holds.
+``insert`` calls may assign the same handle).
 """
 
 from __future__ import annotations
@@ -58,12 +56,7 @@ import numpy as np
 from repro import kernels
 from repro.base import ANNIndex, widened
 from repro.core.lccs_lsh import LCCSLSH, check_probes
-from repro.core.segments import (
-    CompactionManager,
-    Segment,
-    merge_range,
-    merge_segments,
-)
+from repro.core.segments import Segment, merge_range, merge_segments
 from repro.core.store import check_store, narrow_store, widen_for
 from repro.distances import pairwise, pairwise_rows
 from repro.obs.tracing import span as obs_span
@@ -75,7 +68,7 @@ def _observe_structural(kind: str, duration_s: float) -> None:
     """Record one structural op in the duration-by-kind histogram.
 
     Imported lazily so the core index never forces the registry module;
-    never allowed to break the write path or a background build.
+    never allowed to break the write path.
     """
     try:
         from repro.obs.metrics import get_registry
@@ -86,9 +79,6 @@ def _observe_structural(kind: str, duration_s: float) -> None:
         ).observe(duration_s, kind=kind)
     except Exception:
         pass
-
-#: accepted compaction strategies (see :class:`DynamicLCCSLSH`)
-_COMPACTION_MODES = ("inline", "background")
 
 
 class _DynState:
@@ -128,11 +118,6 @@ class DynamicLCCSLSH(ANNIndex):
         max_segments: hard cap on the sealed segment count (default 4);
             the size-tiered policy merges further than its 2x rule asks
             when the stack would otherwise exceed it.
-        compaction: ``"inline"`` (default) merges synchronously on the
-            write path — deterministic in op order; ``"background"``
-            builds the merged segment on a helper thread and commits it
-            at the end of a later write op (sequenced through the WAL
-            when wrapped in a ``DurableIndex``).
         (other arguments forwarded to :class:`LCCSLSH`)
 
     Queries take :class:`LCCSLSH`'s ``num_candidates`` and ``n_probes``
@@ -156,7 +141,6 @@ class DynamicLCCSLSH(ANNIndex):
         rebuild_threshold: float = 0.2,
         memtable_size: Optional[int] = None,
         max_segments: int = 4,
-        compaction: str = "inline",
         **lccs_kwargs,
     ):
         super().__init__(dim, metric, lccs_kwargs.get("seed"))
@@ -166,18 +150,9 @@ class DynamicLCCSLSH(ANNIndex):
             raise ValueError("memtable_size must be >= 1")
         if int(max_segments) < 1:
             raise ValueError("max_segments must be >= 1")
-        if compaction == "rebuild":
-            # removed mode (every seal a full rebuild) still named by
-            # recipes persisted before PR 23: same answers, tiered writes
-            compaction = "inline"
-        if compaction not in _COMPACTION_MODES:
-            raise ValueError(
-                f"compaction must be one of {_COMPACTION_MODES}, got {compaction!r}"
-            )
         self.rebuild_threshold = float(rebuild_threshold)
         self.memtable_size = None if memtable_size is None else int(memtable_size)
         self.max_segments = int(max_segments)
-        self.compaction = str(compaction)
         kernels.check_backend(lccs_kwargs.pop("backend", None))
         self._lccs_kwargs = dict(lccs_kwargs)
         self._m = int(m)
@@ -192,24 +167,20 @@ class DynamicLCCSLSH(ANNIndex):
         self.rebuilds = 0
         #: memtable seals (each builds one small segment)
         self.seals = 0
-        #: segment merges committed (inline, background, or replayed)
+        #: segment merges committed (live or replayed)
         self.compactions = 0
         #: rows indexed by seals, merges and GC rebuilds since fit
         self.rows_rebuilt = 0
-        #: background builds that died with an exception
-        self.compaction_errors = 0
         #: total write-path seconds spent in structural ops (seal /
-        #: inline compaction / rebuild) and the most recent one's cost —
+        #: compaction / rebuild) and the most recent one's cost —
         #: the stall the LSM design exists to bound (fit is not one)
         self.compaction_time_s = 0.0
         self.last_compaction_s = 0.0
-        self._compactor = CompactionManager()
         #: structural-op listener — DurableIndex registers one so seals
         #: and compactions are logged *before* the epoch swap
         self._listener = None
-        #: set while replaying WAL records: background scheduling and
-        #: listener notifications are suppressed (replicas and recovery
-        #: are driven purely by the logged record stream)
+        #: set while replaying WAL records: listener notifications are
+        #: suppressed (the records being replayed are already logged)
         self._replaying = False
 
     # ------------------------------------------------------------------
@@ -253,13 +224,10 @@ class DynamicLCCSLSH(ANNIndex):
             "tombstones": len(state.dead),
             "memtable_budget": self.memtable_size,
             "max_segments": self.max_segments,
-            "compaction": self.compaction,
             "seals": int(self.seals),
             "compactions": int(self.compactions),
             "rows_rebuilt": int(self.rows_rebuilt),
-            "compaction_errors": int(self.compaction_errors),
             "rebuilds": int(self.rebuilds),
-            "pending_compaction": self._compactor.busy,
             "compaction_time_s": float(self.compaction_time_s),
             "last_compaction_s": float(self.last_compaction_s),
         }
@@ -360,29 +328,6 @@ class DynamicLCCSLSH(ANNIndex):
             self.rows_rebuilt += len(live)
         self._note_structural("seal", time.perf_counter() - t0)
 
-    def _commit_compaction(self, result, log: bool) -> None:
-        """Swap a finished merge in: replace the range it consumed.
-
-        When ``log`` is set and a structural listener is registered, the
-        WAL ``compact`` record is appended *before* the swap
-        (log-then-apply), carrying the range and the dropped handles so
-        replay reproduces this exact merge.
-        """
-        start, stop = result.start, result.start + len(result.inputs)
-        if log and self._listener is not None and not self._replaying:
-            self._listener("compact", (start, stop, list(result.dropped)))
-        state = self._state
-        merged = (result.segment,) if result.segment is not None else ()
-        self._state = _DynState(
-            state.segments[:start] + merged + state.segments[stop:],
-            state.buffer,
-            state.buffer_set,
-            state.dead - set(result.dropped),
-        )
-        self.rebuilds += 1
-        self.compactions += 1
-        self.rows_rebuilt += sum(seg.n for seg in merged)
-
     def _note_structural(self, kind: str, duration_s: float) -> None:
         """Account one structural op's write-path cost (stats + metrics)."""
         self.compaction_time_s += duration_s
@@ -393,7 +338,13 @@ class DynamicLCCSLSH(ANNIndex):
         self, start: int, stop: int, log: bool, dead: Optional[set] = None
     ) -> None:
         """Merge ``segments[start:stop]`` on the write path, dropping the
-        current tombstones (or exactly ``dead``, when replaying)."""
+        current tombstones (or exactly ``dead``, when replaying).
+
+        When ``log`` is set and a structural listener is registered, the
+        WAL ``compact`` record is appended *before* the swap
+        (log-then-apply), carrying the range and the dropped handles so
+        replay reproduces this exact merge.
+        """
         t0 = time.perf_counter()
         with obs_span("lsm.compact"):
             state = self._state
@@ -409,77 +360,30 @@ class DynamicLCCSLSH(ANNIndex):
                 state.dead if dead is None else dead,
                 self._build_segment,
             )
-            self._commit_compaction(result, log=log)
-        self._note_structural("inline", time.perf_counter() - t0)
-
-    def _schedule_compaction(self, start: int, stop: int) -> bool:
-        """Start a background merge of ``segments[start:stop]``.
-
-        The job captures an immutable snapshot (segment tuple, a copy of
-        the tombstones; store rows below the current size are never
-        rewritten, growth allocates a fresh array) and only *builds*;
-        the commit happens on a later write op.
-        """
-        segments = self._state.segments
-        dead = set(self._state.dead)
-        build = self._build_segment
-
-        def job():
-            # Off the write path: only the histogram is touched; the
-            # instance stall counters stay write-path-only so they keep
-            # meaning "time writers actually waited".
-            t0 = time.perf_counter()
-            result = merge_segments(segments, start, stop, dead, build)
-            _observe_structural("background", time.perf_counter() - t0)
-            return result
-
-        return self._compactor.schedule(job)
-
-    def _commit_ready(self) -> None:
-        """Commit a finished background build, if still valid.
-
-        Seals only *append* segments, so a build over a range stays
-        valid as long as those exact objects still fill it; a full
-        rebuild (tombstone GC) or ``compact()`` replaces them, in which
-        case the stale result is dropped and a later op reschedules.
-        """
-        try:
-            result = self._compactor.take_ready()
-        except Exception:
-            # A failed background build must never poison the write
-            # path; count it and let a later op reschedule.
-            self.compaction_errors += 1
-            return
-        if result is None:
-            return
-        stop = result.start + len(result.inputs)
-        # segments compare by identity: the same objects, the same slots
-        if self._state.segments[result.start : stop] == result.inputs:
-            self._commit_compaction(result, log=True)
+            if log and self._listener is not None and not self._replaying:
+                self._listener("compact", (start, stop, result.dropped))
+            merged = (result.segment,) if result.segment is not None else ()
+            self._state = _DynState(
+                state.segments[:start] + merged + state.segments[stop:],
+                state.buffer,
+                state.buffer_set,
+                state.dead - set(result.dropped),
+            )
+            self.rebuilds += 1
+            self.compactions += 1
+            self.rows_rebuilt += sum(seg.n for seg in merged)
+        self._note_structural("compact", time.perf_counter() - t0)
 
     def _service_tiers(self) -> None:
-        """End-of-write-op hook: one merge policy, run as the mode says.
+        """End-of-write-op hook: merge the range the policy calls due.
 
-        ``background`` commits a finished build (logged: replay follows
-        the records and skips this) and hands the helper thread the next
-        due range; ``inline`` merges it here — deterministic in op
-        order, so replay reaches the same merge and nothing is logged.
+        Deterministic in op order, so replay reaches the same merge and
+        nothing is logged.
         """
-        background = self.compaction == "background"
-        if background:
-            if self._replaying:
-                return
-            self._commit_ready()
-            if self._compactor.busy:
-                return
         due = merge_range(
             [seg.n for seg in self._state.segments], self.max_segments
         )
-        if due is None:
-            return
-        if background:
-            self._schedule_compaction(*due)
-        else:
+        if due is not None:
             self._compact_now(*due, log=False)
 
     def _maybe_compact(self) -> None:
@@ -501,6 +405,18 @@ class DynamicLCCSLSH(ANNIndex):
     # Mutations
     # ------------------------------------------------------------------
 
+    def check_hashable(self, rows: np.ndarray) -> None:
+        """Raise ``ValueError`` unless the hash family can code ``rows``
+        (one vector or a 2-d batch).
+
+        A huge finite value projects past the int64 bucket codes
+        (:func:`repro.hashes.base.bucket_codes`); admitted to the
+        memtable, such a row would fail its seal instead.
+        """
+        segments = self._state.segments
+        inner = segments[0].inner if segments else self._make_inner()
+        inner.family.hash(rows)
+
     def insert(self, vector: np.ndarray) -> int:
         """Add one vector; returns its stable handle.
 
@@ -518,6 +434,7 @@ class DynamicLCCSLSH(ANNIndex):
             raise ValueError(f"vector must have shape ({self.dim},)")
         if not np.isfinite(vector).all():
             raise ValueError("vector must be finite (no NaN or infinity)")
+        self.check_hashable(vector)
         dtype = widen_for(self._store.dtype, vector)
         full = self._size == len(self._store)
         if full or dtype != self._store.dtype:
@@ -588,23 +505,6 @@ class DynamicLCCSLSH(ANNIndex):
             return False
         self._compact_now(0, count, log=True)
         return True
-
-    def drain_compaction(self, timeout: Optional[float] = None) -> bool:
-        """Wait for an in-flight background build and commit it.
-
-        A convenience for tests, benchmarks, and orderly shutdown —
-        normal operation commits on the next write op instead.  If the
-        policy still finds a range due afterwards (the writer outran the
-        compactor), the next merge is scheduled, so looping until this
-        returns False fully quiesces the tier shape.  Returns True if a
-        build was committed or the next one is in flight.
-        """
-        if self.compaction != "background":
-            return False
-        self._compactor.drain(timeout)
-        before = self.compactions
-        self._service_tiers()
-        return self.compactions > before or self._compactor.busy
 
     # ------------------------------------------------------------------
     # Queries: fan out across memtable + segments, merge canonically
@@ -811,7 +711,6 @@ class DynamicLCCSLSH(ANNIndex):
             "rebuild_threshold": self.rebuild_threshold,
             "memtable_size": self.memtable_size,
             "max_segments": self.max_segments,
-            "compaction": self.compaction,
             "lccs_kwargs": dict(self._lccs_kwargs),
             "buffer_handles": [int(h) for h in epoch.buffer],
             "dead": sorted(int(h) for h in epoch.dead),
@@ -858,7 +757,6 @@ class DynamicLCCSLSH(ANNIndex):
                 None if memtable_size is None else int(memtable_size)
             ),
             max_segments=int(state.get("max_segments", 4)),
-            compaction=str(state.get("compaction", "inline")),
             **kwargs,
         )
         rows = 0
@@ -905,18 +803,12 @@ class DynamicLCCSLSH(ANNIndex):
         index.rows_rebuilt = int(state.get("rows_rebuilt", 0))
         return index
 
-    # The compaction manager owns a lock and (possibly) a thread, and
-    # the listener points back into a durability wrapper — neither
-    # belongs in an in-memory pickle or deep copy of the index.
+    # The listener points back into a durability wrapper — it does not
+    # belong in an in-memory pickle or deep copy of the index.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_compactor"] = None
         state["_listener"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._compactor = CompactionManager()
 
     # ------------------------------------------------------------------
     # Replayable op records (consumed by repro.serve.durability)
@@ -932,11 +824,10 @@ class DynamicLCCSLSH(ANNIndex):
         assigned deterministically in op order and structural ops carry
         their inputs explicitly, replaying a log of these records on a
         fresh index reproduces the original state exactly.  While
-        replaying, background scheduling and listener notifications are
-        suppressed — the record stream itself drives every structural
-        change.  A ``delete`` that raises ``KeyError`` is applied as a
-        no-op: the live call that logged it also raised without
-        changing state, so replayed and acknowledged state stay
+        replaying, listener notifications are suppressed — the records
+        are already in the log.  A ``delete`` that raises ``KeyError``
+        is applied as a no-op: the live call that logged it also raised
+        without changing state, so replayed and acknowledged state stay
         identical.
         """
         kind, payload = op

@@ -14,21 +14,14 @@ that design that are independent of the dynamic wrapper itself:
 * :func:`merge_range` — the one merge policy (size-tiered): which
   suffix of the stack is due a merge.
 * :func:`merge_segments` — the pure merge step: gather the handles of
-  one range of the stack, drop the ones in a tombstone snapshot, and
-  build one merged segment.  It records exactly which handles were
-  dropped so the merge can be replayed deterministically from a WAL
-  ``compact`` record even if more deletes raced in after the build
-  started.
-* :class:`CompactionManager` — a one-slot background worker.  At most
-  one merge build is in flight (or finished-but-uncommitted) at a time;
-  the *caller* commits results on its own write path, so the background
-  thread never touches live index state.
+  one range of the stack, drop the ones in a tombstone set, and build
+  one merged segment.  It records exactly which handles were dropped so
+  a manual ``compact()`` can be replayed from its WAL ``compact``
+  record.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future, wait
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +29,6 @@ import numpy as np
 __all__ = [
     "Segment",
     "CompactionResult",
-    "CompactionManager",
     "merge_range",
     "merge_segments",
 ]
@@ -71,19 +63,13 @@ class Segment:
 
 
 class CompactionResult(NamedTuple):
-    """Output of one merge build, held until the caller commits it.
+    """Output of one merge: the merged segment and what it dropped.
 
-    ``inputs`` are the exact segment objects the build consumed, found
-    at ``start`` in the stack — the commit step validates those slots by
-    identity (seals only append, so a still-valid build finds its inputs
-    where it left them).  ``dropped`` lists the tombstoned handles the
-    merge excluded, in sorted order; a WAL ``compact`` record carries it
-    so replay reproduces this merge byte-exactly regardless of deletes
-    that happened after the build was scheduled.
+    ``dropped`` lists the tombstoned handles the merge excluded, in
+    sorted order; a WAL ``compact`` record carries it so replay
+    reproduces this merge byte-exactly.
     """
 
-    start: int
-    inputs: Tuple[Segment, ...]
     segment: Optional[Segment]
     dropped: List[int]
 
@@ -126,8 +112,7 @@ def merge_segments(
     fits a fresh CSA over those rows) is deterministic given the index
     seed.  Returns ``segment=None`` when every row was tombstoned.
     """
-    inputs = tuple(segments[start:stop])
-    parts = [seg.handles for seg in inputs]
+    parts = [seg.handles for seg in segments[start:stop]]
     allh = (
         np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     )
@@ -139,61 +124,5 @@ def merge_segments(
         allh = allh[~mask]
     allh = np.sort(allh)
     segment = build(allh) if len(allh) else None
-    return CompactionResult(start, inputs, segment, dropped)
+    return CompactionResult(segment, dropped)
 
-
-class CompactionManager:
-    """One-slot background build executor.
-
-    ``schedule(job)`` starts ``job`` on a daemon thread unless a build
-    is already in flight or waiting to be committed.  ``take_ready()``
-    returns the finished result exactly once (or re-raises the build's
-    exception); until it is taken, ``busy`` stays true so no second
-    build piles up.  The manager never mutates index state — commits
-    happen on the caller's write path, which is also the only caller of
-    these methods: the future is all the synchronisation there is.
-    """
-
-    def __init__(self) -> None:
-        self._future: Optional[Future] = None
-
-    @property
-    def busy(self) -> bool:
-        """A build is running or finished-but-uncommitted."""
-        return self._future is not None
-
-    def schedule(self, job: Callable[[], CompactionResult]) -> bool:
-        if self._future is not None:
-            return False
-        self._future = future = Future()
-        threading.Thread(
-            target=self._run, args=(future, job), name="lccs-compaction", daemon=True
-        ).start()
-        return True
-
-    @staticmethod
-    def _run(future: Future, job: Callable[[], CompactionResult]) -> None:
-        try:
-            future.set_result(job())
-        except BaseException as exc:  # surfaced at take_ready()
-            future.set_exception(exc)
-
-    def take_ready(self) -> Optional[CompactionResult]:
-        """Pop the finished build, if any (non-blocking).
-
-        Returns None while the build is still running (or none exists);
-        re-raises the job's exception if it failed.
-        """
-        future = self._future
-        if future is None or not future.done():
-            return None
-        self._future = None
-        return future.result()
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """Block until the in-flight build (if any) finishes."""
-        if self._future is not None:
-            wait([self._future], timeout)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CompactionManager(busy={self.busy})"

@@ -14,13 +14,33 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["HashFamily", "PositionAlternatives"]
+__all__ = ["HashFamily", "PositionAlternatives", "bucket_codes"]
 
 #: attributes handled explicitly by ``export_state`` / ``from_state``
 _STATE_SPECIAL = ("dim", "m", "seed", "rng")
 
 #: alternatives of one position: parallel (codes, scores), sorted by score
 PositionAlternatives = Tuple[np.ndarray, np.ndarray]
+
+#: bucket codes are int64: every ``floor(raw / w)`` must lie below this
+#: in magnitude (a float64 constant, exact)
+_CODE_BOUND = 2.0**63
+
+
+def bucket_codes(raw: np.ndarray, w: float) -> np.ndarray:
+    """``floor(raw / w)`` as int64 bucket codes, or ``ValueError``.
+
+    A finite vector can still project past int64 (``1e200`` per
+    coordinate) or overflow to infinity; casting such a value yields an
+    arbitrary code, so the vector would hash into some unrelated bucket.
+    """
+    codes = np.floor(raw / w)
+    if not (np.abs(codes) < _CODE_BOUND).all():  # also false for NaN
+        raise ValueError(
+            "vector cannot be hashed: a projection is non-finite or "
+            "outside the int64 bucket range"
+        )
+    return codes.astype(np.int64)
 
 
 class HashFamily(abc.ABC):

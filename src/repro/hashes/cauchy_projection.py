@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.hashes.base import HashFamily, PositionAlternatives
+from repro.hashes.base import HashFamily, PositionAlternatives, bucket_codes
 from repro.theory.collision import cauchy_collision_probability
 
 __all__ = ["CauchyProjectionFamily"]
@@ -46,7 +46,7 @@ class CauchyProjectionFamily(HashFamily):
 
     def _hash_batch(self, data: np.ndarray) -> np.ndarray:
         raw = data @ self.proj + self.offset
-        return np.floor(raw / self.w).astype(np.int64)
+        return bucket_codes(raw, self.w)
 
     def query_alternatives(
         self, q: np.ndarray, max_alternatives: int = 8
@@ -55,7 +55,7 @@ class CauchyProjectionFamily(HashFamily):
         if q.shape != (self.dim,):
             raise ValueError(f"query must have shape ({self.dim},), got {q.shape}")
         raw = q @ self.proj + self.offset
-        codes = np.floor(raw / self.w).astype(np.int64)
+        codes = bucket_codes(raw, self.w)
         frac = raw - codes * self.w
         half = max(1, (max_alternatives + 1) // 2)
         deltas = np.concatenate([np.arange(1, half + 1), -np.arange(1, half + 1)])

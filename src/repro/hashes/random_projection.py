@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.hashes.base import HashFamily, PositionAlternatives
+from repro.hashes.base import HashFamily, PositionAlternatives, bucket_codes
 from repro.theory.collision import rp_collision_probability
 
 __all__ = ["RandomProjectionFamily"]
@@ -50,7 +50,7 @@ class RandomProjectionFamily(HashFamily):
 
     def _hash_batch(self, data: np.ndarray) -> np.ndarray:
         raw = data @ self.proj + self.offset
-        return np.floor(raw / self.w).astype(np.int64)
+        return bucket_codes(raw, self.w)
 
     def project(self, q: np.ndarray) -> np.ndarray:
         """Raw projections ``a_i . q + b_i`` (used by C2LSH/QALSH-style code)."""
@@ -63,7 +63,7 @@ class RandomProjectionFamily(HashFamily):
         self, q: np.ndarray, max_alternatives: int = 8
     ) -> Tuple[np.ndarray, List[PositionAlternatives]]:
         raw = self.project(np.asarray(q, dtype=np.float64))
-        codes = np.floor(raw / self.w).astype(np.int64)
+        codes = bucket_codes(raw, self.w)
         frac = raw - codes * self.w  # in [0, w)
         half = max(1, (max_alternatives + 1) // 2)
         deltas = np.concatenate(

@@ -59,7 +59,7 @@ four ``(Q, m)`` bound arrays never leave C.
 
 Reentrancy: parallel readers behind ``ConcurrentIndex`` run these
 kernels concurrently — ``ctypes`` drops the GIL for the duration of each
-call; a background compaction builds beside a seal.  Heaps, bounds and
+call, and a replica's build runs beside its primary's.  Heaps, bounds and
 the build's scratch are ``malloc``'d per call inside C; the one
 ``O(n)`` scratch (the merge's seen-epoch table) is thread-local
 (:class:`_SeenScratch`), so a lone query does not pay a ``calloc(n)``.

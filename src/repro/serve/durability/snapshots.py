@@ -220,6 +220,20 @@ class RecoveryResult(NamedTuple):
     corrupt: List[Tuple[str, str]]
 
 
+def _refuse_background(source: str, recorded) -> None:
+    """Refuse a log written by the removed background compactor.
+
+    ``recorded`` is the recipe's kwargs or the snapshot's state.  Thread
+    timing chose that log's ``compact`` ranges, and an inline replay
+    also merges on its own, so the replayed tiers would diverge.
+    """
+    if isinstance(recorded, dict) and recorded.get("compaction") == "background":
+        raise RecoveryError(
+            f"{source}: written by the removed background compaction "
+            "mode; its log cannot be replayed"
+        )
+
+
 def _load_spec(wal_dir: str):
     from repro.serve.registry import IndexSpec
 
@@ -236,6 +250,8 @@ def _load_spec(wal_dir: str):
     manifest = config.get("spec")
     if manifest is None:
         return None
+    if isinstance(manifest, dict):
+        _refuse_background(config_path, manifest.get("kwargs"))
     try:
         return IndexSpec.from_manifest(manifest)
     except (KeyError, TypeError) as exc:
@@ -265,7 +281,9 @@ def recover(wal_dir: str, spec=None, mmap: bool = False) -> RecoveryResult:
     copy-on-write exactly as live writes do.
 
     Raises :class:`RecoveryError` when nothing can produce an index —
-    no readable snapshot and no spec for a full replay.
+    no readable snapshot and no spec for a full replay — and, before
+    any replay, when the starting snapshot or the recipe was written
+    by the removed background compaction mode.
     """
     if not os.path.isdir(wal_dir):
         raise RecoveryError(f"{wal_dir}: no such WAL directory")
@@ -280,6 +298,7 @@ def recover(wal_dir: str, spec=None, mmap: bool = False) -> RecoveryResult:
                 raise BundleError(
                     f"{path}: wal_seq tag {tagged} contradicts its name"
                 )
+            _refuse_background(path, manifest.get("state"))
             index = load_index(path, mmap=mmap)
         except BundleError as exc:
             corrupt.append((path, str(exc)))

@@ -792,11 +792,10 @@ class DurableIndex(ANNIndex):
             segment_bytes=segment_bytes,
         )
         self.snapshots = snapshots
-        # LSM-tiered indexes announce seals/compactions through a
-        # structural listener; registering it routes those epoch swaps
+        # LSM-tiered indexes announce manual seals/compactions through
+        # a structural listener; registering it routes those epoch swaps
         # through the log *before* they are published (log-then-apply),
-        # keeping recovery and WAL-tailing replicas byte-exact across
-        # background compactions.
+        # keeping recovery and WAL-tailing replicas byte-exact.
         register = getattr(index, "set_structural_listener", None)
         if register is not None:
             register(self._log_structural)
@@ -890,6 +889,7 @@ class DurableIndex(ANNIndex):
             raise ValueError(
                 f"data must have shape (n, {self.dim}), got {data.shape}"
             )
+        self._check_hashable(data)
         self.wal.append(Op.fit(data))
         self.inner.fit(data)
         self._notify()
@@ -905,10 +905,19 @@ class DurableIndex(ANNIndex):
             raise ValueError(f"vector must have shape ({self.dim},)")
         if not np.isfinite(vector).all():
             raise ValueError("vector must be finite (no NaN or infinity)")
+        self._check_hashable(vector)
         self.wal.append(Op.insert(vector))
         handle = int(self.inner.insert(vector))
         self._notify()
         return handle
+
+    def _check_hashable(self, rows: np.ndarray) -> None:
+        """Refuse rows the wrapped index could not hash before they are
+        logged: a logged row that fails its apply would fail every
+        replay of the log too."""
+        check = getattr(self.inner, "check_hashable", None)
+        if check is not None:
+            check(rows)
 
     def delete(self, handle: int) -> None:
         if not hasattr(self.inner, "delete"):
@@ -960,16 +969,6 @@ class DurableIndex(ANNIndex):
             )
         try:
             return bool(compact())
-        finally:
-            self._notify()
-
-    def drain_compaction(self, timeout=None) -> bool:
-        """Wait for and commit an in-flight background compaction."""
-        drain = getattr(self.inner, "drain_compaction", None)
-        if drain is None:
-            return False
-        try:
-            return bool(drain(timeout))
         finally:
             self._notify()
 

@@ -125,9 +125,10 @@ class IndexSpec:
     @classmethod
     def from_manifest(cls, manifest: dict) -> "IndexSpec":
         kwargs = dict(manifest["kwargs"])
-        # recorded by earlier builds; the knob is gone (the store type
-        # is chosen exactly at fit)
+        # recorded by earlier builds; the knobs are gone (the store type
+        # is chosen exactly at fit, and every merge runs inline)
         kwargs.pop("verify_dtype", None)
+        kwargs.pop("compaction", None)
         return cls(manifest["class"], **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -89,10 +89,6 @@ _COUNTER_FAMILIES = {
     "wal_snapshots": ("repro_wal_snapshots_total", "snapshot checkpoints written"),
     "tier_seals": ("repro_tier_seals_total", "memtable seals"),
     "tier_compactions": ("repro_tier_compactions_total", "completed compactions"),
-    "tier_compaction_errors": (
-        "repro_tier_compaction_errors_total",
-        "failed compactions",
-    ),
     "tier_rebuilds": ("repro_tier_rebuilds_total", "full index rebuilds"),
     "tier_compaction_time_s": (
         "repro_tier_compaction_seconds_total",

@@ -6,6 +6,7 @@ import pytest
 from repro.distances import angular, hamming, jaccard, normalize_rows
 from repro.hashes import (
     BitSamplingFamily,
+    CauchyProjectionFamily,
     CrossPolytopeFamily,
     HyperplaneFamily,
     MinHashFamily,
@@ -268,3 +269,32 @@ def test_make_family_dispatch():
 def test_family_size_bytes_positive():
     for make in ALL_REAL_FAMILIES:
         assert make().size_bytes() > 0
+
+
+# ----------------------------------------------------------------------
+# Bucket codes must fit int64
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RandomProjectionFamily(16, 24, w=4.0, seed=3),
+        lambda: CauchyProjectionFamily(16, 24, w=4.0, seed=3),
+    ],
+)
+@pytest.mark.parametrize("value", [1e150, -1e200, 1e308])
+def test_projections_past_int64_are_refused(make, value):
+    """A huge finite vector used to cast to an arbitrary code (with an
+    'invalid value encountered in cast' warning) and so hash into an
+    unrelated bucket; now hashing it, or asking for its probe
+    alternatives, raises."""
+    fam = make()
+    vector = np.full(16, value)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 overflows
+        with pytest.raises(ValueError, match="int64 bucket range"):
+            fam.hash(vector)
+        with pytest.raises(ValueError, match="int64 bucket range"):
+            fam.hash(np.stack([np.zeros(16), vector]))
+        with pytest.raises(ValueError, match="int64 bucket range"):
+            fam.query_alternatives(vector)
+    assert fam.hash(np.full(16, 1e6)).dtype == np.int64  # large, in range

@@ -126,3 +126,39 @@ def test_save_load_roundtrip(tmp_path, clustered):
     got_ids, got_dists = loaded.query(queries[0], k=5, num_candidates=50)
     assert want_ids.tolist() == got_ids.tolist()
     assert np.allclose(want_dists, got_dists)
+
+
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_vectors_too_large_to_hash_are_refused(dynamic):
+    """``np.full(d, 1e200)`` used to answer made-up ids at ``inf``
+    distance; a query, a fit and (dynamic) an insert of it raise, and the
+    refused insert leaves no row behind for a later seal to trip on."""
+    from repro import DynamicLCCSLSH
+
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(60, 16))
+    kwargs = dict(dim=16, m=8, w=4.0, seed=1)
+    make = (
+        (lambda: DynamicLCCSLSH(memtable_size=2, **kwargs))
+        if dynamic
+        else (lambda: LCCSLSH(**kwargs))
+    )
+    index = make().fit(data)
+    for value in (1e150, 1e200):
+        huge = np.full(16, value)
+        with pytest.raises(ValueError, match="int64 bucket range"):
+            index.query(huge, k=3)
+        with pytest.raises(ValueError, match="int64 bucket range"):
+            index.batch_query(np.stack([data[0], huge]), k=3)
+        with pytest.raises(ValueError, match="int64 bucket range"):
+            make().fit(np.vstack([data, huge]))
+        if dynamic:
+            with pytest.raises(ValueError, match="int64 bucket range"):
+                index.insert(huge)
+    assert index.n == 60
+    if dynamic:
+        assert index.insert(data[1] + 1.0) == 60
+        index.insert(data[2] + 1.0)  # fills the memtable: the seal succeeds
+        assert index.tier_stats()["segment_rows"] == [60, 2]
+    ids, _ = index.query(data[0], k=1)
+    assert ids.tolist() == [0]

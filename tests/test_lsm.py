@@ -11,7 +11,9 @@ liveness-checked ``get_vector``.
 
 from __future__ import annotations
 
+import json
 import math
+import shutil
 import time
 
 import numpy as np
@@ -20,13 +22,8 @@ from helpers import assert_matches_oracle, oracle_query
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicLCCSLSH
-from repro.core.segments import (
-    CompactionManager,
-    Segment,
-    merge_range,
-    merge_segments,
-)
+from repro import DynamicLCCSLSH, IndexSpec
+from repro.core.segments import Segment, merge_range, merge_segments
 
 DIM = 6
 
@@ -92,16 +89,22 @@ def test_inline_compaction_caps_segment_count():
 
 
 def test_recipes_naming_the_removed_rebuild_mode_load_as_inline():
-    """``compaction="rebuild"`` (every seal a full O(n) rebuild) left
-    ``src/`` in PR 23 — the baseline lives in ``bench_lsm.py`` — but
-    bundles and ``durable.json`` recipes written before may name it."""
-    index, rng = _fitted(10, memtable_size=5, compaction="rebuild")
-    assert index.compaction == "inline"
+    """The ``compaction`` argument is gone (every merge runs inline), but
+    ``durable.json`` recipes written before may name any of its values —
+    ``"rebuild"`` (every seal a full O(n) rebuild) included, whose
+    baseline lives in ``bench_lsm.py``: the field is ignored."""
+    kwargs = dict(dim=DIM, m=8, w=4.0, seed=2, memtable_size=5)
+    spec = IndexSpec.from_manifest(
+        {"class": "DynamicLCCSLSH", "kwargs": dict(kwargs, compaction="rebuild")}
+    )
+    assert spec.kwargs == kwargs
+    rng = np.random.default_rng(7)
+    index = spec.build().fit(rng.normal(size=(10, DIM)))
     for v in rng.normal(size=(40, DIM)):
         index.insert(v)
     assert index.compactions >= 1 and index.live_count == 50
-    with pytest.raises(ValueError, match="compaction"):
-        _mk(compaction="merge-all")
+    with pytest.raises(TypeError, match="compaction"):
+        _mk(compaction="inline").fit(rng.normal(size=(10, DIM)))
 
 
 def test_seal_drops_tombstoned_memtable_rows():
@@ -185,15 +188,9 @@ def _assert_tiered(index):
         assert len(rows) <= math.log2(max(rows) / min(rows)) + 1, rows
 
 
-def _quiesce(index):
-    while index.drain_compaction(30.0):
-        pass
-
-
-@pytest.mark.parametrize("mode", ["inline", "background"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_tiered_policy_holds_over_random_streams(mode, data):
+def test_tiered_policy_holds_over_random_streams(data):
     """Random insert / delete / flush / compact streams: the 2x size
     invariant and the count bound hold after every op, rebuilt rows stay
     within the logarithmic-method bound, saturated answers equal a twin
@@ -201,7 +198,7 @@ def test_tiered_policy_holds_over_random_streams(mode, data):
     rng = np.random.default_rng(5)
     base = rng.normal(size=(24, DIM))
     memtable = 4
-    tiered = _mk(memtable_size=memtable, max_segments=5, compaction=mode).fit(base)
+    tiered = _mk(memtable_size=memtable, max_segments=5).fit(base)
     reference = _mk(memtable_size=10**9).fit(base)
     live = set(range(len(base)))
     inserts = forced = 0
@@ -226,7 +223,6 @@ def test_tiered_policy_holds_over_random_streams(mode, data):
             assert tiered.insert(vec) == reference.insert(vec)
             live.add(len(base) + inserts)
             inserts += 1
-        _quiesce(tiered)
         if choice in ("delete", "compact"):
             # merge-everything and tombstone GC are asked for, not policy
             forced += tiered.rows_rebuilt - before
@@ -312,91 +308,6 @@ def test_fanout_byte_identical_to_rebuilt_index(data):
 
 
 # ----------------------------------------------------------------------
-# Background compaction
-# ----------------------------------------------------------------------
-
-def test_background_compaction_commits_and_matches_rebuilt():
-    index, rng = _fitted(
-        10, memtable_size=6, max_segments=2, compaction="background"
-    )
-    reference = _mk(memtable_size=10**9).fit(
-        np.random.default_rng(7).normal(size=(10, DIM))
-    )
-    for v in rng.normal(size=(60, DIM)):
-        index.insert(v)
-        reference.insert(v)
-    for _ in range(6):  # each drain commits at most one merged build
-        if index.segment_count <= index.max_segments:
-            break
-        index.drain_compaction(timeout=30.0)
-    assert index.compactions >= 1
-    assert not index._compactor.busy
-    reference._rebuild()
-    _assert_same_answers(index, reference, rng.normal(size=(4, DIM)))
-
-
-def test_stale_background_build_is_discarded():
-    index, rng = _fitted(
-        10, memtable_size=4, max_segments=1, compaction="background"
-    )
-    while not index._compactor.busy:
-        index.insert(rng.normal(size=DIM))
-    before = index.compactions
-    index._rebuild()  # full GC rebuild replaces the build's input segments
-    index._compactor.drain(timeout=30.0)
-    index._commit_ready()
-    assert index.compactions == before  # stale result dropped, not merged
-    assert index.segment_count == 1
-
-
-def test_background_build_is_dropped_when_its_range_moved():
-    """A build over ``segments[1:3]`` commits only while those exact
-    objects still fill slots 1..3: an explicit ``compact()`` that lands
-    first replaces them, and the finished build must not be spliced in."""
-    index, rng = _fitted(
-        40, memtable_size=4, max_segments=8, compaction="background"
-    )
-    while not index._compactor.busy:
-        index.insert(rng.normal(size=DIM))
-    assert index.tier_stats()["segment_rows"] == [40, 4, 4]
-    index._compactor.drain(timeout=30.0)  # built, not yet committed
-    assert index.compact() is True        # the whole stack, synchronously
-    before = index.compactions
-    index.insert(rng.normal(size=DIM))    # the next write finds the build
-    assert index.compactions == before
-    assert index.tier_stats()["segment_rows"] == [48]
-    assert not index._compactor.busy
-
-
-def test_compaction_manager_single_slot():
-    manager = CompactionManager()
-    assert manager.take_ready() is None
-    started = manager.schedule(
-        lambda: merge_segments([], 0, 0, set(), lambda h: None)
-    )
-    assert started
-    manager.drain(timeout=10.0)
-    assert manager.busy  # finished but uncommitted still occupies the slot
-    assert manager.schedule(lambda: None) is False
-    result = manager.take_ready()
-    assert result is not None and result.segment is None
-    assert not manager.busy
-
-
-def test_background_build_error_is_contained():
-    manager = CompactionManager()
-
-    def boom():
-        raise RuntimeError("build exploded")
-
-    manager.schedule(boom)
-    manager.drain(timeout=10.0)
-    with pytest.raises(RuntimeError, match="build exploded"):
-        manager.take_ready()
-    assert not manager.busy  # slot freed for the next attempt
-
-
-# ----------------------------------------------------------------------
 # merge_segments unit behavior
 # ----------------------------------------------------------------------
 
@@ -412,11 +323,10 @@ def test_merge_segments_drops_dead_and_reports_them():
     result = merge_segments([seg_a, seg_b], 0, 2, {2, 7, 99}, build)
     assert result.dropped == [2, 7]
     assert built["handles"].tolist() == [0, 4, 5]
-    assert (result.start, result.inputs) == (0, (seg_a, seg_b))
+    assert result.segment.handles.tolist() == [0, 4, 5]
 
     # a range in the middle of the stack leaves its neighbours alone
-    emptied = merge_segments([seg_b, seg_a, seg_b], 1, 2, {0, 2, 4}, build)
-    assert (emptied.start, emptied.inputs) == (1, (seg_a,))
+    emptied = merge_segments([seg_b, seg_a, seg_b], 1, 2, {0, 2, 4, 5}, build)
     assert emptied.segment is None
     assert emptied.dropped == [0, 2, 4]
 
@@ -496,6 +406,37 @@ def test_segmented_bundle_roundtrip(tmp_path, mmap):
     assert loaded.get_vector(handle) is not None
 
 
+@pytest.mark.parametrize("recorded", ["background", "inline", "rebuild"])
+def test_bundles_naming_a_compaction_mode_load_and_answer_alike(
+    tmp_path, recorded
+):
+    """Bundles saved before the ``compaction`` argument went record it in
+    their state; the field is ignored, eager and memory-mapped."""
+    from repro.serve import load_index, save_index
+    from repro.serve.persistence import MANIFEST_NAME
+
+    index, rng = _fitted(20, memtable_size=5, max_segments=100)
+    for v in rng.normal(size=(17, DIM)):
+        index.insert(v)
+    index.delete(4)
+    plain = str(tmp_path / "plain")
+    save_index(index, plain)
+    named = str(tmp_path / "named")
+    shutil.copytree(plain, named)
+    manifest_path = f"{named}/{MANIFEST_NAME}"
+    with open(manifest_path, encoding="utf-8") as f:
+        manifest = json.load(f)
+    assert "compaction" not in manifest["state"]
+    manifest["state"]["compaction"] = recorded
+    with open(manifest_path, "w", encoding="utf-8") as f:
+        json.dump(manifest, f)
+    queries = rng.normal(size=(4, DIM))
+    for mmap in (False, True):
+        loaded = load_index(named, mmap=mmap)
+        assert loaded.tier_stats()["segment_rows"] == index.tier_stats()["segment_rows"]
+        _assert_same_answers(loaded, load_index(plain, mmap=mmap), queries)
+
+
 def test_service_stats_surface_tier_shape():
     from repro.serve import ANNService
 
@@ -508,6 +449,6 @@ def test_service_stats_surface_tier_shape():
         assert stats["tier_segments"] == index.segment_count
         assert stats["tier_memtable"] == index.buffer_size
         assert stats["tier_seals"] == index.seals
-        assert stats["tier_compaction"] == "inline"
+        assert stats["tier_compactions"] == index.compactions
     finally:
         service.close()

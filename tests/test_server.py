@@ -450,53 +450,53 @@ def test_prefork_workers_share_port_route_writes_and_drain(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert build.returncode == 0, build.stderr
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", str(bundle),
          "--tcp", "127.0.0.1:0", "--workers", "2",
          "--wal-dir", str(tmp_path / "dyn.wal"), "--mmap",
          "--fsync", "off", "--max-inflight", "32"],
         env=env, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        port = None
-        deadline = time.time() + 120
-        while time.time() < deadline:
-            line = proc.stderr.readline()
-            if not line:
-                break
-            found = re.search(r"listening on [\d.]+:(\d+) workers=2", line)
-            if found:
-                port = int(found.group(1))
-                break
-        assert port is not None, "no readiness line"
-        rng = np.random.default_rng(0)
-        pids = set()
-        with ServeClient("127.0.0.1", port, timeout=60) as client:
-            ids, dists = client.query(rng.normal(size=128), k=5)
-            assert list(dists) == sorted(dists)
-            inserted = client.insert(rng.normal(size=128))
-            assert inserted["seq"] >= 1
-            # read-your-writes across processes: whatever worker this
-            # lands on must catch up to the write's WAL position
-            ids, _ = client.query(
-                np.zeros(128), k=201, min_version=inserted["seq"]
-            )
-            assert inserted["handle"] in ids.tolist()
-            stats = client.stats()
-            assert stats["role"] == "replica"
-            assert stats["applied_seq"] >= inserted["seq"]
-            pids.add(stats["pid"])
-        # a second connection may land on either worker — both serve
-        with ServeClient("127.0.0.1", port, timeout=60) as client:
-            client.query(rng.normal(size=128), k=3)
-            pids.add(client.stats()["pid"])
-        assert pids  # at least one worker pid observed
-        proc.send_signal(signal.SIGTERM)
-        rc = proc.wait(timeout=60)
-        rest = proc.stderr.read()
-        assert rc == 0, rest
-        assert "all workers drained" in rest
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+    ) as proc:
+        try:
+            port = None
+            deadline = time.time() + 120
+            while time.time() < deadline:
+                line = proc.stderr.readline()
+                if not line:
+                    break
+                found = re.search(r"listening on [\d.]+:(\d+) workers=2", line)
+                if found:
+                    port = int(found.group(1))
+                    break
+            assert port is not None, "no readiness line"
+            rng = np.random.default_rng(0)
+            pids = set()
+            with ServeClient("127.0.0.1", port, timeout=60) as client:
+                ids, dists = client.query(rng.normal(size=128), k=5)
+                assert list(dists) == sorted(dists)
+                inserted = client.insert(rng.normal(size=128))
+                assert inserted["seq"] >= 1
+                # read-your-writes across processes: whatever worker this
+                # lands on must catch up to the write's WAL position
+                ids, _ = client.query(
+                    np.zeros(128), k=201, min_version=inserted["seq"]
+                )
+                assert inserted["handle"] in ids.tolist()
+                stats = client.stats()
+                assert stats["role"] == "replica"
+                assert stats["applied_seq"] >= inserted["seq"]
+                pids.add(stats["pid"])
+            # a second connection may land on either worker — both serve
+            with ServeClient("127.0.0.1", port, timeout=60) as client:
+                client.query(rng.normal(size=128), k=3)
+                pids.add(client.stats()["pid"])
+            assert pids  # at least one worker pid observed
+            proc.send_signal(signal.SIGTERM)
+            rc = proc.wait(timeout=60)
+            rest = proc.stderr.read()
+            assert rc == 0, rest
+            assert "all workers drained" in rest
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)

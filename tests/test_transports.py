@@ -194,28 +194,28 @@ def test_stdin_and_tcp_answer_one_script_identically(bundle, tmp_path):
         json.dumps({"metrics": True}),
     ]
     total = len(first) + len(second)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve", bundle,
             "--wal-dir", str(tmp_path / "stdin.wal"),
         ],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": SRC_DIR},
-    )
-    try:
-        # (two handles, not one duplex wrapper: closing stdin is the EOF)
-        class _Pipes:
-            write, flush = proc.stdin.write, proc.stdin.flush
-            readline = proc.stdout.readline
+    ) as proc:
+        try:
+            # (two handles, not one duplex wrapper: closing stdin is the EOF)
+            class _Pipes:
+                write, flush = proc.stdin.write, proc.stdin.flush
+                readline = proc.stdout.readline
 
-        out = _converse(_Pipes, [first, second])
-        proc.stdin.close()
-        assert proc.wait(timeout=60) == 0
-        assert f"served {total} responses" in proc.stderr.read().decode()
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+            out = _converse(_Pipes, [first, second])
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+            assert f"served {total} responses" in proc.stderr.read().decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
     with _tcp_server(bundle, wal_dir=tmp_path / "tcp.wal") as port:
         with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
             with sock.makefile("rwb") as wire:

@@ -11,6 +11,7 @@ must track the primary's segment layout through compactions.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import struct
@@ -23,7 +24,9 @@ from hypothesis import strategies as st
 from repro import DynamicLCCSLSH, IndexSpec
 from repro.serve import DurableIndex, WALError, recover
 from repro.serve.durability.replica import Replica
+from repro.serve.persistence import MANIFEST_NAME
 from repro.serve.durability.wal import (
+    CONFIG_NAME,
     OP_COMPACT,
     OP_COMPACT_PREFIX,
     OP_SEAL,
@@ -157,15 +160,14 @@ def test_parent_format_compact_record_replays_as_a_prefix_range(tmp_path):
     for _ in range(2):
         twin = DynamicLCCSLSH(
             dim=DIM, m=8, w=4.0, seed=7, memtable_size=6, max_segments=9,
-            compaction="background",  # replay schedules nothing on its own
         )
         for record in history:
             twin.apply_op(record)
-        assert twin.tier_stats()["segment_rows"] == [40, 6, 6, 6]
+        assert twin.tier_stats()["segment_rows"] == [40, 12, 6]
         twins.append(twin)
     twins[0].apply_op((op.kind, op.payload))
     twins[1].apply_op(("compact", (0, 2, [3])))
-    assert twins[0].tier_stats()["segment_rows"] == [45, 6, 6]
+    assert twins[0].tier_stats()["segment_rows"] == [51, 6]
     assert_same_tier_shape(*twins)
     assert_identical_answers(*twins, queries_for())
     with pytest.raises(ValueError, match="compact record"):
@@ -191,7 +193,6 @@ def test_durable_flush_requires_index_support(tmp_path):
         di.flush()
     with pytest.raises(TypeError):
         di.compact()
-    assert di.drain_compaction() is False
 
 
 # ----------------------------------------------------------------------
@@ -294,17 +295,16 @@ def test_replicas_track_tier_shape_through_compactions(tmp_path):
     primary.close()
 
 
-@pytest.mark.parametrize("mode", ["inline", "background"])
-def test_recovery_and_replica_reach_the_primarys_exact_segments(tmp_path, mode):
+def test_recovery_and_replica_reach_the_primarys_exact_segments(tmp_path):
     """The benchmark's write schedule (10k base, 64-row memtable, 600
-    inserts + deletes) under both modes: ``recover()`` (snapshot + log
-    suffix) and a replica polling mid-stream end with the primary's
-    per-segment handle lists and its ``rows_rebuilt``, to the row."""
+    inserts + deletes): ``recover()`` (snapshot + log suffix) and a
+    replica polling mid-stream end with the primary's per-segment handle
+    lists and its ``rows_rebuilt``, to the row."""
     from repro.serve import SnapshotManager
 
     spec = IndexSpec(
         "DynamicLCCSLSH", dim=DIM, m=8, w=4.0, seed=7,
-        memtable_size=64, max_segments=4, compaction=mode,
+        memtable_size=64, max_segments=4,
     )
     rng = np.random.default_rng(6)
     wal_dir = str(tmp_path / "wal")
@@ -322,8 +322,6 @@ def test_recovery_and_replica_reach_the_primarys_exact_segments(tmp_path, mode):
         if i % 97 == 96:
             primary.wal.sync()
             replica.catch_up()
-    while primary.drain_compaction(timeout=30.0):
-        pass
     primary.wal.sync()
     replica.catch_up()
     result = recover(wal_dir)
@@ -332,8 +330,7 @@ def test_recovery_and_replica_reach_the_primarys_exact_segments(tmp_path, mode):
     want = primary.inner.tier_stats()
     assert want["compactions"] >= 3
     assert want["rows_rebuilt"] <= 5 * 600
-    if mode == "inline":  # background's shape depends on build timing
-        assert want["segment_rows"][0] == 10_000  # the base was never rebuilt
+    assert want["segment_rows"][0] == 10_000  # the base was never rebuilt
     handles = [seg.handles.tolist() for seg in primary.inner._state.segments]
     for other in (result.index, replica.index.inner):
         got = other.tier_stats()
@@ -345,30 +342,61 @@ def test_recovery_and_replica_reach_the_primarys_exact_segments(tmp_path, mode):
     primary.close()
 
 
-def test_background_compaction_is_logged_before_visible(tmp_path):
-    """A background merge commits only after its compact record is
-    logged, so a replica tailing the WAL can always reproduce it."""
-    spec = IndexSpec(
-        "DynamicLCCSLSH",
-        dim=DIM,
-        m=8,
-        w=4.0,
-        seed=7,
-        memtable_size=6,
-        max_segments=2,
-        compaction="background",
-    )
-    rng = np.random.default_rng(4)
+# ----------------------------------------------------------------------
+# Logs written under an earlier recipe
+# ----------------------------------------------------------------------
+
+def _record_compaction(path, key, mode):
+    """Name a compaction mode in a ``durable.json`` recipe (``key``
+    ``"spec"``) or a snapshot manifest (``key`` ``"state"``)."""
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    target = doc["spec"]["kwargs"] if key == "spec" else doc["state"]
+    target["compaction"] = mode
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+
+
+def test_recipe_naming_inline_compaction_recovers(tmp_path):
     wal_dir = str(tmp_path / "wal")
-    primary = DurableIndex(spec.build(), wal_dir, spec=spec)
-    primary.fit(rng.normal(size=(12, DIM)))
-    for v in rng.normal(size=(50, DIM)):
-        primary.insert(v)
-    for _ in range(6):
-        if not primary.drain_compaction(timeout=30.0):
-            break
-    assert primary.inner.compactions >= 1
-    primary.wal.sync()
-    recovered = recover(wal_dir).index
-    assert_same_tier_shape(recovered, primary.inner)
-    assert_identical_answers(recovered, primary.inner, queries_for())
+    di = DurableIndex(SPEC.build(), wal_dir, spec=SPEC)
+    drive(di, make_lsm_ops())
+    di.close()
+    _record_compaction(os.path.join(wal_dir, CONFIG_NAME), "spec", "inline")
+    result = recover(wal_dir)
+    assert result.snapshot_seq is None and result.applied_seq == di.applied_seq
+    assert_same_tier_shape(result.index, di.inner)
+    assert_identical_answers(result.index, di.inner, queries_for())
+
+
+@pytest.mark.parametrize("source", ["recipe", "snapshot"])
+def test_background_compaction_logs_are_refused_before_replay(
+    tmp_path, monkeypatch, source
+):
+    """Thread timing chose the ``compact`` ranges of a log written in the
+    removed background mode, and inline replay would merge on its own:
+    ``recover()`` and ``Replica`` refuse it before applying one record."""
+    from repro.serve import RecoveryError, SnapshotManager
+    from repro.serve.durability import snapshots
+
+    wal_dir = str(tmp_path / "wal")
+    manager = SnapshotManager(wal_dir) if source == "snapshot" else None
+    di = DurableIndex(SPEC.build(), wal_dir, spec=SPEC, snapshots=manager)
+    drive(di, make_lsm_ops())
+    if source == "snapshot":
+        path = os.path.join(di.checkpoint(), MANIFEST_NAME)
+        drive(di, make_lsm_ops(n_fit=0, n_updates=8, seed=6)[1:])
+    else:
+        path = os.path.join(wal_dir, CONFIG_NAME)
+    di.close()
+    _record_compaction(path, "state" if source == "snapshot" else "spec",
+                       "background")
+
+    def no_replay(*args):
+        raise AssertionError("a record was replayed")
+
+    monkeypatch.setattr(snapshots, "replay", no_replay)
+    with pytest.raises(RecoveryError, match="background"):
+        recover(wal_dir)
+    with pytest.raises(RecoveryError, match="background"):
+        Replica(wal_dir)

@@ -387,3 +387,36 @@ def test_non_finite_inserts_are_refused_before_the_log(tmp_path):
     got = rebuilt.batch_query(q, k=5)
     assert got[0].tobytes() == expect[0].tobytes()
     assert got[1].tobytes() == expect[1].tobytes()
+
+
+def test_vectors_too_large_to_hash_answer_an_error_and_skip_the_log(tmp_path):
+    """A finite vector whose projections pass int64 is no bad request
+    (the codec reads it), but the index cannot hash it: the query gets
+    ``{"error": "ValueError: ..."}`` and the insert is refused before
+    the WAL append, so recovery never meets it."""
+    wal_dir = str(tmp_path / "wal")
+    durable = DurableIndex(
+        _fitted_dynamic(), wal_dir, snapshots=SnapshotManager(wal_dir)
+    )
+    service = ANNService(durable, cache_size=0)
+    backend = ServiceBackend(service, default_k=3, durable=durable)
+    base_seq = durable.applied_seq
+    huge = [1e200] * DIM
+    try:
+        with ThreadedServer(backend) as server, ServeClient(
+            "127.0.0.1", server.port
+        ) as client:
+            for verb in ("query", "insert"):
+                reply = client.request({verb: huge})
+                assert reply["error"].startswith("ValueError: "), reply
+                assert "int64 bucket range" in reply["error"], reply
+            ok = np.random.default_rng(4).normal(size=DIM)
+            assert client.insert(ok)["seq"] == base_seq + 1
+        with pytest.raises(ValueError, match="int64 bucket range"):
+            durable.insert(np.array(huge))
+        assert durable.applied_seq == base_seq + 1
+    finally:
+        service.close()
+        durable.close()
+    assert [op.kind for _, op in iter_ops(wal_dir)] == ["insert"]
+    assert recover(wal_dir).index.n == N + 1
